@@ -30,6 +30,7 @@ from .dcsel import (
     ScheduleEvent,
     StepRecord,
     init_session,
+    next_constraints,
     parse_schedule,
     run_schedule,
 )
@@ -116,18 +117,12 @@ def replay(
     step(0, "init")
     for i, ev in enumerate(events, start=1):
         try:
-            if ev.kind == "size_delta":
-                c = ConstraintPair(s=c.s, p=c.p + ev.value)
-            elif ev.kind == "size_set":
-                c = ConstraintPair(s=c.s, p=ev.value)
-            elif ev.kind == "similarity_delta":
-                c = ConstraintPair(s=c.s + ev.value, p=c.p)
-            elif ev.kind == "similarity_set":
-                c = ConstraintPair(s=ev.value, p=c.p)
-            else:
+            if ev.kind == "augment":
                 extra = read_msg1(ev.value)
                 bridges = parse_bridges(ev.bridges) if ev.bridges else []
                 g = disjoint_union(g, extra, bridges)
+            else:
+                c = next_constraints(c, ev)
         except MselError as e:
             raise ScheduleError(str(e), step=i) from e
         step(i, ev.text())

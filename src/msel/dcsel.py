@@ -7,15 +7,23 @@ peel only the nodes outside the current group, and similarity changes shrink
 or regrow the group around its surviving core. Every peel performed along the
 way folds its per-size records back into the session profile (shifted to the
 combined group size), so later decreases see them too.
+
+The session keeps the incumbent's membership mask, each node's weight into
+the group and the group's support at the current similarity floor up to
+date as members come and go. Bookkeeping for an event therefore costs the
+degrees of the nodes that change; only residual and fresh peels touch the
+whole graph.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from .errors import (
     MselError,
@@ -24,10 +32,14 @@ from .errors import (
     PreconditionError,
     ScheduleError,
 )
-from .graph import (
+# cross_weight, incident_weight and is_feasible are not called here, but stay
+# names of this module: bench/spans.py rebinds them, with the other graph
+# entry points, to time the layers of a session.
+from .graph import (  # noqa: F401
     ConstraintPair,
     SimGraph,
     Solution,
+    _check_members,
     cross_weight,
     disjoint_union,
     incident_weight,
@@ -83,13 +95,172 @@ class StepRecord:
     wall_ns: int
 
 
+class _Group:
+    """The incumbent's membership plus every node's weight into it.
+
+    For each node u, member or not, ``inw[u]`` sums the weights of u's edges
+    to members and ``top[u]`` is the largest of them (0.0 without any), so
+    the group is supported at s exactly when every member's ``top`` exceeds
+    s. ``weight`` is W of the group. Adding or removing a node costs its
+    degree, which lets an event pay for the nodes that change instead of
+    rescanning the whole group. ``solution`` is the Solution the group was
+    last adopted as, and None once a member changes.
+    """
+
+    __slots__ = ("graph", "members", "mask", "inw", "top", "weight", "solution", "_low")
+
+    def __init__(self, g: SimGraph, members: Iterable[int] = ()):
+        self.graph = g
+        self._fill(members)
+
+    def _fill(self, members: Iterable[int]) -> None:
+        g = self.graph
+        adj = g._adj
+        self.members = set(members)
+        self.mask = mask = bytearray(g.n)
+        self.inw = inw = [0.0] * g.n
+        self.top = top = [0.0] * g.n
+        for u in self.members:
+            mask[u] = 1
+        for u in self.members:
+            for t, w in adj[u]:
+                inw[t] += w
+                if w > top[t]:
+                    top[t] = w
+        self.weight = math.fsum(inw[u] for u in self.members) / 2.0
+        self.solution = None
+        self._low: float | None = None
+
+    def copy(self) -> "_Group":
+        new = _Group.__new__(_Group)
+        new.graph = self.graph
+        new.members = set(self.members)
+        new.mask = bytearray(self.mask)
+        new.inw = self.inw.copy()
+        new.top = self.top.copy()
+        new.weight = self.weight
+        new.solution = self.solution
+        new._low = self._low
+        return new
+
+    @property
+    def alpha(self) -> float:
+        return self.weight / len(self.members) if self.members else 0.0
+
+    def _lowest_top(self) -> float:
+        """Smallest ``top`` over members, recomputed only after it went stale."""
+        if self._low is None:
+            self._low = min(map(self.top.__getitem__, self.members), default=math.inf)
+        return self._low
+
+    def feasible(self, c: ConstraintPair) -> bool:
+        """Same answer as ``is_feasible(members, graph, c)``."""
+        return len(self.members) > c.p and self._lowest_top() > c.s
+
+    def add(self, u: int) -> None:
+        mask, inw, top, low = self.mask, self.inw, self.top, self._low
+        mask[u] = 1
+        self.members.add(u)
+        self.weight += inw[u]
+        for t, w in self.graph._adj[u]:
+            inw[t] += w
+            if w > top[t]:
+                if mask[t] and top[t] == low:
+                    low = None
+                top[t] = w
+        if low is not None and top[u] < low:
+            low = top[u]
+        self._low = low
+        self.solution = None
+
+    def remove(self, u: int) -> None:
+        adj = self.graph._adj
+        mask, inw, top, low = self.mask, self.inw, self.top, self._low
+        mask[u] = 0
+        self.members.discard(u)
+        self.weight = self.weight - inw[u] if self.members else 0.0
+        if top[u] == low:
+            low = None
+        for t, w in adj[u]:
+            inw[t] -= w
+            if w == top[t]:
+                top[t] = max((w2 for x, w2 in adj[t] if mask[x]), default=0.0)
+                if mask[t] and low is not None and top[t] < low:
+                    low = top[t]
+        self._low = low
+        self.solution = None
+
+    def move_to(self, target: frozenset[int]) -> None:
+        """Make ``target`` the member set: node by node, or by refilling from
+        scratch when more nodes change than ``target`` holds. The refill also
+        keeps ``weight`` a sum over the group's own edges rather than a long
+        chain of differences ending at a much smaller group."""
+        gone = self.members - target
+        new = target - self.members
+        if len(gone) + len(new) > len(target):
+            self._fill(target)
+            return
+        for u in gone:
+            self.remove(u)
+        for u in new:
+            self.add(u)
+
+    def absorb(self, floor: float | None = None) -> None:
+        """Add outside nodes while the best one's weight into the group beats α.
+
+        Each accepted node strictly raises the average, so the loop terminates.
+        Candidates are outside nodes with an edge into the group and, when
+        ``floor`` is given, a largest incident weight above it; ties break to
+        the lowest id.
+        """
+        if not self.members:
+            return
+        adj, mask, inw = self.graph._adj, self.mask, self.inw
+        maxw = self.graph._max_weights() if floor is not None else None
+        heap = [
+            (-iw, u) for u, iw in enumerate(inw)
+            if iw > 0.0 and not mask[u] and (maxw is None or maxw[u] > floor)
+        ]
+        heapq.heapify(heap)
+        size = len(self.members)
+        while heap:
+            niw, u = heapq.heappop(heap)
+            iw = -niw
+            if mask[u] or iw != inw[u]:
+                continue
+            if iw * size <= self.weight:
+                break
+            self.add(u)
+            size += 1
+            for t, _ in adj[u]:
+                if not mask[t] and (maxw is None or maxw[t] > floor):
+                    heapq.heappush(heap, (-inw[t], t))
+
+    def extend_graph(self, g: SimGraph, bridges: list[tuple[int, int, float]]) -> None:
+        """Move onto ``g = disjoint_union(self.graph, extra, bridges)``; the
+        added nodes start outside, so only bridge ends change weight."""
+        offset = self.graph.n
+        k = g.n - offset
+        self.graph = g
+        self.mask.extend(bytes(k))
+        self.inw.extend([0.0] * k)
+        self.top.extend([0.0] * k)
+        for u, v, w in bridges:
+            if self.mask[u]:
+                v += offset
+                self.inw[v] += float(w)
+                self.top[v] = max(self.top[v], float(w))
+
+
 @dataclass
 class Session:
     """Mutable solver state: graph, constraints, solution, profile, history.
 
     ``event_removals`` counts peel removals caused by constraint events, so
     tests can compare incremental work against from-scratch re-solving; the
-    initial solve's removals live only in ``stats``.
+    initial solve's removals live only in ``stats``. ``_group`` mirrors
+    ``current``; it is rebuilt whenever ``graph`` or ``current`` is assigned
+    from outside the event functions.
     """
 
     graph: SimGraph
@@ -99,6 +270,28 @@ class Session:
     history: list[StepRecord] = field(default_factory=list)
     stats: PeelStats = field(default_factory=PeelStats)
     event_removals: int = 0
+    _group: _Group | None = field(default=None, repr=False, compare=False)
+
+
+def _group_of(sess: Session) -> _Group:
+    """The state of ``sess.current``, built afresh if it went stale."""
+    grp = sess._group
+    if grp is None or grp.graph is not sess.graph or grp.solution is not sess.current:
+        grp = _Group(sess.graph, _check_members(sess.current.members, sess.graph))
+        grp.solution = sess.current
+        sess._group = grp
+    return grp
+
+
+def _adopt(sess: Session, grp: _Group) -> None:
+    """Make ``grp`` the incumbent, with its weight summed over its own edges."""
+    if grp.solution is None:
+        if grp.members:
+            grp.solution = Solution(frozenset(grp.members), grp.weight, grp.alpha)
+        else:
+            grp.solution = Solution.empty()
+    sess.current = grp.solution
+    sess._group = grp
 
 
 def _record(sess: Session, event: str, t0: int) -> StepRecord:
@@ -108,7 +301,7 @@ def _record(sess: Session, event: str, t0: int) -> StepRecord:
         event=event,
         alpha=sol.alpha,
         size=sol.size,
-        feasible=is_feasible(sol.members, sess.graph, sess.constraints),
+        feasible=_group_of(sess).feasible(sess.constraints),
         wall_ns=time.perf_counter_ns() - t0,
     )
     sess.history.append(rec)
@@ -127,6 +320,7 @@ def init_session(g: SimGraph, c: ConstraintPair) -> Session:
     stats = PeelStats()
     sol, profile = modified_sgsel(g, c, stats=stats)
     sess = Session(graph=g, constraints=c, current=sol, profile=profile, stats=stats)
+    _adopt(sess, _Group(g, sol.members))
     _record(sess, "init", t0)
     return sess
 
@@ -139,7 +333,7 @@ def _remember_current(sess: Session) -> None:
         sess.profile.record(sol.size, sol.alpha, trace, 0)
 
 
-def _fold_residual(sess: Session, base: frozenset[int], w_base: float, resid: PeelProfile) -> None:
+def _fold_residual(sess: Session, base: _Group | None, resid: PeelProfile) -> None:
     """Merge a seeded peel's per-size records into the session profile.
 
     Records from a peel of V minus ``base`` describe residual sets; the folded
@@ -149,68 +343,69 @@ def _fold_residual(sess: Session, base: frozenset[int], w_base: float, resid: Pe
     """
     if len(resid) == 0:
         return
-    if not base:
+    if base is None or not base.members:
         for size, alpha, trace, k in resid.items():
             sess.profile.record(size, alpha, trace, k)
         return
-    g = sess.graph
+    adj = sess.graph._adj
+    mask = base.mask
     entries = list(resid.items())
     order = entries[0][2].order
-    base_tuple = tuple(sorted(base))
-    folded = PeelTrace(order, base_tuple)
+    folded = PeelTrace(order, tuple(sorted(base.members)))
     cross = 0.0
-    nb = len(base)
+    nb = len(base.members)
     n_resid = len(order)
     alphas = {size: alpha for size, alpha, _, _ in entries}
     for j in range(n_resid - 1, -1, -1):
-        cross += incident_weight(order[j], base, g)
+        iw = 0.0
+        for t, w in adj[order[j]]:
+            if mask[t]:
+                iw += w
+        cross += iw
         k = n_resid - j
         alpha_k = alphas.get(k)
         if alpha_k is None:
             continue
-        combined_w = w_base + alpha_k * k + cross
+        combined_w = base.weight + alpha_k * k + cross
         sess.profile.record(nb + k, combined_w / (nb + k), folded, k)
 
 
-def _expand(
-    g: SimGraph,
-    members: frozenset[int],
-    weight: float,
-    exclude: frozenset[int] = frozenset(),
-) -> tuple[frozenset[int], float]:
-    """Absorb outside nodes while the best candidate's incident weight beats α.
+def _peel(sess: Session, c: ConstraintPair, outside: _Group | None = None) -> Solution:
+    """Peel the nodes outside ``outside`` (the whole graph when None), count
+    the work and fold the per-size records into the session profile."""
+    within = None if outside is None else [u for u, inside in enumerate(outside.mask) if not inside]
+    stats = PeelStats()
+    sol, prof = modified_sgsel(sess.graph, c, within=within, stats=stats)
+    sess.stats.pushes += stats.pushes
+    sess.stats.pops += stats.pops
+    sess.stats.removals += stats.removals
+    sess.event_removals += stats.removals
+    _fold_residual(sess, outside, prof)
+    return sol
 
-    Each accepted node strictly raises the average, so the loop terminates.
-    Candidates are nodes adjacent to the group; ties break to the lowest id.
-    """
-    if not members:
-        return members, weight
-    inc: dict[int, float] = {}
-    for x in members:
-        for t, w in g.neighbors(x):
-            if t not in members and t not in exclude:
-                inc[t] = inc.get(t, 0.0) + w
-    heap = [(-iw, u) for u, iw in inc.items()]
-    heapq.heapify(heap)
-    got = set(members)
-    size = len(got)
-    while heap:
-        niw, u = heapq.heappop(heap)
-        iw = -niw
-        if u in got or iw != inc.get(u, 0.0):
-            continue
-        if iw * size <= weight:
-            break
-        got.add(u)
-        weight += iw
-        size += 1
-        del inc[u]
-        for t, w in g.neighbors(u):
-            if t not in got and t not in exclude:
-                niw2 = inc.get(t, 0.0) + w
-                inc[t] = niw2
-                heapq.heappush(heap, (-niw2, t))
-    return frozenset(got), weight
+
+def _fresh_fallback(sess: Session, grp: _Group, c: ConstraintPair) -> None:
+    """Peel the whole graph once and move ``grp`` onto the result if it is
+    feasible. Groups that mix incumbent members with outside nodes are
+    invisible to a residual peel; only this decides whether any exist."""
+    fresh = _peel(sess, c)
+    if fresh:  # a peel returns a feasible group or none
+        grp.move_to(fresh.members)
+
+
+def _refill(sess: Session, grp: _Group, c: ConstraintPair, budget: int, floor: float | None = None) -> None:
+    """Peel outside ``grp`` with size floor ``budget``, merge the best residual
+    group in, absorb outside nodes (none whose largest weight is at most
+    ``floor``), fall back to a fresh solve if the union is infeasible under
+    ``c``, and adopt the outcome."""
+    resid = _peel(sess, ConstraintPair(s=c.s, p=budget), grp)
+    for u in resid.members:
+        grp.add(u)
+    grp.absorb(floor)
+    if not grp.feasible(c):
+        _fresh_fallback(sess, grp, c)
+    _adopt(sess, grp)
+    _remember_current(sess)
 
 
 def expand_greedy(sess: Session, label: str = "expand") -> Solution:
@@ -218,9 +413,61 @@ def expand_greedy(sess: Session, label: str = "expand") -> Solution:
     if not sess.current:
         raise PreconditionError("expansion needs a nonempty current solution")
     t0 = time.perf_counter_ns()
-    members, _ = _expand(sess.graph, sess.current.members, sess.current.total_weight)
-    sess.current = Solution.from_members(sess.graph, members)
+    grp = _group_of(sess)
+    grp.absorb()
+    _adopt(sess, grp)
     _remember_current(sess)
+    _record(sess, label, t0)
+    return sess.current
+
+
+def _constraints(p: int, s: float) -> ConstraintPair:
+    if p < 0:
+        raise ParameterError(f"size constraint would become {p}")
+    if not (0.0 < s < 1.0):
+        raise ParameterError(f"similarity constraint would become {s}")
+    return ConstraintPair(s=s, p=p)
+
+
+def next_constraints(c: ConstraintPair, ev: ScheduleEvent) -> ConstraintPair:
+    """The constraints in force after ``ev``. Set events take their value
+    exactly, deltas add to the current value, and augment changes nothing."""
+    if ev.kind == "size_set":
+        return _constraints(ev.value, c.s)
+    if ev.kind == "size_delta":
+        return _constraints(c.p + ev.value, c.s)
+    if ev.kind == "similarity_set":
+        return _constraints(c.p, ev.value)
+    if ev.kind == "similarity_delta":
+        return _constraints(c.p, c.s + ev.value)
+    return c
+
+
+def _set_size(sess: Session, c_new: ConstraintPair, label: str) -> Solution:
+    """Move the size floor to ``c_new.p`` and repair the solution."""
+    t0 = time.perf_counter_ns()
+    p_old = sess.constraints.p
+    if c_new.p == p_old:
+        _record(sess, label, t0)
+        return sess.current
+    sess.constraints = c_new
+    grp = _group_of(sess)
+
+    if c_new.p < p_old:
+        # An infeasible incumbent never sets the bar: any feasible group beats it.
+        floor = sess.current.alpha if grp.feasible(c_new) else -1.0
+        ranked = sorted(
+            (e for e in sess.profile.items() if e[0] > c_new.p and e[1] > floor),
+            key=lambda e: (-e[1], e[0]),
+        )
+        for _, _, trace, k in ranked:
+            cand = grp.copy()
+            cand.move_to(trace.members_at(k))
+            if cand.alpha > floor and cand.feasible(c_new):
+                _adopt(sess, cand)
+                break
+    elif not (sess.current and c_new.p < sess.current.size):
+        _refill(sess, grp, c_new, c_new.p - p_old)
     _record(sess, label, t0)
     return sess.current
 
@@ -235,131 +482,73 @@ def apply_size_delta(sess: Session, dp: int, label: str | None = None) -> Soluti
     ``dp``, the best residual group is merged in, and the absorb rule runs
     on the union.
     """
-    t0 = time.perf_counter_ns()
     c = sess.constraints
-    p_new = c.p + dp
-    if p_new < 0:
-        raise ParameterError(f"size constraint would become {p_new}")
     if label is None:
         label = f"p+={dp}" if dp >= 0 else f"p-={-dp}"
-    g = sess.graph
-
-    if dp == 0:
-        _record(sess, label, t0)
-        return sess.current
-
-    c_new = ConstraintPair(s=c.s, p=p_new)
-    sess.constraints = c_new
-
-    if dp < 0:
-        ranked = sorted(sess.profile.items(), key=lambda e: (-e[1], e[0]))
-        # An infeasible incumbent never sets the bar: any feasible group beats it.
-        cur_ok = bool(sess.current) and is_feasible(sess.current.members, g, c_new)
-        floor = sess.current.alpha if cur_ok else -1.0
-        for size, alpha, trace, k in ranked:
-            if size <= p_new:
-                continue
-            if alpha <= floor:
-                break
-            cand = Solution.from_members(g, trace.members_at(k))
-            if cand.alpha > floor and is_feasible(cand.members, g, c_new):
-                sess.current = cand
-                break
-        _record(sess, label, t0)
-        return sess.current
-
-    if sess.current and p_new < sess.current.size:
-        _record(sess, label, t0)
-        return sess.current
-
-    base = sess.current.members
-    within = [u for u in range(g.n) if u not in base]
-    stats = PeelStats()
-    resid_sol, resid_prof = modified_sgsel(g, ConstraintPair(s=c.s, p=dp), within=within, stats=stats)
-    sess.stats.pushes += stats.pushes
-    sess.stats.pops += stats.pops
-    sess.stats.removals += stats.removals
-    sess.event_removals += stats.removals
-    _fold_residual(sess, base, sess.current.total_weight, resid_prof)
-
-    union = base | resid_sol.members
-    w = sess.current.total_weight + resid_sol.total_weight
-    if base and resid_sol.members:
-        w += cross_weight(resid_sol.members, base, g)
-    members, _ = _expand(g, union, w)
-    repaired = Solution.from_members(g, members)
-
-    # The residual peel cannot see groups that mix old members with outside
-    # nodes; when the union falls short of the new floor, one fresh global
-    # solve decides whether anything feasible exists at all.
-    if not is_feasible(repaired.members, g, c_new):
-        fresh_stats = PeelStats()
-        fresh_sol, fresh_prof = modified_sgsel(g, c_new, stats=fresh_stats)
-        sess.stats.pushes += fresh_stats.pushes
-        sess.stats.pops += fresh_stats.pops
-        sess.stats.removals += fresh_stats.removals
-        sess.event_removals += fresh_stats.removals
-        _fold_residual(sess, frozenset(), 0.0, fresh_prof)
-        if is_feasible(fresh_sol.members, g, c_new):
-            repaired = fresh_sol
-    sess.current = repaired
-    _remember_current(sess)
-    _record(sess, label, t0)
-    return sess.current
+    return _set_size(sess, _constraints(c.p + dp, c.s), label)
 
 
-def _improve_pass(sess: Session, exclude: frozenset[int] = frozenset()) -> None:
+def _improve_pass(sess: Session) -> None:
     """Peel outside the current group, then adopt the best of: the union of
     current and the residual group (absorbed), the residual group alone
     (absorbed), or the unchanged current. Feasibility outranks the objective,
     and the incumbent wins exact ties."""
     g = sess.graph
     c = sess.constraints
-    cur = sess.current
-    base = cur.members
-    within = [u for u in range(g.n) if u not in base and u not in exclude]
-    stats = PeelStats()
-    resid_sol, resid_prof = modified_sgsel(g, c, within=within, stats=stats)
-    sess.stats.pushes += stats.pushes
-    sess.stats.pops += stats.pops
-    sess.stats.removals += stats.removals
-    sess.event_removals += stats.removals
-    _fold_residual(sess, base, cur.total_weight, resid_prof)
+    grp = _group_of(sess)
+    resid = _peel(sess, c, grp)
 
-    candidates: list[Solution] = []
-    if base or resid_sol.members:
-        union = base | resid_sol.members
-        w = cur.total_weight + resid_sol.total_weight
-        if base and resid_sol.members:
-            w += cross_weight(resid_sol.members, base, g)
-        m1, _ = _expand(g, union, w, exclude=exclude)
-        candidates.append(Solution.from_members(g, m1))
-    if base and resid_sol.members:
-        m2, _ = _expand(g, resid_sol.members, resid_sol.total_weight, exclude=exclude)
-        candidates.append(Solution.from_members(g, m2))
+    candidates: list[_Group] = []
+    if grp.members or resid.members:
+        union = grp.copy()
+        for u in resid.members:
+            union.add(u)
+        union.absorb()
+        candidates.append(union)
+    if grp.members and resid.members:
+        alone = _Group(g, resid.members)
+        alone.absorb()
+        candidates.append(alone)
 
-    best = cur
-    best_key = (is_feasible(cur.members, g, c), cur.alpha)
+    best = grp
+    best_key = (grp.feasible(c), sess.current.alpha)
     for cand in candidates:
-        key = (is_feasible(cand.members, g, c), cand.alpha)
+        key = (cand.feasible(c), cand.alpha)
         if key > best_key:
             best, best_key = cand, key
 
     # Nothing feasible among groups anchored on the incumbent: a mixed group
     # may still exist, which only a peel of the whole graph can find.
-    if not best_key[0] and base:
-        fresh_stats = PeelStats()
-        fresh_sol, fresh_prof = modified_sgsel(g, c, stats=fresh_stats)
-        sess.stats.pushes += fresh_stats.pushes
-        sess.stats.pops += fresh_stats.pops
-        sess.stats.removals += fresh_stats.removals
-        sess.event_removals += fresh_stats.removals
-        _fold_residual(sess, frozenset(), 0.0, fresh_prof)
-        key = (is_feasible(fresh_sol.members, g, c), fresh_sol.alpha)
-        if key > best_key:
-            best = fresh_sol
-    sess.current = best
+    if not best_key[0] and grp.members:
+        _fresh_fallback(sess, best, c)
+    _adopt(sess, best)
     _remember_current(sess)
+
+
+def _set_similarity(sess: Session, c_new: ConstraintPair, label: str) -> Solution:
+    """Move the similarity floor to ``c_new.s`` and repair the solution."""
+    t0 = time.perf_counter_ns()
+    s_old = sess.constraints.s
+    if c_new.s == s_old:
+        _record(sess, label, t0)
+        return sess.current
+    sess.constraints = c_new
+
+    if c_new.s < s_old:
+        _improve_pass(sess)
+        _record(sess, label, t0)
+        return sess.current
+
+    grp = _group_of(sess)
+    maxw = sess.graph._max_weights()
+    grp.move_to(frozenset(u for u in grp.members if maxw[u] > c_new.s))
+    if len(grp.members) > c_new.p and grp.feasible(c_new):
+        _adopt(sess, grp)
+        _remember_current(sess)
+    else:
+        _refill(sess, grp, c_new, max(c_new.p - len(grp.members), 0), floor=c_new.s)
+    _record(sess, label, t0)
+    return sess.current
 
 
 def apply_similarity_delta(sess: Session, ds: float, label: str | None = None) -> Solution:
@@ -371,69 +560,10 @@ def apply_similarity_delta(sess: Session, ds: float, label: str | None = None) -
     floor enlarges the search space, which is handled as an improvement pass
     over everything outside the current group.
     """
-    t0 = time.perf_counter_ns()
     c = sess.constraints
-    s_new = c.s + ds
-    if not (0.0 < s_new < 1.0):
-        raise ParameterError(f"similarity constraint would become {s_new}")
     if label is None:
         label = f"s+={ds:g}" if ds >= 0 else f"s-={-ds:g}"
-    g = sess.graph
-
-    if ds == 0:
-        _record(sess, label, t0)
-        return sess.current
-
-    c_new = ConstraintPair(s=s_new, p=c.p)
-    sess.constraints = c_new
-
-    if ds < 0:
-        _improve_pass(sess)
-        _record(sess, label, t0)
-        return sess.current
-
-    dead = frozenset(u for u in range(g.n) if g.max_incident_weight(u) <= s_new)
-    kept = sess.current.members - dead
-    if len(kept) > c_new.p:
-        cand = Solution.from_members(g, kept)
-        if is_feasible(cand.members, g, c_new):
-            sess.current = cand
-            _remember_current(sess)
-            _record(sess, label, t0)
-            return sess.current
-
-    budget = max(c_new.p - len(kept), 0)
-    within = [u for u in range(g.n) if u not in dead and u not in kept]
-    stats = PeelStats()
-    resid_sol, resid_prof = modified_sgsel(g, ConstraintPair(s=s_new, p=budget), within=within, stats=stats)
-    sess.stats.pushes += stats.pushes
-    sess.stats.pops += stats.pops
-    sess.stats.removals += stats.removals
-    sess.event_removals += stats.removals
-    base_sol = Solution.from_members(g, kept)
-    _fold_residual(sess, kept, base_sol.total_weight, resid_prof)
-
-    union = kept | resid_sol.members
-    w = base_sol.total_weight + resid_sol.total_weight
-    if kept and resid_sol.members:
-        w += cross_weight(resid_sol.members, kept, g)
-    members, _ = _expand(g, union, w, exclude=dead)
-    repaired = Solution.from_members(g, members)
-
-    if not is_feasible(repaired.members, g, c_new):
-        fresh_stats = PeelStats()
-        fresh_sol, fresh_prof = modified_sgsel(g, c_new, stats=fresh_stats)
-        sess.stats.pushes += fresh_stats.pushes
-        sess.stats.pops += fresh_stats.pops
-        sess.stats.removals += fresh_stats.removals
-        sess.event_removals += fresh_stats.removals
-        _fold_residual(sess, frozenset(), 0.0, fresh_prof)
-        if is_feasible(fresh_sol.members, g, c_new):
-            repaired = fresh_sol
-    sess.current = repaired
-    _remember_current(sess)
-    _record(sess, label, t0)
-    return sess.current
+    return _set_similarity(sess, _constraints(c.p, c.s + ds), label)
 
 
 def augment_graph(
@@ -451,7 +581,10 @@ def augment_graph(
     """
     t0 = time.perf_counter_ns()
     bridge_list = list(bridges) if bridges else []
-    sess.graph = disjoint_union(sess.graph, extra, bridge_list)
+    grp = _group_of(sess)
+    merged = disjoint_union(sess.graph, extra, bridge_list)
+    grp.extend_graph(merged, bridge_list)
+    sess.graph = merged
     if extra.n == 0 and not bridge_list:
         _record(sess, label, t0)
         return sess.current
@@ -471,18 +604,14 @@ def run_schedule(sess: Session, events: list[ScheduleEvent]) -> list[StepRecord]
     records: list[StepRecord] = []
     for i, ev in enumerate(events, start=1):
         try:
-            if ev.kind == "size_delta":
-                apply_size_delta(sess, ev.value, label=ev.text())
-            elif ev.kind == "size_set":
-                apply_size_delta(sess, ev.value - sess.constraints.p, label=ev.text())
-            elif ev.kind == "similarity_delta":
-                apply_similarity_delta(sess, ev.value, label=ev.text())
-            elif ev.kind == "similarity_set":
-                apply_similarity_delta(sess, ev.value - sess.constraints.s, label=ev.text())
-            else:
+            if ev.kind == "augment":
                 extra = read_msg1(ev.value)
                 bridge_list = parse_bridges(ev.bridges) if ev.bridges else []
                 augment_graph(sess, extra, bridge_list, label=ev.text())
+            elif ev.kind.startswith("size"):
+                _set_size(sess, next_constraints(sess.constraints, ev), ev.text())
+            else:
+                _set_similarity(sess, next_constraints(sess.constraints, ev), ev.text())
         except MselError as e:
             raise ScheduleError(str(e), step=i) from e
         records.append(sess.history[-1])

@@ -20,10 +20,12 @@ class SimGraph:
 
     Adjacency lists are sorted by neighbor id, so two graphs built from the
     same edge set (in any order) have identical internal layout and every
-    traversal is deterministic.
+    traversal is deterministic. Graphs made by ``disjoint_union`` share the
+    unchanged adjacency lists of their first input; no graph ever mutates a
+    list after construction, so the sharing is invisible.
     """
 
-    __slots__ = ("n", "m", "labels", "_adj")
+    __slots__ = ("n", "m", "labels", "_adj", "_maxw")
 
     def __init__(self, n: int, edges: Iterable[Edge], labels: Sequence[str] | None = None):
         if n < 0:
@@ -52,6 +54,14 @@ class SimGraph:
         self.m = m
         self.labels = tuple(labels) if labels is not None else None
         self._adj = adj
+        self._maxw: list[float] | None = None
+
+    @classmethod
+    def _from_adj(cls, n: int, m: int, adj: list, labels: tuple[str, ...] | None) -> "SimGraph":
+        """Wrap already validated, sorted adjacency lists without copying them."""
+        g = cls.__new__(cls)
+        g.n, g.m, g.labels, g._adj, g._maxw = n, m, labels, adj, None
+        return g
 
     def neighbors(self, u: int) -> Sequence[tuple[int, float]]:
         """(neighbor, weight) pairs of ``u``, sorted by neighbor id. Read-only."""
@@ -81,8 +91,13 @@ class SimGraph:
     def max_incident_weight(self, u: int) -> float:
         """Largest weight on any edge at ``u`` (0.0 for isolated nodes)."""
         self._check_node(u)
-        lst = self._adj[u]
-        return max(w for _, w in lst) if lst else 0.0
+        return self._max_weights()[u]
+
+    def _max_weights(self) -> list[float]:
+        """Every node's largest incident weight, computed once per graph."""
+        if self._maxw is None:
+            self._maxw = [max(w for _, w in lst) if lst else 0.0 for lst in self._adj]
+        return self._maxw
 
     def _check_node(self, u: int) -> None:
         if not (0 <= u < self.n):
@@ -213,20 +228,38 @@ def disjoint_union(g1: SimGraph, g2: SimGraph, bridges: Iterable[Edge] = ()) -> 
     """Combine two graphs, shifting ``g2`` ids up by ``g1.n``.
 
     Bridge edges are given as (u, v, w) with ``u`` a g1 id and ``v`` a g2-local
-    id; they land between the two halves of the result.
+    id; they land between the two halves of the result. The result shares
+    ``g1``'s adjacency lists except at bridge endpoints, which get copies:
+    beyond one reference per g1 node, building it costs O(|g2| + bridges),
+    and neither input is ever mutated.
     """
     offset = g1.n
-    edges: list[Edge] = list(g1.edges())
-    edges.extend((u + offset, v + offset, w) for u, v, w in g2.edges())
+    adj = list(g1._adj)
+    adj.extend([(t + offset, w) for t, w in lst] for lst in g2._adj)
+    touched: dict[int, list[tuple[int, float]]] = {}
+    m = g1.m + g2.m
     for u, v, w in bridges:
         if not (0 <= u < g1.n):
             raise PreconditionError(f"bridge endpoint {u} not in base graph 0..{g1.n - 1}")
         if not (0 <= v < g2.n):
             raise PreconditionError(f"bridge endpoint {v} not in added graph 0..{g2.n - 1}")
-        edges.append((u, v + offset, w))
+        v += offset
+        if not (0.0 < w <= 1.0):
+            raise ParameterError(f"edge ({u},{v}) weight {w} outside (0,1]")
+        w = float(w)
+        if u not in touched:
+            touched[u] = adj[u] = list(adj[u])
+        touched.setdefault(v, adj[v]).append((u, w))
+        adj[u].append((v, w))
+        m += 1
+    for x, lst in touched.items():
+        lst.sort()
+        for i in range(1, len(lst)):
+            if lst[i][0] == lst[i - 1][0]:
+                raise ParameterError(f"duplicate edge ({x},{lst[i][0]})")
     labels = None
     if g1.labels is not None or g2.labels is not None:
         l1 = g1.labels if g1.labels is not None else ("",) * g1.n
         l2 = g2.labels if g2.labels is not None else ("",) * g2.n
         labels = l1 + l2
-    return SimGraph(g1.n + g2.n, edges, labels=labels)
+    return SimGraph._from_adj(g1.n + g2.n, m, adj, labels)

@@ -4,6 +4,7 @@ import pytest
 
 from msel import (
     ConstraintPair,
+    InvalidNodeError,
     ParameterError,
     PeelProfile,
     PreconditionError,
@@ -15,14 +16,18 @@ from msel import (
     apply_similarity_delta,
     apply_size_delta,
     augment_graph,
+    avg_similarity,
     exact_msp,
     expand_greedy,
     init_session,
     is_feasible,
     parse_schedule,
     run_schedule,
+    total_weight,
     write_msg1,
 )
+
+from msel.cli import replay
 
 from helpers import assert_close, gnp_graph
 
@@ -269,6 +274,14 @@ def test_expand_greedy_boundary_node_stays_out():
     assert sol.members == frozenset({0, 1})
 
 
+def test_session_rejects_members_outside_the_graph(two_triangles):
+    sess = init_session(two_triangles, ConstraintPair(s=0.05, p=1))
+    for bad in (6, -1):
+        sess.current = Solution(frozenset({0, 1, bad}), 0.9, 0.3)
+        with pytest.raises(InvalidNodeError):
+            apply_size_delta(sess, 1)
+
+
 def test_expand_greedy_needs_a_group(two_triangles):
     sess = init_session(two_triangles, ConstraintPair(s=0.95, p=1))
     with pytest.raises(PreconditionError):
@@ -332,6 +345,26 @@ def test_run_schedule_set_events(two_cluster):
     sess = init_session(two_cluster, ConstraintPair(s=0.05, p=2))
     run_schedule(sess, [ScheduleEvent("size_set", 5), ScheduleEvent("similarity_set", 0.2)])
     assert sess.constraints == ConstraintPair(s=0.2, p=5)
+
+
+def test_run_schedule_set_events_take_the_exact_value():
+    # 0.1 + (0.45 - 0.1) is 0.44999999999999996, under which the 0.45 triangle
+    # would count as supported although the strict rule says it is not
+    g = SimGraph(3, [(0, 1, 0.45), (0, 2, 0.45), (1, 2, 0.45)])
+    sess = init_session(g, ConstraintPair(s=0.1, p=1))
+    assert sess.history[-1].feasible
+    run_schedule(sess, [ScheduleEvent("similarity_set", 0.45)])
+    assert sess.constraints.s == 0.45
+    assert not sess.history[-1].feasible
+    assert not exact_msp(g, sess.constraints).feasible
+    run_schedule(sess, [ScheduleEvent("similarity_set", 0.1), ScheduleEvent("size_set", 2)])
+    assert sess.constraints == ConstraintPair(s=0.1, p=2)
+    assert sess.history[-1].feasible
+    # the incremental engine and a re-solving baseline agree step by step
+    events = [ScheduleEvent("similarity_set", 0.45)]
+    for algo in ("dcsel", "msgsel"):
+        records = replay(algo, g, ConstraintPair(s=0.1, p=1), events, seed=0)
+        assert [r.feasible for r in records] == [True, False]
 
 
 def test_run_schedule_wraps_failures_with_step(two_cluster):
@@ -409,6 +442,22 @@ def test_parse_schedule_errors(tmp_path):
 # ---------------------------------------------------------------- fuzzing
 
 
+def _assert_bookkeeping(sess):
+    """The session's kept weights and support agree with a recomputation."""
+    g, sol = sess.graph, sess.current
+    assert_close(sol.total_weight, total_weight(sol.members, g))
+    assert_close(sol.alpha, avg_similarity(sol.members, g))
+    assert sess.history[-1].feasible == is_feasible(sol.members, g, sess.constraints)
+    # the per-node state behind those answers, which later events reuse
+    grp = sess._group
+    assert grp.graph is g and grp.members == sol.members
+    for u in range(g.n):
+        into = [w for t, w in g.neighbors(u) if t in sol.members]
+        assert grp.mask[u] == (u in sol.members)
+        assert grp.top[u] == max(into, default=0.0)
+        assert_close(grp.inw[u], sum(into))
+
+
 def _random_session_walk(rng, n_events=4):
     """One random instance plus a short delta schedule, oracle-checked."""
     g = gnp_graph(rng, rng.randint(4, 11))
@@ -427,6 +476,7 @@ def _random_session_walk(rng, n_events=4):
             if not (0.01 < s_new < 0.95):
                 ds = -ds
             apply_similarity_delta(sess, ds)
+        _assert_bookkeeping(sess)
         res = exact_msp(g, sess.constraints)
         rec = sess.history[-1]
         if res.feasible:
@@ -459,6 +509,7 @@ def test_random_augments_track_the_oracle():
         alpha_before = sess.current.alpha
         feasible_before = sess.history[-1].feasible
         augment_graph(sess, extra, bridges)
+        _assert_bookkeeping(sess)
         merged = sess.graph
         res = exact_msp(merged, sess.constraints)
         rec = sess.history[-1]

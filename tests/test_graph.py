@@ -201,13 +201,34 @@ def test_weight_arithmetic_matches_naive():
 
 def test_disjoint_union_layout(two_triangles):
     extra = SimGraph(2, [(0, 1, 0.5)], labels=("x", "y"))
-    merged = disjoint_union(two_triangles, extra, bridges=[(2, 0, 0.25)])
+    base_adj = [list(two_triangles.neighbors(u)) for u in range(two_triangles.n)]
+    extra_adj = [list(extra.neighbors(u)) for u in range(extra.n)]
+    bridges = [(2, 0, 0.25), (0, 1, 0.75), (2, 1, 1.0)]
+    merged = disjoint_union(two_triangles, extra, bridges=bridges)
     assert merged.n == 8
+    assert merged.m == two_triangles.m + extra.m + len(bridges)
     assert merged.weight(6, 7) == 0.5
     assert merged.weight(2, 6) == 0.25
     # base labels default to empty strings when only one side has labels
     assert merged.labels == ("", "", "", "", "", "", "x", "y")
+    # the merged graph shares adjacency with its inputs but never edits them
+    assert [list(two_triangles.neighbors(u)) for u in range(two_triangles.n)] == base_adj
+    assert [list(extra.neighbors(u)) for u in range(extra.n)] == extra_adj
+    # same layout as a graph built from the full edge list
+    full = list(two_triangles.edges())
+    full += [(u + 6, v + 6, w) for u, v, w in extra.edges()]
+    full += [(u, v + 6, w) for u, v, w in bridges]
+    rebuilt = SimGraph(8, full)
+    assert list(merged.edges()) == list(rebuilt.edges())
+    assert all(merged.neighbors(u) == rebuilt.neighbors(u) for u in range(8))
     with pytest.raises(PreconditionError):
         disjoint_union(two_triangles, extra, bridges=[(9, 0, 0.5)])
     with pytest.raises(PreconditionError):
         disjoint_union(two_triangles, extra, bridges=[(0, 5, 0.5)])
+    for w in (0.0, -0.5, 1.5):
+        with pytest.raises(ParameterError):
+            disjoint_union(two_triangles, extra, bridges=[(0, 0, w)])
+    with pytest.raises(ParameterError):
+        disjoint_union(two_triangles, extra, bridges=[(1, 1, 0.5), (1, 1, 0.6)])
+    # failed unions leave the inputs as they were, too
+    assert [list(two_triangles.neighbors(u)) for u in range(two_triangles.n)] == base_adj
