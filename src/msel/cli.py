@@ -2,26 +2,22 @@
 
 Exit codes: 0 success, 2 bad input (files, formats, parameters), 3 failure
 while executing a schedule. `run` emits one CSV row per schedule step;
-`bench` repeats whole runs and aggregates wall times per (algorithm, step).
-The env var MSEL_THREADS caps bench parallelism: unset or 1 means serial
-(keeps timings quiet), 0 means one worker per CPU.
+`bench` repeats whole runs, one after another, and aggregates wall times
+per (algorithm, step).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .baselines import average_peel, degree_peel, random_peel, sgsel
 from .dataio import (
     dataset_stats,
     load_content_cites,
-    parse_bridges,
     read_msg1,
     to_sim_graph,
     write_msg1,
@@ -30,6 +26,7 @@ from .dcsel import (
     ScheduleEvent,
     StepRecord,
     init_session,
+    load_augment,
     next_constraints,
     parse_schedule,
     run_schedule,
@@ -53,19 +50,6 @@ ALGORITHMS = ("dcsel", "sgsel", "msgsel", "random", "degree", "average")
 
 RUN_HEADER = ["step", "event", "algo", "alpha", "size", "feasible", "wall_ns"]
 BENCH_HEADER = ["step", "event", "algo", "alpha", "size", "feasible", "wall_ns_min", "wall_ns_mean"]
-
-
-def worker_count() -> int:
-    raw = os.environ.get("MSEL_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        v = int(raw)
-    except ValueError:
-        raise ParameterError(f"MSEL_THREADS must be an integer, got {raw!r}") from None
-    if v < 0:
-        raise ParameterError("MSEL_THREADS must be >= 0")
-    return v if v > 0 else (os.cpu_count() or 1)
 
 
 def solve_once(algo: str, g: SimGraph, c: ConstraintPair, seed: int) -> Solution:
@@ -118,9 +102,7 @@ def replay(
     for i, ev in enumerate(events, start=1):
         try:
             if ev.kind == "augment":
-                extra = read_msg1(ev.value)
-                bridges = parse_bridges(ev.bridges) if ev.bridges else []
-                g = disjoint_union(g, extra, bridges)
+                g = disjoint_union(g, *load_augment(ev))
             else:
                 c = next_constraints(c, ev)
         except MselError as e:
@@ -136,19 +118,9 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
         w.writerows(rows)
 
 
-def _run_rows(algo: str, records: list[StepRecord]) -> list[list[str]]:
-    return [
-        [
-            str(r.step),
-            r.event,
-            algo,
-            f"{r.alpha:.6f}",
-            str(r.size),
-            "true" if r.feasible else "false",
-            str(r.wall_ns),
-        ]
-        for r in records
-    ]
+def _row(algo: str, r: StepRecord) -> list[str]:
+    """The columns `run` and `bench` share: step through feasible."""
+    return [str(r.step), r.event, algo, f"{r.alpha:.6f}", str(r.size), "true" if r.feasible else "false"]
 
 
 def _parse_mode(raw: str) -> tuple[str, int | None]:
@@ -180,7 +152,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     g = read_msg1(args.graph)
     init_c, events = parse_schedule(args.schedule)
     records = replay(args.algo, g, init_c, events, args.seed)
-    _write_csv(args.out, RUN_HEADER, _run_rows(args.algo, records))
+    _write_csv(args.out, RUN_HEADER, [_row(args.algo, r) + [str(r.wall_ns)] for r in records])
     print(f"wrote {args.out} ({len(records)} steps)")
     return 0
 
@@ -197,34 +169,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     g = read_msg1(args.graph)
     init_c, events = parse_schedule(args.schedule)
 
-    tasks = [(a, r) for a in algos for r in range(args.repeat)]
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(lambda t: replay(t[0], g, init_c, events, args.seed), tasks))
-    else:
-        outs = [replay(a, g, init_c, events, args.seed) for a, _ in tasks]
-    by_algo: dict[str, list[list[StepRecord]]] = {a: [] for a in algos}
-    for (a, _), recs in zip(tasks, outs):
-        by_algo[a].append(recs)
-
+    by_algo = {a: [replay(a, g, init_c, events, args.seed) for _ in range(args.repeat)] for a in algos}
     rows: list[list[str]] = []
     for a in sorted(algos):
         repeats = by_algo[a]
         for i, rec in enumerate(repeats[0]):
             walls = [rep[i].wall_ns for rep in repeats]
-            rows.append(
-                [
-                    str(rec.step),
-                    rec.event,
-                    a,
-                    f"{rec.alpha:.6f}",
-                    str(rec.size),
-                    "true" if rec.feasible else "false",
-                    str(min(walls)),
-                    str(round(sum(walls) / len(walls))),
-                ]
-            )
+            rows.append(_row(a, rec) + [str(min(walls)), str(round(sum(walls) / len(walls)))])
     _write_csv(args.out, BENCH_HEADER, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -256,9 +207,13 @@ def cmd_plot(args: argparse.Namespace) -> int:
                 if col not in fields:
                     raise ParseError(f"CSV lacks required column {col!r}", path=args.inp)
             for row in reader:
-                series.setdefault(row["algo"], []).append(
-                    (float(row["step"]), float(row["alpha"]))
-                )
+                if None in row.values():
+                    raise ParseError("row has fewer fields than the header", path=args.inp, line=reader.line_num)
+                try:
+                    point = (float(row["step"]), float(row["alpha"]))
+                except ValueError as e:
+                    raise ParseError(f"bad number: {e}", path=args.inp, line=reader.line_num) from None
+                series.setdefault(row["algo"], []).append(point)
     except OSError as e:
         raise ParseError(f"cannot open: {e}", path=args.inp) from None
     if not series:

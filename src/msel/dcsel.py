@@ -6,7 +6,9 @@ size decreases are answered from the recorded per-size profile, size increases
 peel only the nodes outside the current group, and similarity changes shrink
 or regrow the group around its surviving core. Every peel performed along the
 way folds its per-size records back into the session profile (shifted to the
-combined group size), so later decreases see them too.
+combined group size), so later decreases see them too. Every event runs
+through one step: its repair proposes a group, and an event that would end
+on an infeasible group gets one fresh peel of the whole graph.
 
 The session keeps the incumbent's membership mask, each node's weight into
 the group and the group's support at the current similarity floor up to
@@ -23,7 +25,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import (
     MselError,
@@ -339,7 +341,8 @@ def _fold_residual(sess: Session, base: _Group | None, resid: PeelProfile) -> No
     Records from a peel of V minus ``base`` describe residual sets; the folded
     entry at size |base|+k describes base union the residual set of size k,
     with the objective recomputed to include the base weight and the weight
-    crossing between base and residual nodes.
+    crossing between base and residual nodes. A peel removes every node it
+    starts with, so it holds a record for every k.
     """
     if len(resid) == 0:
         return
@@ -349,13 +352,11 @@ def _fold_residual(sess: Session, base: _Group | None, resid: PeelProfile) -> No
         return
     adj = sess.graph._adj
     mask = base.mask
-    entries = list(resid.items())
-    order = entries[0][2].order
+    order = next(resid.items())[2].order
     folded = PeelTrace(order, tuple(sorted(base.members)))
     cross = 0.0
     nb = len(base.members)
     n_resid = len(order)
-    alphas = {size: alpha for size, alpha, _, _ in entries}
     for j in range(n_resid - 1, -1, -1):
         iw = 0.0
         for t, w in adj[order[j]]:
@@ -363,10 +364,7 @@ def _fold_residual(sess: Session, base: _Group | None, resid: PeelProfile) -> No
                 iw += w
         cross += iw
         k = n_resid - j
-        alpha_k = alphas.get(k)
-        if alpha_k is None:
-            continue
-        combined_w = base.weight + alpha_k * k + cross
+        combined_w = base.weight + resid.alpha_at(k) * k + cross
         sess.profile.record(nb + k, combined_w / (nb + k), folded, k)
 
 
@@ -393,32 +391,52 @@ def _fresh_fallback(sess: Session, grp: _Group, c: ConstraintPair) -> None:
         grp.move_to(fresh.members)
 
 
-def _refill(sess: Session, grp: _Group, c: ConstraintPair, budget: int, floor: float | None = None) -> None:
+def _step(sess: Session, label: str, repair: Callable[..., _Group | None], *args) -> Solution:
+    """Run one event and record it.
+
+    ``repair(sess, *args)`` applies the event and returns the group it
+    proposes, or None when the incumbent stands. An outcome that is
+    infeasible under the constraints now in force gets one fresh peel of the
+    whole graph; only then is a proposed group adopted, and only a feasible
+    one is stored in the profile.
+    """
+    t0 = time.perf_counter_ns()
+    grp = repair(sess, *args)
+    c = sess.constraints
+    if grp is None and not _group_of(sess).feasible(c):
+        grp = _group_of(sess)
+    if grp is not None:
+        if not grp.feasible(c):
+            _fresh_fallback(sess, grp, c)
+        _adopt(sess, grp)
+        if grp.feasible(c):
+            _remember_current(sess)
+    _record(sess, label, t0)
+    return sess.current
+
+
+def _refill(sess: Session, grp: _Group, c: ConstraintPair, budget: int, floor: float | None = None) -> _Group:
     """Peel outside ``grp`` with size floor ``budget``, merge the best residual
-    group in, absorb outside nodes (none whose largest weight is at most
-    ``floor``), fall back to a fresh solve if the union is infeasible under
-    ``c``, and adopt the outcome."""
+    group in and absorb outside nodes (none whose largest weight is at most
+    ``floor``)."""
     resid = _peel(sess, ConstraintPair(s=c.s, p=budget), grp)
     for u in resid.members:
         grp.add(u)
     grp.absorb(floor)
-    if not grp.feasible(c):
-        _fresh_fallback(sess, grp, c)
-    _adopt(sess, grp)
-    _remember_current(sess)
+    return grp
+
+
+def _grow(sess: Session) -> _Group:
+    grp = _group_of(sess)
+    grp.absorb()
+    return grp
 
 
 def expand_greedy(sess: Session, label: str = "expand") -> Solution:
     """Grow the current group by the absorb rule and record the outcome."""
     if not sess.current:
         raise PreconditionError("expansion needs a nonempty current solution")
-    t0 = time.perf_counter_ns()
-    grp = _group_of(sess)
-    grp.absorb()
-    _adopt(sess, grp)
-    _remember_current(sess)
-    _record(sess, label, t0)
-    return sess.current
+    return _step(sess, label, _grow)
 
 
 def _constraints(p: int, s: float) -> ConstraintPair:
@@ -443,57 +461,11 @@ def next_constraints(c: ConstraintPair, ev: ScheduleEvent) -> ConstraintPair:
     return c
 
 
-def _set_size(sess: Session, c_new: ConstraintPair, label: str) -> Solution:
-    """Move the size floor to ``c_new.p`` and repair the solution."""
-    t0 = time.perf_counter_ns()
-    p_old = sess.constraints.p
-    if c_new.p == p_old:
-        _record(sess, label, t0)
-        return sess.current
-    sess.constraints = c_new
-    grp = _group_of(sess)
-
-    if c_new.p < p_old:
-        # An infeasible incumbent never sets the bar: any feasible group beats it.
-        floor = sess.current.alpha if grp.feasible(c_new) else -1.0
-        ranked = sorted(
-            (e for e in sess.profile.items() if e[0] > c_new.p and e[1] > floor),
-            key=lambda e: (-e[1], e[0]),
-        )
-        for _, _, trace, k in ranked:
-            cand = grp.copy()
-            cand.move_to(trace.members_at(k))
-            if cand.alpha > floor and cand.feasible(c_new):
-                _adopt(sess, cand)
-                break
-    elif not (sess.current and c_new.p < sess.current.size):
-        _refill(sess, grp, c_new, c_new.p - p_old)
-    _record(sess, label, t0)
-    return sess.current
-
-
-def apply_size_delta(sess: Session, dp: int, label: str | None = None) -> Solution:
-    """Move the size floor by ``dp`` and repair the solution.
-
-    Decreases consult the profile: a feasible group strictly better than the
-    incumbent is adopted (or the best feasible one, if the incumbent is not
-    itself feasible). Increases that the current group already satisfies are
-    free; otherwise the nodes outside the group are peeled with size budget
-    ``dp``, the best residual group is merged in, and the absorb rule runs
-    on the union.
-    """
-    c = sess.constraints
-    if label is None:
-        label = f"p+={dp}" if dp >= 0 else f"p-={-dp}"
-    return _set_size(sess, _constraints(c.p + dp, c.s), label)
-
-
-def _improve_pass(sess: Session) -> None:
-    """Peel outside the current group, then adopt the best of: the union of
+def _improve_pass(sess: Session) -> _Group:
+    """Peel outside the current group, then propose the best of: the union of
     current and the residual group (absorbed), the residual group alone
     (absorbed), or the unchanged current. Feasibility outranks the objective,
     and the incumbent wins exact ties."""
-    g = sess.graph
     c = sess.constraints
     grp = _group_of(sess)
     resid = _peel(sess, c, grp)
@@ -506,7 +478,7 @@ def _improve_pass(sess: Session) -> None:
         union.absorb()
         candidates.append(union)
     if grp.members and resid.members:
-        alone = _Group(g, resid.members)
+        alone = _Group(sess.graph, resid.members)
         alone.absorb()
         candidates.append(alone)
 
@@ -516,39 +488,59 @@ def _improve_pass(sess: Session) -> None:
         key = (cand.feasible(c), cand.alpha)
         if key > best_key:
             best, best_key = cand, key
-
-    # Nothing feasible among groups anchored on the incumbent: a mixed group
-    # may still exist, which only a peel of the whole graph can find.
-    if not best_key[0] and grp.members:
-        _fresh_fallback(sess, best, c)
-    _adopt(sess, best)
-    _remember_current(sess)
+    return best
 
 
-def _set_similarity(sess: Session, c_new: ConstraintPair, label: str) -> Solution:
-    """Move the similarity floor to ``c_new.s`` and repair the solution."""
-    t0 = time.perf_counter_ns()
-    s_old = sess.constraints.s
-    if c_new.s == s_old:
-        _record(sess, label, t0)
-        return sess.current
+def _retarget(sess: Session, c_new: ConstraintPair) -> _Group | None:
+    """Move the constraints to ``c_new`` and propose a repaired group, by
+    the rules ``apply_size_delta`` and ``apply_similarity_delta`` describe."""
+    c_old = sess.constraints
     sess.constraints = c_new
-
-    if c_new.s < s_old:
-        _improve_pass(sess)
-        _record(sess, label, t0)
-        return sess.current
-
     grp = _group_of(sess)
-    maxw = sess.graph._max_weights()
-    grp.move_to(frozenset(u for u in grp.members if maxw[u] > c_new.s))
-    if len(grp.members) > c_new.p and grp.feasible(c_new):
-        _adopt(sess, grp)
-        _remember_current(sess)
-    else:
-        _refill(sess, grp, c_new, max(c_new.p - len(grp.members), 0), floor=c_new.s)
-    _record(sess, label, t0)
-    return sess.current
+
+    if c_new.p < c_old.p:
+        # An infeasible incumbent never sets the bar: any feasible group beats it.
+        floor = sess.current.alpha if grp.feasible(c_new) else -1.0
+        ranked = sorted(
+            (e for e in sess.profile.items() if e[0] > c_new.p and e[1] > floor),
+            key=lambda e: (-e[1], e[0]),
+        )
+        for _, _, trace, k in ranked:
+            cand = grp.copy()
+            cand.move_to(trace.members_at(k))
+            if cand.alpha > floor and cand.feasible(c_new):
+                # adopted here rather than proposed: the profile holds it already
+                _adopt(sess, cand)
+                break
+        return None
+    if c_new.p > c_old.p:
+        if sess.current and c_new.p < sess.current.size:
+            return None
+        return _refill(sess, grp, c_new, c_new.p - c_old.p)
+    if c_new.s < c_old.s:
+        return _improve_pass(sess)
+    if c_new.s > c_old.s:
+        maxw = sess.graph._max_weights()
+        grp.move_to(frozenset(u for u in grp.members if maxw[u] > c_new.s))
+        if len(grp.members) > c_new.p and grp.feasible(c_new):
+            return grp
+        return _refill(sess, grp, c_new, max(c_new.p - len(grp.members), 0), floor=c_new.s)
+    return None
+
+
+def apply_size_delta(sess: Session, dp: int, label: str | None = None) -> Solution:
+    """Move the size floor by ``dp`` and repair the solution.
+
+    Decreases consult the profile: a feasible group strictly better than the
+    incumbent is adopted (or the best feasible one, if the incumbent is not
+    itself feasible). Increases that the current group already satisfies are
+    free; otherwise the nodes outside the group are peeled with size budget
+    ``dp``, the best residual group is merged in, and the absorb rule runs
+    on the union.
+    """
+    c_new = _constraints(sess.constraints.p + dp, sess.constraints.s)
+    label = ScheduleEvent("size_delta", int(dp)).text() if label is None else label
+    return _step(sess, label, _retarget, c_new)
 
 
 def apply_similarity_delta(sess: Session, ds: float, label: str | None = None) -> Solution:
@@ -560,10 +552,19 @@ def apply_similarity_delta(sess: Session, ds: float, label: str | None = None) -
     floor enlarges the search space, which is handled as an improvement pass
     over everything outside the current group.
     """
-    c = sess.constraints
-    if label is None:
-        label = f"s+={ds:g}" if ds >= 0 else f"s-={-ds:g}"
-    return _set_similarity(sess, _constraints(c.p, c.s + ds), label)
+    c_new = _constraints(sess.constraints.p, sess.constraints.s + ds)
+    label = ScheduleEvent("similarity_delta", float(ds)).text() if label is None else label
+    return _step(sess, label, _retarget, c_new)
+
+
+def _merge(sess: Session, extra: SimGraph, bridges: list[tuple[int, int, float]]) -> _Group | None:
+    grp = _group_of(sess)
+    merged = disjoint_union(sess.graph, extra, bridges)
+    grp.extend_graph(merged, bridges)
+    sess.graph = merged
+    if extra.n == 0 and not bridges:
+        return None
+    return _improve_pass(sess)
 
 
 def augment_graph(
@@ -579,18 +580,14 @@ def augment_graph(
     into the merged residual group, the residual group alone, or current
     unchanged. With an empty extra graph and no bridges nothing changes.
     """
-    t0 = time.perf_counter_ns()
-    bridge_list = list(bridges) if bridges else []
-    grp = _group_of(sess)
-    merged = disjoint_union(sess.graph, extra, bridge_list)
-    grp.extend_graph(merged, bridge_list)
-    sess.graph = merged
-    if extra.n == 0 and not bridge_list:
-        _record(sess, label, t0)
-        return sess.current
-    _improve_pass(sess)
-    _record(sess, label, t0)
-    return sess.current
+    return _step(sess, label, _merge, extra, list(bridges) if bridges else [])
+
+
+def load_augment(ev: ScheduleEvent) -> tuple[SimGraph, list[tuple[int, int, float]]]:
+    """The extra graph and the bridge edges an augment event names."""
+    from .dataio import parse_bridges, read_msg1
+
+    return read_msg1(ev.value), parse_bridges(ev.bridges) if ev.bridges else []
 
 
 def run_schedule(sess: Session, events: list[ScheduleEvent]) -> list[StepRecord]:
@@ -599,19 +596,13 @@ def run_schedule(sess: Session, events: list[ScheduleEvent]) -> list[StepRecord]
     Returns the history records the events appended, one per event; the error
     for an invalid event carries its 1-based position in the list.
     """
-    from .dataio import parse_bridges, read_msg1
-
     records: list[StepRecord] = []
     for i, ev in enumerate(events, start=1):
         try:
             if ev.kind == "augment":
-                extra = read_msg1(ev.value)
-                bridge_list = parse_bridges(ev.bridges) if ev.bridges else []
-                augment_graph(sess, extra, bridge_list, label=ev.text())
-            elif ev.kind.startswith("size"):
-                _set_size(sess, next_constraints(sess.constraints, ev), ev.text())
+                augment_graph(sess, *load_augment(ev), label=ev.text())
             else:
-                _set_similarity(sess, next_constraints(sess.constraints, ev), ev.text())
+                _step(sess, ev.text(), _retarget, next_constraints(sess.constraints, ev))
         except MselError as e:
             raise ScheduleError(str(e), step=i) from e
         records.append(sess.history[-1])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .errors import ParameterError
 from .graph import ConstraintPair, SimGraph, Solution
@@ -84,18 +84,6 @@ class PeelProfile:
 
     def __len__(self) -> int:
         return len(self._best)
-
-
-def argmin_incident(F: Iterable[int], incident: Mapping[int, float]) -> int:
-    """Member of ``F`` with the smallest incident weight; ties to the lowest id."""
-    best = None
-    for u in F:
-        key = (incident[u], u)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        raise ParameterError("argmin over an empty member set")
-    return best[1]
 
 
 def _similarity_prefilter(g: SimGraph, s: float, alive: bytearray, scnt: list[int]) -> int:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from msel import write_msg1
-from msel.cli import ALGORITHMS, BENCH_HEADER, RUN_HEADER, main, worker_count
+from msel.cli import ALGORITHMS, BENCH_HEADER, RUN_HEADER, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -179,41 +179,6 @@ def test_bench_rejects_bad_arguments(tmp_path, cluster_graph, delta_schedule, ca
     assert main(common + ["--algos", " , ", "--repeat", "1"]) == 2
 
 
-def test_bench_threaded_matches_serial(tmp_path, cluster_graph, delta_schedule, monkeypatch, capsys):
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    args = [
-        "bench",
-        "--graph", str(cluster_graph),
-        "--schedule", str(delta_schedule),
-        "--algos", "dcsel,average",
-        "--repeat", "2",
-    ]
-    monkeypatch.delenv("MSEL_THREADS", raising=False)
-    assert main(args + ["--out", str(serial)]) == 0
-    monkeypatch.setenv("MSEL_THREADS", "2")
-    assert main(args + ["--out", str(threaded)]) == 0
-    strip = lambda rows: [r[:6] for r in rows]  # drop wall time columns
-    assert strip(read_csv(serial)) == strip(read_csv(threaded))
-
-
-def test_worker_count_env(monkeypatch):
-    from msel import ParameterError
-
-    monkeypatch.delenv("MSEL_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("MSEL_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("MSEL_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.setenv("MSEL_THREADS", "nope")
-    with pytest.raises(ParameterError):
-        worker_count()
-    monkeypatch.setenv("MSEL_THREADS", "-2")
-    with pytest.raises(ParameterError):
-        worker_count()
-
-
 def test_oracle_reports_ratio(tmp_path, capsys, triangle):
     gpath = tmp_path / "tri.msg1"
     write_msg1(triangle, gpath)
@@ -264,6 +229,22 @@ def test_plot_rejects_wrong_csv(tmp_path, capsys):
     bad.write_text("a,b\n1,2\n", encoding="utf-8")
     rc = main(["plot", "--in", str(bad), "--out", str(tmp_path / "x.svg")])
     assert rc == 2
+
+
+def test_plot_rejects_malformed_rows(tmp_path, capsys):
+    header = "step,event,algo,alpha,size,feasible,wall_ns\n"
+    good = "0,init,dcsel,0.900000,3,true,10\n"
+    cases = {
+        "alpha.csv": good + "1,p+=1,dcsel,oops,3,true,10\n",
+        "step.csv": good + "x,p+=1,dcsel,0.9,3,true,10\n",
+        "short.csv": good + "1,p+=1\n",
+    }
+    for name, body in cases.items():
+        path = tmp_path / name
+        path.write_text(header + body, encoding="utf-8")
+        rc = main(["plot", "--in", str(path), "--out", str(tmp_path / "x.svg")])
+        assert rc == 2
+        assert f"{path}:3:" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path, cluster_graph, delta_schedule):

@@ -367,6 +367,23 @@ def test_run_schedule_set_events_take_the_exact_value():
         assert [r.feasible for r in records] == [True, False]
 
 
+def test_set_events_find_the_group_a_fresh_solve_finds():
+    # s = 0.8 empties the group. At s = 0.65 the residual peel finds {0, 1},
+    # and absorbing node 4 (no edge above 0.65) into it would leave the step
+    # infeasible although {0, 1} is feasible.
+    g = SimGraph(5, [(0, 1, 0.76), (0, 3, 0.23), (0, 4, 0.48), (1, 4, 0.14), (2, 3, 0.35), (2, 4, 0.17)])
+    init = ConstraintPair(s=0.2, p=1)
+    events = [ScheduleEvent("similarity_set", 0.8), ScheduleEvent("similarity_set", 0.65)]
+    sess = init_session(g, init)
+    run_schedule(sess, events)
+    res = exact_msp(g, sess.constraints)
+    assert sess.history[-1].feasible
+    assert sess.current.members == res.opt_set == frozenset({0, 1})
+    assert_close(sess.current.alpha, res.opt_alpha)
+    dcsel, msgsel = (replay(algo, g, init, events, seed=0) for algo in ("dcsel", "msgsel"))
+    assert [r.feasible for r in dcsel] == [r.feasible for r in msgsel] == [True, False, True]
+
+
 def test_run_schedule_wraps_failures_with_step(two_cluster):
     sess = init_session(two_cluster, ConstraintPair(s=0.05, p=2))
     events = [ScheduleEvent("size_delta", 1), ScheduleEvent("size_delta", -100)]
@@ -458,39 +475,61 @@ def _assert_bookkeeping(sess):
         assert_close(grp.inw[u], sum(into))
 
 
+# largest merged graph a random walk builds, to keep the oracle quick
+WALK_MAX_N = 16
+
+
+def _random_event(rng, sess):
+    """Apply one random event: a delta, a set event or a bridged augment."""
+    roll = rng.random()
+    if roll < 0.15 and sess.graph.n < WALK_MAX_N:
+        extra = gnp_graph(rng, rng.randint(1, min(6, WALK_MAX_N - sess.graph.n)))
+        bridges = [
+            (u, v, rng.uniform(0.05, 1.0))
+            for u in range(sess.graph.n) for v in range(extra.n) if rng.random() < 0.3
+        ]
+        augment_graph(sess, extra, bridges)
+    elif roll < 0.35:
+        dp = rng.choice([-2, -1, 1, 2])
+        if sess.constraints.p + dp < 0:
+            dp = -dp
+        apply_size_delta(sess, dp)
+    elif roll < 0.55:
+        ds = rng.choice([-0.15, -0.05, 0.05, 0.15])
+        s_new = sess.constraints.s + ds
+        if not (0.01 < s_new < 0.95):
+            ds = -ds
+        apply_similarity_delta(sess, ds)
+    elif roll < 0.75:
+        run_schedule(sess, [ScheduleEvent("size_set", rng.randint(0, 4))])
+    else:
+        run_schedule(sess, [ScheduleEvent("similarity_set", round(rng.uniform(0.05, 0.9), 2))])
+
+
 def _random_session_walk(rng, n_events=4):
-    """One random instance plus a short delta schedule, oracle-checked."""
+    """One random instance plus a short schedule of deltas, set events and
+    bridged augments, oracle-checked after every event."""
     g = gnp_graph(rng, rng.randint(4, 11))
     p = rng.randint(1, 3)
     s = rng.uniform(0.1, 0.4)
     sess = init_session(g, ConstraintPair(s=s, p=p))
     for _ in range(rng.randint(1, n_events)):
-        if rng.random() < 0.5:
-            dp = rng.choice([-2, -1, 1, 2])
-            if sess.constraints.p + dp < 0:
-                dp = -dp
-            apply_size_delta(sess, dp)
-        else:
-            ds = rng.choice([-0.15, -0.05, 0.05, 0.15])
-            s_new = sess.constraints.s + ds
-            if not (0.01 < s_new < 0.95):
-                ds = -ds
-            apply_similarity_delta(sess, ds)
+        _random_event(rng, sess)
         _assert_bookkeeping(sess)
-        res = exact_msp(g, sess.constraints)
+        res = exact_msp(sess.graph, sess.constraints)
         rec = sess.history[-1]
         if res.feasible:
             # whenever anything feasible exists the session must hold one
-            assert rec.feasible, (g.n, sess.constraints, sorted(sess.current.members))
+            assert rec.feasible, (sess.graph.n, sess.constraints, sorted(sess.current.members))
             assert sess.current.alpha >= res.opt_alpha / 3.0 - 1e-9
         else:
             assert not rec.feasible
 
 
 def test_random_walks_track_the_oracle():
-    rng = random.Random(2024)
-    for _ in range(40):
-        _random_session_walk(rng)
+    rng = random.Random(1)
+    for _ in range(100):
+        _random_session_walk(rng, n_events=6)
 
 
 def test_random_augments_track_the_oracle():

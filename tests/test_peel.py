@@ -13,28 +13,8 @@ from msel import (
     modified_sgsel,
     total_weight,
 )
-from msel.peel import argmin_incident
 
 from helpers import assert_close, gnp_graph
-
-
-def test_argmin_star_prefers_leaf():
-    g = SimGraph(5, [(4, i, 0.3) for i in range(4)])
-    inc = {u: sum(w for _, w in g.neighbors(u)) for u in range(5)}
-    assert argmin_incident(range(5), inc) == 0
-
-
-def test_argmin_tie_breaks_to_lowest_id():
-    assert argmin_incident([5, 2, 9], {2: 0.4, 5: 0.4, 9: 0.4}) == 2
-
-
-def test_argmin_direct_comparison():
-    assert argmin_incident([3, 7, 9], {3: 0.7, 7: 0.5, 9: 0.6}) == 7
-
-
-def test_argmin_empty_set():
-    with pytest.raises(ParameterError):
-        argmin_incident([], {})
 
 
 def test_uniform_clique_keeps_everything():
