@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -47,10 +46,6 @@ class RawDataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    def node_records(self) -> Iterator[tuple[str, np.ndarray, str]]:
-        for i, ext in enumerate(self.ids):
-            yield ext, self.features[i], self.labels[i]
 
 
 def load_content_cites(content_path: str | Path, cites_path: str | Path) -> RawDataset:

@@ -5,10 +5,12 @@ a constraint changes, the session reuses what earlier peels already computed:
 size decreases are answered from the recorded per-size profile, size increases
 peel only the nodes outside the current group, and similarity changes shrink
 or regrow the group around its surviving core. Every peel performed along the
-way folds its per-size records back into the session profile (shifted to the
-combined group size), so later decreases see them too. Every event runs
+way folds its per-size records back into the session profile: a residual
+peel's entry of size k becomes the group plus the last k nodes it removed,
+stored at the combined size, so later decreases see them too. Every event runs
 through one step: its repair proposes a group, and an event that would end
-on an infeasible group gets one fresh peel of the whole graph.
+on an infeasible group gets one fresh peel of the whole graph, unless an
+earlier one proved that no group is feasible.
 
 The session keeps the incumbent's membership mask, each node's weight into
 the group and the group's support at the current similarity floor up to
@@ -262,7 +264,8 @@ class Session:
     tests can compare incremental work against from-scratch re-solving; the
     initial solve's removals live only in ``stats``. ``_group`` mirrors
     ``current``; it is rebuilt whenever ``graph`` or ``current`` is assigned
-    from outside the event functions.
+    from outside the event functions. ``_empty_at`` holds the graph and
+    constraints of the last whole-graph peel that found nothing.
     """
 
     graph: SimGraph
@@ -273,6 +276,17 @@ class Session:
     stats: PeelStats = field(default_factory=PeelStats)
     event_removals: int = 0
     _group: _Group | None = field(default=None, repr=False, compare=False)
+    _empty_at: tuple[SimGraph, ConstraintPair] | None = field(default=None, repr=False, compare=False)
+
+
+def _proven_empty(sess: Session) -> bool:
+    """True when no group can be feasible: a whole-graph peel of this graph
+    found nothing under constraints no tighter than the current ones. A peel
+    finds nothing only when its similarity prefilter leaves at most its p
+    nodes, and every group feasible under tighter constraints survives that
+    prefilter."""
+    e, c = sess._empty_at, sess.constraints
+    return e is not None and e[0] is sess.graph and c.p >= e[1].p and c.s >= e[1].s
 
 
 def _group_of(sess: Session) -> _Group:
@@ -321,7 +335,8 @@ def init_session(g: SimGraph, c: ConstraintPair) -> Session:
     t0 = time.perf_counter_ns()
     stats = PeelStats()
     sol, profile = modified_sgsel(g, c, stats=stats)
-    sess = Session(graph=g, constraints=c, current=sol, profile=profile, stats=stats)
+    sess = Session(graph=g, constraints=c, current=sol, profile=profile, stats=stats,
+                   _empty_at=None if sol else (g, c))
     _adopt(sess, _Group(g, sol.members))
     _record(sess, "init", t0)
     return sess
@@ -331,8 +346,7 @@ def _remember_current(sess: Session) -> None:
     """Store the adopted solution in the profile so later decreases can see it."""
     sol = sess.current
     if sol:
-        trace = PeelTrace((), tuple(sorted(sol.members)))
-        sess.profile.record(sol.size, sol.alpha, trace, 0)
+        sess.profile.record(sol.size, sol.alpha, PeelTrace(tuple(sorted(sol.members))))
 
 
 def _fold_residual(sess: Session, base: _Group | None, resid: PeelProfile) -> None:
@@ -341,43 +355,37 @@ def _fold_residual(sess: Session, base: _Group | None, resid: PeelProfile) -> No
     Records from a peel of V minus ``base`` describe residual sets; the folded
     entry at size |base|+k describes base union the residual set of size k,
     with the objective recomputed to include the base weight and the weight
-    crossing between base and residual nodes. A peel removes every node it
-    starts with, so it holds a record for every k.
+    crossing between base and residual nodes. Its trace is the residual
+    order followed by the base members, so its last |base|+k nodes are that
+    union. A peel removes every node it starts with, so it holds a record
+    for every k.
     """
     if len(resid) == 0:
         return
     if base is None or not base.members:
-        for size, alpha, trace, k in resid.items():
-            sess.profile.record(size, alpha, trace, k)
+        for entry in resid.items():
+            sess.profile.record(*entry)
         return
-    adj = sess.graph._adj
-    mask = base.mask
+    inw = base.inw
     order = next(resid.items())[2].order
-    folded = PeelTrace(order, tuple(sorted(base.members)))
+    folded = PeelTrace(order + tuple(sorted(base.members)))
     cross = 0.0
     nb = len(base.members)
     n_resid = len(order)
     for j in range(n_resid - 1, -1, -1):
-        iw = 0.0
-        for t, w in adj[order[j]]:
-            if mask[t]:
-                iw += w
-        cross += iw
+        cross += inw[order[j]]
         k = n_resid - j
         combined_w = base.weight + resid.alpha_at(k) * k + cross
-        sess.profile.record(nb + k, combined_w / (nb + k), folded, k)
+        sess.profile.record(nb + k, combined_w / (nb + k), folded)
 
 
 def _peel(sess: Session, c: ConstraintPair, outside: _Group | None = None) -> Solution:
     """Peel the nodes outside ``outside`` (the whole graph when None), count
     the work and fold the per-size records into the session profile."""
     within = None if outside is None else [u for u, inside in enumerate(outside.mask) if not inside]
-    stats = PeelStats()
-    sol, prof = modified_sgsel(sess.graph, c, within=within, stats=stats)
-    sess.stats.pushes += stats.pushes
-    sess.stats.pops += stats.pops
-    sess.stats.removals += stats.removals
-    sess.event_removals += stats.removals
+    before = sess.stats.removals
+    sol, prof = modified_sgsel(sess.graph, c, within=within, stats=sess.stats)
+    sess.event_removals += sess.stats.removals - before
     _fold_residual(sess, outside, prof)
     return sol
 
@@ -389,6 +397,8 @@ def _fresh_fallback(sess: Session, grp: _Group, c: ConstraintPair) -> None:
     fresh = _peel(sess, c)
     if fresh:  # a peel returns a feasible group or none
         grp.move_to(fresh.members)
+    else:
+        sess._empty_at = (sess.graph, c)
 
 
 def _step(sess: Session, label: str, repair: Callable[..., _Group | None], *args) -> Solution:
@@ -397,8 +407,9 @@ def _step(sess: Session, label: str, repair: Callable[..., _Group | None], *args
     ``repair(sess, *args)`` applies the event and returns the group it
     proposes, or None when the incumbent stands. An outcome that is
     infeasible under the constraints now in force gets one fresh peel of the
-    whole graph; only then is a proposed group adopted, and only a feasible
-    one is stored in the profile.
+    whole graph, unless an earlier one proved that nothing is feasible; only
+    then is a proposed group adopted, and only a feasible one is stored in
+    the profile.
     """
     t0 = time.perf_counter_ns()
     grp = repair(sess, *args)
@@ -406,7 +417,7 @@ def _step(sess: Session, label: str, repair: Callable[..., _Group | None], *args
     if grp is None and not _group_of(sess).feasible(c):
         grp = _group_of(sess)
     if grp is not None:
-        if not grp.feasible(c):
+        if not grp.feasible(c) and not _proven_empty(sess):
             _fresh_fallback(sess, grp, c)
         _adopt(sess, grp)
         if grp.feasible(c):
@@ -496,6 +507,8 @@ def _retarget(sess: Session, c_new: ConstraintPair) -> _Group | None:
     the rules ``apply_size_delta`` and ``apply_similarity_delta`` describe."""
     c_old = sess.constraints
     sess.constraints = c_new
+    if _proven_empty(sess):
+        return None
     grp = _group_of(sess)
 
     if c_new.p < c_old.p:
@@ -505,9 +518,9 @@ def _retarget(sess: Session, c_new: ConstraintPair) -> _Group | None:
             (e for e in sess.profile.items() if e[0] > c_new.p and e[1] > floor),
             key=lambda e: (-e[1], e[0]),
         )
-        for _, _, trace, k in ranked:
+        for size, _, trace in ranked:
             cand = grp.copy()
-            cand.move_to(trace.members_at(k))
+            cand.move_to(trace.members_at(size))
             if cand.alpha > floor and cand.feasible(c_new):
                 # adopted here rather than proposed: the profile holds it already
                 _adopt(sess, cand)

@@ -11,39 +11,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityError, UndefinedRatioError
-from .graph import ConstraintPair, SimGraph, Solution, cross_weight
+from .graph import ConstraintPair, SimGraph, Solution
 
 EXACT_MAX_NODES = 20
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Best feasible subset found by enumeration.
-
-    ``decomposition`` is filled for two-part instances (see exact_msp's
-    ``split``): the optimum's members in each part plus the weight of edges
-    crossing between the parts.
-    """
+    """Best feasible subset found by enumeration."""
 
     opt_set: frozenset[int]
     opt_alpha: float
     feasible: bool
-    decomposition: tuple[frozenset[int], frozenset[int], float] | None = None
 
 
-def exact_msp(g: SimGraph, c: ConstraintPair, split: int | None = None) -> OracleResult:
+def exact_msp(g: SimGraph, c: ConstraintPair) -> OracleResult:
     """Best feasible subset by exhaustive enumeration.
 
     Ties in the objective go to the lexicographically smallest sorted member
-    tuple, so results are reproducible. ``split`` marks a two-part instance:
-    nodes below it form the first part, and the result then carries the
-    optimum's decomposition across the two parts. Guarded at EXACT_MAX_NODES.
+    tuple, so results are reproducible. Guarded at EXACT_MAX_NODES.
     """
     n = g.n
     if n > EXACT_MAX_NODES:
         raise CapacityError(f"exact search on {n} nodes exceeds the {EXACT_MAX_NODES} node cap")
-    if split is not None and not (0 <= split <= n):
-        raise CapacityError(f"split {split} outside 0..{n}")
     if n == 0:
         return OracleResult(frozenset(), 0.0, False)
 
@@ -102,14 +92,7 @@ def exact_msp(g: SimGraph, c: ConstraintPair, split: int | None = None) -> Oracl
 
     if best_alpha < 0.0:
         return OracleResult(frozenset(), 0.0, False)
-    members = frozenset(_mask_members(best_mask))
-    decomposition = None
-    if split is not None:
-        part1 = frozenset(u for u in members if u < split)
-        part2 = members - part1
-        w_cross = cross_weight(part1, part2, g) if part1 and part2 else 0.0
-        decomposition = (part1, part2, w_cross)
-    return OracleResult(members, best_alpha, True, decomposition)
+    return OracleResult(frozenset(_mask_members(best_mask)), best_alpha, True)
 
 
 def _mask_members(mask: int) -> tuple[int, ...]:

@@ -29,39 +29,34 @@ class PeelStats:
 
 @dataclass(frozen=True)
 class PeelTrace:
-    """Removal order of one peel, plus members unioned into every recorded set.
-
-    The set that was alive when k trace nodes remained is the last k entries
-    of ``order``; ``base`` holds extra members (a previously selected group)
-    that accompany every set recorded against this trace.
-    """
+    """Removal order of one peel: the set alive when k nodes remained is the
+    last k entries of ``order``."""
 
     order: tuple[int, ...]
-    base: tuple[int, ...] = ()
 
     def members_at(self, k: int) -> frozenset[int]:
         if not (0 <= k <= len(self.order)):
             raise ParameterError(f"trace holds {len(self.order)} nodes, asked for {k}")
-        return frozenset(self.order[len(self.order) - k:]).union(self.base)
+        return frozenset(self.order[len(self.order) - k:])
 
 
 class PeelProfile:
     """Best objective value and best subgraph recorded per subgraph size.
 
-    ``alpha_at(k)`` is -1.0 for sizes never reached, matching the convention
-    that an unrecorded size holds the empty set.
+    An entry is (alpha, trace), and the set of size k is always the last k
+    nodes of ``trace.order``. ``alpha_at(k)`` is -1.0 for sizes never
+    reached, matching the convention that an unrecorded size holds the
+    empty set.
     """
 
     def __init__(self):
-        self._best: dict[int, tuple[float, PeelTrace, int]] = {}
+        self._best: dict[int, tuple[float, PeelTrace]] = {}
 
-    def record(self, size: int, alpha: float, trace: PeelTrace, k_in_trace: int) -> bool:
-        """Keep (alpha, set) for ``size`` if alpha beats the stored value."""
+    def record(self, size: int, alpha: float, trace: PeelTrace) -> None:
+        """Keep (alpha, trace) for ``size`` if alpha beats the stored value."""
         cur = self._best.get(size)
         if cur is None or alpha > cur[0]:
-            self._best[size] = (alpha, trace, k_in_trace)
-            return True
-        return False
+            self._best[size] = (alpha, trace)
 
     def alpha_at(self, size: int) -> float:
         cur = self._best.get(size)
@@ -69,18 +64,15 @@ class PeelProfile:
 
     def members_at(self, size: int) -> frozenset[int]:
         cur = self._best.get(size)
-        if cur is None:
-            return frozenset()
-        return cur[1].members_at(cur[2])
+        return cur[1].members_at(size) if cur is not None else frozenset()
 
     def sizes(self) -> list[int]:
         return sorted(self._best)
 
-    def items(self) -> Iterator[tuple[int, float, PeelTrace, int]]:
-        """(size, alpha, trace, k_in_trace) for every recorded size."""
+    def items(self) -> Iterator[tuple[int, float, PeelTrace]]:
+        """(size, alpha, trace) for every recorded size."""
         for size in self.sizes():
-            alpha, trace, k = self._best[size]
-            yield size, alpha, trace, k
+            yield size, *self._best[size]
 
     def __len__(self) -> int:
         return len(self._best)
@@ -224,8 +216,7 @@ def modified_sgsel(
         stats.removals += len(order)
 
     trace = PeelTrace(tuple(order))
-    for k in range(1, n_alive + 1):
-        profile.record(k, alphas[k], trace, k)
+    profile._best = {k: (alphas[k], trace) for k in range(1, n_alive + 1)}
 
     if best_size < 0:
         return Solution.empty(), profile

@@ -384,6 +384,26 @@ def test_set_events_find_the_group_a_fresh_solve_finds():
     assert [r.feasible for r in dcsel] == [r.feasible for r in msgsel] == [True, False, True]
 
 
+def test_tighter_events_after_an_empty_fresh_peel_cost_nothing():
+    # p += 5 leaves no group of more than 6 nodes on 4; the fallback peel
+    # proves that, so events that only tighten need no peel at all
+    g = SimGraph(4, [(0, 1, 0.5), (1, 2, 0.6), (2, 3, 0.7)])
+    sess = init_session(g, ConstraintPair(s=0.1, p=1))
+    apply_size_delta(sess, 5)
+    assert not sess.history[-1].feasible
+    tighter = [ScheduleEvent("size_delta", 0)] * 3 + [
+        ScheduleEvent("similarity_delta", 0.1), ScheduleEvent("size_delta", 1)]
+    for ev in tighter:
+        before = sess.event_removals
+        run_schedule(sess, [ev])
+        assert sess.event_removals == before, ev.text()
+        assert not sess.history[-1].feasible
+    run_schedule(sess, [ScheduleEvent("size_set", 1)])
+    res = exact_msp(g, sess.constraints)
+    assert sess.history[-1].feasible
+    assert sess.current.alpha == res.opt_alpha
+
+
 def test_run_schedule_wraps_failures_with_step(two_cluster):
     sess = init_session(two_cluster, ConstraintPair(s=0.05, p=2))
     events = [ScheduleEvent("size_delta", 1), ScheduleEvent("size_delta", -100)]
@@ -473,6 +493,11 @@ def _assert_bookkeeping(sess):
         assert grp.mask[u] == (u in sol.members)
         assert grp.top[u] == max(into, default=0.0)
         assert_close(grp.inw[u], sum(into))
+    # every profile entry names a set of its size with its recorded average
+    for size in sess.profile.sizes():
+        members = sess.profile.members_at(size)
+        assert len(members) == size
+        assert_close(sess.profile.alpha_at(size), avg_similarity(members, g))
 
 
 # largest merged graph a random walk builds, to keep the oracle quick

@@ -10,7 +10,6 @@ from msel import (
     Solution,
     UndefinedRatioError,
     avg_similarity,
-    cross_weight,
     exact_msp,
     is_feasible,
     modified_sgsel,
@@ -83,37 +82,6 @@ def test_matches_brute_force_enumeration():
         assert res.feasible == bool(ref_set)
         assert_close(res.opt_alpha, ref_alpha)
         assert res.opt_set == ref_set
-
-
-def test_split_decomposition_agrees(two_cluster):
-    # p=5 forces the merged optimum; the boundary splits triangle from clique
-    c = ConstraintPair(s=0.05, p=5)
-    plain = exact_msp(two_cluster, c)
-    split = exact_msp(two_cluster, c, split=3)
-    assert split.opt_set == plain.opt_set
-    assert_close(split.opt_alpha, plain.opt_alpha)
-    a, b, w_cross = split.decomposition
-    assert a == frozenset({0, 1, 2})
-    assert b == frozenset({3, 4, 5, 6, 7})
-    assert a | b == split.opt_set
-    assert_close(w_cross, cross_weight(a, b, two_cluster))
-    inner = avg_similarity(a, two_cluster) * len(a) + avg_similarity(b, two_cluster) * len(b)
-    assert_close((inner + w_cross) / len(split.opt_set), split.opt_alpha)
-
-
-def test_split_boundary_on_random_instances():
-    rng = random.Random(405)
-    for _ in range(20):
-        g = gnp_graph(rng, rng.randint(3, 8))
-        c = ConstraintPair(s=rng.uniform(0.05, 0.5), p=rng.randint(0, 2))
-        plain = exact_msp(g, c)
-        split = exact_msp(g, c, split=rng.randint(0, g.n))
-        assert split.opt_set == plain.opt_set
-        assert_close(split.opt_alpha, plain.opt_alpha)
-        if split.feasible and split.decomposition is not None:
-            a, b, w_cross = split.decomposition
-            assert a | b == split.opt_set and not (a & b)
-            assert_close(w_cross, cross_weight(a, b, g))
 
 
 def test_ratio_check_values(two_triangles):

@@ -157,9 +157,10 @@ def test_operation_counters_are_linear():
 
 
 def test_peel_trace_materialization():
-    trace = PeelTrace((4, 2, 7), base=(9,))
-    assert trace.members_at(0) == frozenset({9})
-    assert trace.members_at(2) == frozenset({2, 7, 9})
-    assert trace.members_at(3) == frozenset({2, 4, 7, 9})
+    trace = PeelTrace((4, 2, 7, 9))
+    assert trace.members_at(0) == frozenset()
+    assert trace.members_at(1) == frozenset({9})
+    assert trace.members_at(3) == frozenset({2, 7, 9})
+    assert trace.members_at(4) == frozenset({2, 4, 7, 9})
     with pytest.raises(ParameterError):
-        trace.members_at(4)
+        trace.members_at(5)
