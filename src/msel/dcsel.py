@@ -12,6 +12,11 @@ through one step: its repair proposes a group, and an event that would end
 on an infeasible group gets one fresh peel of the whole graph, unless an
 earlier one proved that no group is feasible.
 
+A peel's removal order and per-size records depend on the graph, s and the
+nodes it starts from, never on p. The session keeps its last whole-graph
+peel and its last residual peel, so an event that would repeat one of them
+with only p changed picks its answer from the kept run instead of peeling.
+
 The session keeps the incumbent's membership mask, each node's weight into
 the group and the group's support at the current similarity floor up to
 date as members come and go. Bookkeeping for an event therefore costs the
@@ -49,7 +54,7 @@ from .graph import (  # noqa: F401
     incident_weight,
     is_feasible,
 )
-from .peel import PeelProfile, PeelStats, PeelTrace, modified_sgsel
+from .peel import PeelProfile, PeelRun, PeelStats, PeelTrace, modified_sgsel
 
 EVENT_KINDS = ("size_set", "size_delta", "similarity_set", "similarity_delta", "augment")
 
@@ -266,6 +271,13 @@ class Session:
     ``current``; it is rebuilt whenever ``graph`` or ``current`` is assigned
     from outside the event functions. ``_empty_at`` holds the graph and
     constraints of the last whole-graph peel that found nothing.
+
+    ``_runs`` keeps the last whole-graph peel (key True) and the last
+    residual peel (key False) as ``(graph, s, start mask, run)``, the mask
+    being None for a whole-graph peel and the bytes of the group peeled
+    around otherwise. A peel of the same graph with the same s and start
+    set is answered from the kept run; only peels actually run count in
+    ``stats`` and ``event_removals``.
     """
 
     graph: SimGraph
@@ -277,6 +289,8 @@ class Session:
     event_removals: int = 0
     _group: _Group | None = field(default=None, repr=False, compare=False)
     _empty_at: tuple[SimGraph, ConstraintPair] | None = field(default=None, repr=False, compare=False)
+    _runs: dict[bool, tuple[SimGraph, float, bytes | None, PeelRun]] = field(
+        default_factory=dict, repr=False, compare=False)
 
 
 def _proven_empty(sess: Session) -> bool:
@@ -336,7 +350,7 @@ def init_session(g: SimGraph, c: ConstraintPair) -> Session:
     stats = PeelStats()
     sol, profile = modified_sgsel(g, c, stats=stats)
     sess = Session(graph=g, constraints=c, current=sol, profile=profile, stats=stats,
-                   _empty_at=None if sol else (g, c))
+                   _empty_at=None if sol else (g, c), _runs={True: (g, c.s, None, profile.run)})
     _adopt(sess, _Group(g, sol.members))
     _record(sess, "init", t0)
     return sess
@@ -349,7 +363,7 @@ def _remember_current(sess: Session) -> None:
         sess.profile.record(sol.size, sol.alpha, PeelTrace(tuple(sorted(sol.members))))
 
 
-def _fold_residual(sess: Session, base: _Group | None, resid: PeelProfile) -> None:
+def _fold_residual(sess: Session, base: _Group | None, run: PeelRun) -> None:
     """Merge a seeded peel's per-size records into the session profile.
 
     Records from a peel of V minus ``base`` describe residual sets; the folded
@@ -360,14 +374,14 @@ def _fold_residual(sess: Session, base: _Group | None, resid: PeelProfile) -> No
     union. A peel removes every node it starts with, so it holds a record
     for every k.
     """
-    if len(resid) == 0:
+    order, alphas = run.trace.order, run.alphas
+    if not order:
         return
     if base is None or not base.members:
-        for entry in resid.items():
-            sess.profile.record(*entry)
+        for k in range(1, len(order) + 1):
+            sess.profile.record(k, alphas[k], run.trace)
         return
     inw = base.inw
-    order = next(resid.items())[2].order
     folded = PeelTrace(order + tuple(sorted(base.members)))
     cross = 0.0
     nb = len(base.members)
@@ -375,19 +389,34 @@ def _fold_residual(sess: Session, base: _Group | None, resid: PeelProfile) -> No
     for j in range(n_resid - 1, -1, -1):
         cross += inw[order[j]]
         k = n_resid - j
-        combined_w = base.weight + resid.alpha_at(k) * k + cross
+        combined_w = base.weight + alphas[k] * k + cross
         sess.profile.record(nb + k, combined_w / (nb + k), folded)
 
 
-def _peel(sess: Session, c: ConstraintPair, outside: _Group | None = None) -> Solution:
-    """Peel the nodes outside ``outside`` (the whole graph when None), count
-    the work and fold the per-size records into the session profile."""
-    within = None if outside is None else [u for u, inside in enumerate(outside.mask) if not inside]
-    before = sess.stats.removals
-    sol, prof = modified_sgsel(sess.graph, c, within=within, stats=sess.stats)
-    sess.event_removals += sess.stats.removals - before
-    _fold_residual(sess, outside, prof)
-    return sol
+def _peel(sess: Session, c: ConstraintPair, outside: _Group | None = None) -> frozenset[int]:
+    """The members of the best feasible group among the nodes outside
+    ``outside`` (the whole graph when None), folding the per-size records
+    into the session profile.
+
+    The session's kept run of the same kind answers when its graph, s and
+    start set match, at no peel cost; otherwise the peel runs, its work is
+    counted and its run replaces the kept one. The fold runs either way,
+    against the group's weights as they are now, so the profile gets the
+    same entries as from a new peel.
+    """
+    g, whole = sess.graph, outside is None
+    mask = None if whole else bytes(outside.mask)
+    kept = sess._runs.get(whole)
+    if kept is not None and kept[0] is g and kept[1] == c.s and kept[2] == mask:
+        run = kept[3]
+    else:
+        within = None if whole else [u for u, inside in enumerate(mask) if not inside]
+        before = sess.stats.removals
+        run = modified_sgsel(g, c, within=within, stats=sess.stats)[1].run
+        sess.event_removals += sess.stats.removals - before
+        sess._runs[whole] = (g, c.s, mask, run)
+    _fold_residual(sess, outside, run)
+    return run.best(c.p)
 
 
 def _fresh_fallback(sess: Session, grp: _Group, c: ConstraintPair) -> None:
@@ -396,7 +425,7 @@ def _fresh_fallback(sess: Session, grp: _Group, c: ConstraintPair) -> None:
     invisible to a residual peel; only this decides whether any exist."""
     fresh = _peel(sess, c)
     if fresh:  # a peel returns a feasible group or none
-        grp.move_to(fresh.members)
+        grp.move_to(fresh)
     else:
         sess._empty_at = (sess.graph, c)
 
@@ -430,8 +459,7 @@ def _refill(sess: Session, grp: _Group, c: ConstraintPair, budget: int, floor: f
     """Peel outside ``grp`` with size floor ``budget``, merge the best residual
     group in and absorb outside nodes (none whose largest weight is at most
     ``floor``)."""
-    resid = _peel(sess, ConstraintPair(s=c.s, p=budget), grp)
-    for u in resid.members:
+    for u in _peel(sess, ConstraintPair(s=c.s, p=budget), grp):
         grp.add(u)
     grp.absorb(floor)
     return grp
@@ -482,14 +510,14 @@ def _improve_pass(sess: Session) -> _Group:
     resid = _peel(sess, c, grp)
 
     candidates: list[_Group] = []
-    if grp.members or resid.members:
+    if grp.members or resid:
         union = grp.copy()
-        for u in resid.members:
+        for u in resid:
             union.add(u)
         union.absorb()
         candidates.append(union)
-    if grp.members and resid.members:
-        alone = _Group(sess.graph, resid.members)
+    if grp.members and resid:
+        alone = _Group(sess.graph, resid)
         alone.absorb()
         candidates.append(alone)
 

@@ -1,17 +1,19 @@
 """Greedy min-incident-weight peeling with per-size best-subgraph recording.
 
 A peel starts from the whole node set (after a similarity prefilter),
-repeatedly removes the member with the smallest incident weight, and tracks
-both the best feasible set seen and, for every intermediate size, the best
-average similarity reached at that size. Sizes are recorded as a removal
-order plus per-size objective values, so a peel of n nodes costs O(n) memory
-instead of the O(n^2) it would take to store every intermediate set.
+repeatedly removes the member with the smallest incident weight, and records
+for every intermediate size the average similarity and whether every member
+still has a qualifying edge. Sizes are recorded as a removal order plus
+per-size values, so a peel of n nodes costs O(n) memory instead of the
+O(n^2) it would take to store every intermediate set. None of it depends on
+the size floor p: the best feasible set for any p is picked afterwards.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import truediv
 from typing import Iterable, Iterator
 
 from .errors import ParameterError
@@ -46,11 +48,13 @@ class PeelProfile:
     An entry is (alpha, trace), and the set of size k is always the last k
     nodes of ``trace.order``. ``alpha_at(k)`` is -1.0 for sizes never
     reached, matching the convention that an unrecorded size holds the
-    empty set.
+    empty set. A profile returned by ``modified_sgsel`` also carries that
+    peel's ``run``; one that merges several peels has none.
     """
 
     def __init__(self):
         self._best: dict[int, tuple[float, PeelTrace]] = {}
+        self.run: PeelRun | None = None
 
     def record(self, size: int, alpha: float, trace: PeelTrace) -> None:
         """Keep (alpha, trace) for ``size`` if alpha beats the stored value."""
@@ -78,18 +82,17 @@ class PeelProfile:
         return len(self._best)
 
 
-def _similarity_prefilter(g: SimGraph, s: float, alive: bytearray, scnt: list[int]) -> int:
+def _similarity_prefilter(g: SimGraph, s: float, nodes: Iterable[int], alive: bytearray, scnt: list[int]) -> int:
     """Drop nodes with no alive incident edge above ``s`` until a fixpoint.
 
-    Fills ``scnt`` with the surviving per-node count of incident edges above
-    ``s`` to alive neighbors, and returns the survivor count.
+    ``nodes`` lists the alive nodes in id order. Fills ``scnt`` with the
+    surviving per-node count of incident edges above ``s`` to alive
+    neighbors, and returns the survivor count.
     """
     adj = g._adj
     stack = []
     n_alive = 0
-    for u in range(g.n):
-        if not alive[u]:
-            continue
+    for u in nodes:
         n_alive += 1
         cnt = 0
         for t, w in adj[u]:
@@ -112,6 +115,36 @@ def _similarity_prefilter(g: SimGraph, s: float, alive: bytearray, scnt: list[in
     return n_alive
 
 
+@dataclass(frozen=True)
+class PeelRun:
+    """Everything one peel computes that does not depend on p.
+
+    The set alive at size k is the last k nodes of ``trace.order``;
+    ``alphas[k]`` is its average similarity and ``supported[k]`` is 1 when
+    each of its members has an edge above s to another member (index 0 is
+    unused). A run depends only on the graph, s and the start set, so one
+    run answers the peel's question for every p.
+    """
+
+    trace: PeelTrace
+    alphas: list[float]
+    supported: bytearray
+
+    def best_size(self, p: int) -> int:
+        """Size of the best supported set above ``p`` nodes, 0 if none; the
+        largest one wins an exact tie."""
+        alphas, supported = self.alphas, self.supported
+        best_alpha, best = -1.0, 0
+        for k in range(len(self.trace.order), p, -1):
+            if supported[k] and alphas[k] > best_alpha:
+                best_alpha, best = alphas[k], k
+        return best
+
+    def best(self, p: int) -> frozenset[int]:
+        """The set ``modified_sgsel`` returns for size floor ``p``."""
+        return self.trace.members_at(self.best_size(p))
+
+
 def modified_sgsel(
     g: SimGraph,
     c: ConstraintPair,
@@ -128,28 +161,31 @@ def modified_sgsel(
     that was feasible. The initial, pre-removal set is a candidate too.
 
     ``within`` restricts the peel to an induced subset of nodes (ids stay in
-    the graph's space). Returns an empty Solution when nothing feasible exists.
+    the graph's space); set-up then visits only those nodes. Returns an empty
+    Solution when nothing feasible exists. The profile's ``run`` holds the
+    peel's p-independent record, from which ``run.best(p)`` picks the result
+    for any other size floor.
     """
     profile = PeelProfile()
-    if g.n == 0:
-        return Solution.empty(), profile
-
-    alive = bytearray(g.n) if within is not None else bytearray(b"\x01") * g.n
-    if within is not None:
-        for u in within:
+    if within is None:
+        nodes: Iterable[int] = range(g.n)
+        alive = bytearray(b"\x01") * g.n
+    else:
+        nodes = sorted(set(within))
+        alive = bytearray(g.n)
+        for u in nodes:
             g._check_node(u)
             alive[u] = 1
 
+    s = c.s
     scnt = [0] * g.n
-    n_alive = _similarity_prefilter(g, c.s, alive, scnt)
-    if n_alive == 0:
-        return Solution.empty(), profile
+    n_alive = _similarity_prefilter(g, s, nodes, alive, scnt)
 
     adj = g._adj
     incident = [0.0] * g.n
     total = 0.0
     heap = []
-    for u in range(g.n):
+    for u in nodes:
         if not alive[u]:
             continue
         iw = 0.0
@@ -164,19 +200,15 @@ def modified_sgsel(
     if stats is not None:
         stats.pushes += len(heap)
 
-    p = c.p
     size = n_alive
     unsupported = 0
     order: list[int] = []
-    alphas: list[float] = [0.0] * (n_alive + 1)
-
-    alpha = total / size
-    alphas[size] = alpha
-    best_alpha = -1.0
-    best_size = -1
-    best_weight = 0.0
-    if size > p:
-        best_alpha, best_size, best_weight = alpha, size, total
+    # the weight alive at each size; the prefilter leaves the start supported
+    totals: list[float] = [0.0] * (n_alive + 1)
+    supported = bytearray(n_alive + 1)
+    if n_alive:
+        totals[size] = total
+        supported[size] = 1
 
     pops = 0
     pushes = 0
@@ -199,16 +231,14 @@ def modified_sgsel(
                 incident[t] = nw
                 heappush(heap, (nw, t))
                 pushes += 1
-                if w > c.s:
+                if w > s:
                     scnt[t] -= 1
                     if scnt[t] == 0:
                         unsupported += 1
         if size == 0:
             break
-        alpha = total / size
-        alphas[size] = alpha
-        if size > p and unsupported == 0 and alpha > best_alpha:
-            best_alpha, best_size, best_weight = alpha, size, total
+        totals[size] = total
+        supported[size] = unsupported == 0
 
     if stats is not None:
         stats.pops += pops
@@ -216,9 +246,11 @@ def modified_sgsel(
         stats.removals += len(order)
 
     trace = PeelTrace(tuple(order))
+    alphas = [0.0, *map(truediv, totals[1:], range(1, n_alive + 1))]
+    profile.run = run = PeelRun(trace, alphas, supported)
     profile._best = {k: (alphas[k], trace) for k in range(1, n_alive + 1)}
 
-    if best_size < 0:
+    k = run.best_size(c.p)
+    if not k:
         return Solution.empty(), profile
-    members = trace.members_at(best_size)
-    return Solution(members, best_weight, best_alpha), profile
+    return Solution(trace.members_at(k), totals[k], alphas[k]), profile

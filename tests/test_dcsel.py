@@ -404,6 +404,18 @@ def test_tighter_events_after_an_empty_fresh_peel_cost_nothing():
     assert sess.current.alpha == res.opt_alpha
 
 
+def test_fallback_reuses_the_init_peel():
+    # p = 2 rules out {0, 1} and the residual peel around it finds nothing,
+    # so the fallback would peel the whole graph again at init's s
+    g = SimGraph(3, [(0, 1, 0.9), (0, 2, 0.15)])
+    sess = init_session(g, ConstraintPair(s=0.1, p=1))
+    assert sess.current.members == frozenset({0, 1})
+    apply_size_delta(sess, 1)
+    assert sess.event_removals == 0
+    assert sess.history[-1].feasible
+    assert sess.current.members == frozenset({0, 1, 2})
+
+
 def test_run_schedule_wraps_failures_with_step(two_cluster):
     sess = init_session(two_cluster, ConstraintPair(s=0.05, p=2))
     events = [ScheduleEvent("size_delta", 1), ScheduleEvent("size_delta", -100)]
@@ -531,14 +543,17 @@ def _random_event(rng, sess):
         run_schedule(sess, [ScheduleEvent("similarity_set", round(rng.uniform(0.05, 0.9), 2))])
 
 
-def _random_session_walk(rng, n_events=4):
+def _random_session_walk(rng, n_events=4, forget_runs=False):
     """One random instance plus a short schedule of deltas, set events and
-    bridged augments, oracle-checked after every event."""
+    bridged augments, oracle-checked after every event. With ``forget_runs``
+    the session drops its kept peel runs before each event."""
     g = gnp_graph(rng, rng.randint(4, 11))
     p = rng.randint(1, 3)
     s = rng.uniform(0.1, 0.4)
     sess = init_session(g, ConstraintPair(s=s, p=p))
     for _ in range(rng.randint(1, n_events)):
+        if forget_runs:
+            sess._runs.clear()
         _random_event(rng, sess)
         _assert_bookkeeping(sess)
         res = exact_msp(sess.graph, sess.constraints)
@@ -549,12 +564,34 @@ def _random_session_walk(rng, n_events=4):
             assert sess.current.alpha >= res.opt_alpha / 3.0 - 1e-9
         else:
             assert not rec.feasible
+    return sess
 
 
 def test_random_walks_track_the_oracle():
     rng = random.Random(1)
     for _ in range(100):
         _random_session_walk(rng, n_events=6)
+
+
+def test_kept_peel_runs_change_no_result():
+    # the walks of the test above, each replayed with every peel run anew
+    def outcome(sess):
+        return (
+            [(r.event, repr(r.alpha), r.size, r.feasible) for r in sess.history],
+            sess.current.members,
+            [(k, repr(a)) for k, a, _ in sess.profile.items()],
+        )
+
+    rng = random.Random(1)
+    saved = 0
+    for _ in range(100):
+        state = rng.getstate()
+        kept = _random_session_walk(rng, n_events=6)
+        rng.setstate(state)
+        fresh = _random_session_walk(rng, n_events=6, forget_runs=True)
+        assert outcome(kept) == outcome(fresh)
+        saved += fresh.event_removals - kept.event_removals
+    assert saved > 0
 
 
 def test_random_augments_track_the_oracle():

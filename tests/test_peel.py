@@ -4,6 +4,7 @@ import pytest
 
 from msel import (
     ConstraintPair,
+    InvalidNodeError,
     ParameterError,
     PeelStats,
     PeelTrace,
@@ -116,6 +117,47 @@ def test_within_restricts_the_search():
     assert sol.members == frozenset({3, 4, 5})
     for size in profile.sizes():
         assert profile.members_at(size) <= frozenset({3, 4, 5})
+
+
+def test_within_order_and_duplicates_do_not_matter():
+    rng = random.Random(16)
+    g = gnp_graph(rng, 40, prob=0.2)
+    c = ConstraintPair(s=0.2, p=2)
+    nodes = rng.sample(range(g.n), 25)
+    messy = nodes + nodes[:7]
+    rng.shuffle(messy)
+    results = []
+    for within in (messy, sorted(set(messy))):
+        stats = PeelStats()
+        sol, profile = modified_sgsel(g, c, within=within, stats=stats)
+        entries = [(k, a, profile.members_at(k)) for k, a, _ in profile.items()]
+        results.append((sol, entries, stats))
+    assert results[0] == results[1]
+    assert results[0][0]
+    with pytest.raises(InvalidNodeError):
+        modified_sgsel(g, c, within=[3, g.n])
+
+
+def test_run_picks_the_peel_result_for_every_p():
+    # one peel's run answers for any size floor exactly as a new peel would
+    rng = random.Random(17)
+    for _ in range(30):
+        g = gnp_graph(rng, rng.randint(3, 14))
+        s = rng.uniform(0.1, 0.5)
+        for within in (None, rng.sample(range(g.n), rng.randint(1, g.n))):
+            run = modified_sgsel(g, ConstraintPair(s=s, p=0), within=within)[1].run
+            for p in range(g.n + 2):
+                sol, _ = modified_sgsel(g, ConstraintPair(s=s, p=p), within=within)
+                assert run.best(p) == sol.members
+
+
+def test_exact_tie_goes_to_the_larger_set():
+    # all six nodes and the last triangle alone both average exactly 0.5
+    g = SimGraph(6, [(0, 1, 0.5), (0, 2, 0.5), (1, 2, 0.5), (3, 4, 0.5), (3, 5, 0.5), (4, 5, 0.5)])
+    sol, profile = modified_sgsel(g, ConstraintPair(s=0.1, p=1))
+    assert profile.alpha_at(3) == profile.alpha_at(6) == 0.5
+    assert sol.members == frozenset(range(6))
+    assert profile.run.best(2) == sol.members
 
 
 def test_feasible_instance_never_returns_empty():
