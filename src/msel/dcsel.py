@@ -2,26 +2,28 @@
 
 A Session wraps one graph plus the current constraint pair and solution. When
 a constraint changes, the session reuses what earlier peels already computed:
-size decreases are answered from the recorded per-size profile, size increases
-peel only the nodes outside the current group, and similarity changes shrink
-or regrow the group around its surviving core. Every peel performed along the
-way folds its per-size records back into the session profile: a residual
-peel's entry of size k becomes the group plus the last k nodes it removed,
-stored at the combined size, so later decreases see them too. Every event runs
+size decreases are answered from the recorded per-size profile, and every
+other repair (a size increase the group falls short of, a similarity raise
+the stripped group fails, a similarity decrease, a graph merge) is one
+anchored peel: the incumbent stays pinned while the nodes outside it are
+peeled, which records for every size both the best superset of the
+incumbent and the outside nodes alone. The repair proposes the best of the
+incumbent and those two picks. Every peel folds its per-size records into
+the session profile, so later decreases see them too. Every event runs
 through one step: its repair proposes a group, and an event that would end
-on an infeasible group gets one fresh peel of the whole graph, unless an
-earlier one proved that no group is feasible.
+on an infeasible group gets one fresh peel of the whole graph, unless a
+peel proved that no group is feasible.
 
-A peel's removal order and per-size records depend on the graph, s and the
-nodes it starts from, never on p. The session keeps its last whole-graph
-peel and its last residual peel, so an event that would repeat one of them
-with only p changed picks its answer from the kept run instead of peeling.
+A peel's removal order and per-size records depend on the graph, s, the
+nodes it starts from and the nodes it pins, never on p. The session keeps
+its last whole-graph peel and its last anchored peel. While the kept
+whole-graph run matches the graph and s, it answers a repair at no peel
+cost; an anchored peel that would repeat the kept one is answered from it.
 
 The session keeps the incumbent's membership mask, each node's weight into
 the group and the group's support at the current similarity floor up to
 date as members come and go. Bookkeeping for an event therefore costs the
-degrees of the nodes that change; only residual and fresh peels touch the
-whole graph.
+degrees of the nodes that change; only peels touch the whole graph.
 """
 
 from __future__ import annotations
@@ -214,22 +216,24 @@ class _Group:
         for u in new:
             self.add(u)
 
-    def absorb(self, floor: float | None = None) -> None:
+    def settle(self) -> None:
+        """Set ``weight`` to the exactly rounded sum of the members' ``inw``,
+        so a member set's alpha does not depend on the order in which its
+        members came and went."""
+        inw = self.inw
+        self.weight = math.fsum(inw[u] for u in self.members) / 2.0
+
+    def absorb(self) -> None:
         """Add outside nodes while the best one's weight into the group beats α.
 
         Each accepted node strictly raises the average, so the loop terminates.
-        Candidates are outside nodes with an edge into the group and, when
-        ``floor`` is given, a largest incident weight above it; ties break to
+        Candidates are outside nodes with an edge into the group; ties break to
         the lowest id.
         """
         if not self.members:
             return
         adj, mask, inw = self.graph._adj, self.mask, self.inw
-        maxw = self.graph._max_weights() if floor is not None else None
-        heap = [
-            (-iw, u) for u, iw in enumerate(inw)
-            if iw > 0.0 and not mask[u] and (maxw is None or maxw[u] > floor)
-        ]
+        heap = [(-iw, u) for u, iw in enumerate(inw) if iw > 0.0 and not mask[u]]
         heapq.heapify(heap)
         size = len(self.members)
         while heap:
@@ -242,7 +246,7 @@ class _Group:
             self.add(u)
             size += 1
             for t, _ in adj[u]:
-                if not mask[t] and (maxw is None or maxw[t] > floor):
+                if not mask[t]:
                     heapq.heappush(heap, (-inw[t], t))
 
     def extend_graph(self, g: SimGraph, bridges: list[tuple[int, int, float]]) -> None:
@@ -270,14 +274,17 @@ class Session:
     initial solve's removals live only in ``stats``. ``_group`` mirrors
     ``current``; it is rebuilt whenever ``graph`` or ``current`` is assigned
     from outside the event functions. ``_empty_at`` holds the graph and
-    constraints of the last whole-graph peel that found nothing.
+    constraints of the last peel that proved no group feasible.
 
     ``_runs`` keeps the last whole-graph peel (key True) and the last
-    residual peel (key False) as ``(graph, s, start mask, run)``, the mask
-    being None for a whole-graph peel and the bytes of the group peeled
-    around otherwise. A peel of the same graph with the same s and start
-    set is answered from the kept run; only peels actually run count in
-    ``stats`` and ``event_removals``.
+    anchored peel (key False) as ``(graph, s, anchor mask, (run, outside))``:
+    the mask is None for a whole-graph peel, whose two runs are one, and the
+    bytes of the pinned group otherwise. A repair under the kept
+    whole-graph run's graph and s takes its pick without peeling; an
+    anchored peel of the same graph, s and anchor is answered from the kept
+    one. Only peels actually run count in ``stats`` and ``event_removals``,
+    and only they fold records into ``profile``: a kept run's records are
+    there already.
     """
 
     graph: SimGraph
@@ -289,16 +296,17 @@ class Session:
     event_removals: int = 0
     _group: _Group | None = field(default=None, repr=False, compare=False)
     _empty_at: tuple[SimGraph, ConstraintPair] | None = field(default=None, repr=False, compare=False)
-    _runs: dict[bool, tuple[SimGraph, float, bytes | None, PeelRun]] = field(
+    _runs: dict[bool, tuple[SimGraph, float, bytes | None, tuple[PeelRun, PeelRun]]] = field(
         default_factory=dict, repr=False, compare=False)
 
 
 def _proven_empty(sess: Session) -> bool:
-    """True when no group can be feasible: a whole-graph peel of this graph
-    found nothing under constraints no tighter than the current ones. A peel
-    finds nothing only when its similarity prefilter leaves at most its p
-    nodes, and every group feasible under tighter constraints survives that
-    prefilter."""
+    """True when no group can be feasible: a peel of this graph that started
+    from every node (pinned or not) its similarity prefilter kept held at
+    most p nodes, under constraints no tighter than the current ones. Every
+    group feasible under tighter constraints survives a whole-graph
+    prefilter, and every node that survives it is in an anchored peel's
+    start set too."""
     e, c = sess._empty_at, sess.constraints
     return e is not None and e[0] is sess.graph and c.p >= e[1].p and c.s >= e[1].s
 
@@ -314,8 +322,9 @@ def _group_of(sess: Session) -> _Group:
 
 
 def _adopt(sess: Session, grp: _Group) -> None:
-    """Make ``grp`` the incumbent, with its weight summed over its own edges."""
+    """Make ``grp`` the incumbent, with its weight settled."""
     if grp.solution is None:
+        grp.settle()
         if grp.members:
             grp.solution = Solution(frozenset(grp.members), grp.weight, grp.alpha)
         else:
@@ -350,7 +359,7 @@ def init_session(g: SimGraph, c: ConstraintPair) -> Session:
     stats = PeelStats()
     sol, profile = modified_sgsel(g, c, stats=stats)
     sess = Session(graph=g, constraints=c, current=sol, profile=profile, stats=stats,
-                   _empty_at=None if sol else (g, c), _runs={True: (g, c.s, None, profile.run)})
+                   _empty_at=None if sol else (g, c), _runs={True: (g, c.s, None, (profile.run,) * 2)})
     _adopt(sess, _Group(g, sol.members))
     _record(sess, "init", t0)
     return sess
@@ -363,71 +372,45 @@ def _remember_current(sess: Session) -> None:
         sess.profile.record(sol.size, sol.alpha, PeelTrace(tuple(sorted(sol.members))))
 
 
-def _fold_residual(sess: Session, base: _Group | None, run: PeelRun) -> None:
-    """Merge a seeded peel's per-size records into the session profile.
-
-    Records from a peel of V minus ``base`` describe residual sets; the folded
-    entry at size |base|+k describes base union the residual set of size k,
-    with the objective recomputed to include the base weight and the weight
-    crossing between base and residual nodes. Its trace is the residual
-    order followed by the base members, so its last |base|+k nodes are that
-    union. A peel removes every node it starts with, so it holds a record
-    for every k.
-    """
-    order, alphas = run.trace.order, run.alphas
-    if not order:
-        return
-    if base is None or not base.members:
-        for k in range(1, len(order) + 1):
-            sess.profile.record(k, alphas[k], run.trace)
-        return
-    inw = base.inw
-    folded = PeelTrace(order + tuple(sorted(base.members)))
-    cross = 0.0
-    nb = len(base.members)
-    n_resid = len(order)
-    for j in range(n_resid - 1, -1, -1):
-        cross += inw[order[j]]
-        k = n_resid - j
-        combined_w = base.weight + alphas[k] * k + cross
-        sess.profile.record(nb + k, combined_w / (nb + k), folded)
-
-
-def _peel(sess: Session, c: ConstraintPair, outside: _Group | None = None) -> frozenset[int]:
-    """The members of the best feasible group among the nodes outside
-    ``outside`` (the whole graph when None), folding the per-size records
-    into the session profile.
+def _peel(sess: Session, c: ConstraintPair, anchor: _Group | None = None) -> tuple[PeelRun, PeelRun]:
+    """The union and outside runs of a peel of the whole graph (``anchor``
+    None or empty, one run twice) or of one with ``anchor``'s members pinned.
 
     The session's kept run of the same kind answers when its graph, s and
-    start set match, at no peel cost; otherwise the peel runs, its work is
-    counted and its run replaces the kept one. The fold runs either way,
-    against the group's weights as they are now, so the profile gets the
-    same entries as from a new peel.
+    anchor match, at no peel cost; otherwise the peel runs, its work is
+    counted, its records are folded into the session profile and its runs
+    replace the kept ones. A start set of at most p nodes proves that no
+    group is feasible.
     """
-    g, whole = sess.graph, outside is None
-    mask = None if whole else bytes(outside.mask)
+    g = sess.graph
+    whole = anchor is None or not anchor.members
+    mask = None if whole else bytes(anchor.mask)
     kept = sess._runs.get(whole)
     if kept is not None and kept[0] is g and kept[1] == c.s and kept[2] == mask:
-        run = kept[3]
+        runs = kept[3]
     else:
         within = None if whole else [u for u, inside in enumerate(mask) if not inside]
         before = sess.stats.removals
-        run = modified_sgsel(g, c, within=within, stats=sess.stats)[1].run
+        # the group's state carries all a peel needs to know of its anchor
+        prof = modified_sgsel(g, c, within=within, stats=sess.stats,
+                              anchor=None if whole else anchor)[1]
         sess.event_removals += sess.stats.removals - before
-        sess._runs[whole] = (g, c.s, mask, run)
-    _fold_residual(sess, outside, run)
-    return run.best(c.p)
+        runs = (prof.run, prof.outside)
+        sess._runs[whole] = (g, c.s, mask, runs)
+        for run in {id(r): r for r in runs}.values():
+            sess.profile.add_run(run)
+    if len(runs[0].trace.order) <= c.p:
+        sess._empty_at = (g, c)
+    return runs
 
 
 def _fresh_fallback(sess: Session, grp: _Group, c: ConstraintPair) -> None:
     """Peel the whole graph once and move ``grp`` onto the result if it is
-    feasible. Groups that mix incumbent members with outside nodes are
-    invisible to a residual peel; only this decides whether any exist."""
-    fresh = _peel(sess, c)
+    feasible. Groups that mix part of the incumbent with outside nodes are
+    invisible to an anchored peel; only this decides whether any exist."""
+    fresh = _peel(sess, c)[0].best(c.p)
     if fresh:  # a peel returns a feasible group or none
         grp.move_to(fresh)
-    else:
-        sess._empty_at = (sess.graph, c)
 
 
 def _step(sess: Session, label: str, repair: Callable[..., _Group | None], *args) -> Solution:
@@ -455,14 +438,30 @@ def _step(sess: Session, label: str, repair: Callable[..., _Group | None], *args
     return sess.current
 
 
-def _refill(sess: Session, grp: _Group, c: ConstraintPair, budget: int, floor: float | None = None) -> _Group:
-    """Peel outside ``grp`` with size floor ``budget``, merge the best residual
-    group in and absorb outside nodes (none whose largest weight is at most
-    ``floor``)."""
-    for u in _peel(sess, ConstraintPair(s=c.s, p=budget), grp):
-        grp.add(u)
-    grp.absorb(floor)
-    return grp
+def _repair(sess: Session, grp: _Group) -> _Group:
+    """Propose the better of ``grp`` and the best feasible group one peel
+    finds: the better of the best superset of ``grp`` and the best group
+    outside it, from one anchored peel around ``grp``; or, at no peel cost,
+    the kept whole-graph run's pick while that run matches the graph and s.
+    The two picks are ranked by their runs' alphas; against ``grp``,
+    feasibility outranks alpha and ``grp`` wins exact ties."""
+    c = sess.constraints
+    grp.settle()
+    kept = sess._runs.get(True)
+    whole = kept is not None and kept[0] is sess.graph and kept[1] == c.s
+    runs = _peel(sess, c, None if whole else grp)
+    picks = [(run.alphas[k], k, run) for run in {id(r): r for r in runs}.values()
+             if (k := run.best_size(c.p))]
+    if not picks:
+        return grp
+    _, k, run = max(picks, key=lambda e: e[0])
+    members = run.trace.members_at(k)
+    if members == grp.members:
+        return grp
+    cand = grp.copy()
+    cand.move_to(members)
+    cand.settle()
+    return cand if (cand.feasible(c), cand.alpha) > (grp.feasible(c), grp.alpha) else grp
 
 
 def _grow(sess: Session) -> _Group:
@@ -500,36 +499,6 @@ def next_constraints(c: ConstraintPair, ev: ScheduleEvent) -> ConstraintPair:
     return c
 
 
-def _improve_pass(sess: Session) -> _Group:
-    """Peel outside the current group, then propose the best of: the union of
-    current and the residual group (absorbed), the residual group alone
-    (absorbed), or the unchanged current. Feasibility outranks the objective,
-    and the incumbent wins exact ties."""
-    c = sess.constraints
-    grp = _group_of(sess)
-    resid = _peel(sess, c, grp)
-
-    candidates: list[_Group] = []
-    if grp.members or resid:
-        union = grp.copy()
-        for u in resid:
-            union.add(u)
-        union.absorb()
-        candidates.append(union)
-    if grp.members and resid:
-        alone = _Group(sess.graph, resid)
-        alone.absorb()
-        candidates.append(alone)
-
-    best = grp
-    best_key = (grp.feasible(c), sess.current.alpha)
-    for cand in candidates:
-        key = (cand.feasible(c), cand.alpha)
-        if key > best_key:
-            best, best_key = cand, key
-    return best
-
-
 def _retarget(sess: Session, c_new: ConstraintPair) -> _Group | None:
     """Move the constraints to ``c_new`` and propose a repaired group, by
     the rules ``apply_size_delta`` and ``apply_similarity_delta`` describe."""
@@ -541,7 +510,7 @@ def _retarget(sess: Session, c_new: ConstraintPair) -> _Group | None:
 
     if c_new.p < c_old.p:
         # An infeasible incumbent never sets the bar: any feasible group beats it.
-        floor = sess.current.alpha if grp.feasible(c_new) else -1.0
+        floor = grp.alpha if grp.feasible(c_new) else -1.0
         ranked = sorted(
             (e for e in sess.profile.items() if e[0] > c_new.p and e[1] > floor),
             key=lambda e: (-e[1], e[0]),
@@ -549,6 +518,7 @@ def _retarget(sess: Session, c_new: ConstraintPair) -> _Group | None:
         for size, _, trace in ranked:
             cand = grp.copy()
             cand.move_to(trace.members_at(size))
+            cand.settle()
             if cand.alpha > floor and cand.feasible(c_new):
                 # adopted here rather than proposed: the profile holds it already
                 _adopt(sess, cand)
@@ -557,15 +527,15 @@ def _retarget(sess: Session, c_new: ConstraintPair) -> _Group | None:
     if c_new.p > c_old.p:
         if sess.current and c_new.p < sess.current.size:
             return None
-        return _refill(sess, grp, c_new, c_new.p - c_old.p)
+        return _repair(sess, grp)
     if c_new.s < c_old.s:
-        return _improve_pass(sess)
+        return _repair(sess, grp)
     if c_new.s > c_old.s:
         maxw = sess.graph._max_weights()
         grp.move_to(frozenset(u for u in grp.members if maxw[u] > c_new.s))
-        if len(grp.members) > c_new.p and grp.feasible(c_new):
+        if grp.feasible(c_new):
             return grp
-        return _refill(sess, grp, c_new, max(c_new.p - len(grp.members), 0), floor=c_new.s)
+        return _repair(sess, grp)
     return None
 
 
@@ -575,9 +545,9 @@ def apply_size_delta(sess: Session, dp: int, label: str | None = None) -> Soluti
     Decreases consult the profile: a feasible group strictly better than the
     incumbent is adopted (or the best feasible one, if the incumbent is not
     itself feasible). Increases that the current group already satisfies are
-    free; otherwise the nodes outside the group are peeled with size budget
-    ``dp``, the best residual group is merged in, and the absorb rule runs
-    on the union.
+    free; otherwise one anchored peel around the group proposes the best of
+    the group, its best feasible superset and the best feasible group
+    outside it.
     """
     c_new = _constraints(sess.constraints.p + dp, sess.constraints.s)
     label = ScheduleEvent("size_delta", int(dp)).text() if label is None else label
@@ -588,10 +558,9 @@ def apply_similarity_delta(sess: Session, ds: float, label: str | None = None) -
     """Move the similarity floor by ``ds`` and repair the solution.
 
     Raising the floor strips nodes that no longer have any qualifying edge;
-    if the stripped group is still valid it is kept, otherwise the gap is
-    refilled by a seeded peel of the remaining search space. Lowering the
-    floor enlarges the search space, which is handled as an improvement pass
-    over everything outside the current group.
+    if the stripped group is still feasible it is kept, otherwise it is
+    repaired by one anchored peel around it. Lowering the floor enlarges the
+    search space, which one anchored peel around the group searches.
     """
     c_new = _constraints(sess.constraints.p, sess.constraints.s + ds)
     label = ScheduleEvent("similarity_delta", float(ds)).text() if label is None else label
@@ -605,7 +574,7 @@ def _merge(sess: Session, extra: SimGraph, bridges: list[tuple[int, int, float]]
     sess.graph = merged
     if extra.n == 0 and not bridges:
         return None
-    return _improve_pass(sess)
+    return _repair(sess, grp)
 
 
 def augment_graph(
@@ -617,9 +586,10 @@ def augment_graph(
     """Merge a second graph (ids remapped past the current ones) plus optional
     bridge edges, then search the enlarged space for a better group.
 
-    The adopted result is the best feasible candidate among: current absorbed
-    into the merged residual group, the residual group alone, or current
-    unchanged. With an empty extra graph and no bridges nothing changes.
+    The adopted result is the best candidate of one anchored peel around
+    current: its best feasible superset, the best feasible group outside it,
+    or current unchanged. With an empty extra graph and no bridges nothing
+    changes.
     """
     return _step(sess, label, _merge, extra, list(bridges) if bridges else [])
 

@@ -7,6 +7,10 @@ still has a qualifying edge. Sizes are recorded as a removal order plus
 per-size values, so a peel of n nodes costs O(n) memory instead of the
 O(n^2) it would take to store every intermediate set. None of it depends on
 the size floor p: the best feasible set for any p is picked afterwards.
+
+A peel may pin an anchor group: its members stay alive and are never
+removed, so the one removal order records both the anchor plus the outside
+nodes still alive and those outside nodes alone, at every size.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from operator import truediv
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator, Protocol, Sequence
 
 from .errors import ParameterError
 from .graph import ConstraintPair, SimGraph, Solution
@@ -48,46 +52,72 @@ class PeelProfile:
     An entry is (alpha, trace), and the set of size k is always the last k
     nodes of ``trace.order``. ``alpha_at(k)`` is -1.0 for sizes never
     reached, matching the convention that an unrecorded size holds the
-    empty set. A profile returned by ``modified_sgsel`` also carries that
-    peel's ``run``; one that merges several peels has none.
+    empty set. ``add_run`` merges every size of a peel run; the entries are
+    built only when the profile is first read, so a caller that keeps only
+    a peel's runs never pays for them. A profile returned by
+    ``modified_sgsel`` carries that peel's ``run`` and ``outside`` run; one
+    that merges several peels has neither.
     """
 
-    def __init__(self):
+    def __init__(self, run: PeelRun | None = None, outside: PeelRun | None = None):
         self._best: dict[int, tuple[float, PeelTrace]] = {}
-        self.run: PeelRun | None = None
+        self._unread: list[PeelRun] = []
+        self.run, self.outside = run, outside
+        for r in (run, None if outside is run else outside):
+            if r is not None:
+                self.add_run(r)
+
+    def add_run(self, run: PeelRun) -> None:
+        """Merge every size ``run`` recorded, as ``record`` would."""
+        self._unread.append(run)
+
+    def _read(self) -> dict[int, tuple[float, PeelTrace]]:
+        best = self._best
+        while self._unread:
+            run = self._unread.pop(0)
+            trace, alphas = run.trace, run.alphas
+            for k in run.sizes():
+                cur = best.get(k)
+                if cur is None or alphas[k] > cur[0]:
+                    best[k] = (alphas[k], trace)
+        return best
 
     def record(self, size: int, alpha: float, trace: PeelTrace) -> None:
         """Keep (alpha, trace) for ``size`` if alpha beats the stored value."""
-        cur = self._best.get(size)
+        best = self._read()
+        cur = best.get(size)
         if cur is None or alpha > cur[0]:
-            self._best[size] = (alpha, trace)
+            best[size] = (alpha, trace)
 
     def alpha_at(self, size: int) -> float:
-        cur = self._best.get(size)
+        cur = self._read().get(size)
         return cur[0] if cur is not None else -1.0
 
     def members_at(self, size: int) -> frozenset[int]:
-        cur = self._best.get(size)
+        cur = self._read().get(size)
         return cur[1].members_at(size) if cur is not None else frozenset()
 
     def sizes(self) -> list[int]:
-        return sorted(self._best)
+        return sorted(self._read())
 
     def items(self) -> Iterator[tuple[int, float, PeelTrace]]:
         """(size, alpha, trace) for every recorded size."""
-        for size in self.sizes():
-            yield size, *self._best[size]
+        best = self._read()
+        for size in sorted(best):
+            yield size, *best[size]
 
     def __len__(self) -> int:
-        return len(self._best)
+        return len(self._read())
 
 
 def _similarity_prefilter(g: SimGraph, s: float, nodes: Iterable[int], alive: bytearray, scnt: list[int]) -> int:
     """Drop nodes with no alive incident edge above ``s`` until a fixpoint.
 
-    ``nodes`` lists the alive nodes in id order. Fills ``scnt`` with the
-    surviving per-node count of incident edges above ``s`` to alive
-    neighbors, and returns the survivor count.
+    ``nodes`` lists the alive nodes that may be dropped, in id order; their
+    ``alive`` entry is 1. Pinned nodes (``alive`` 2) are never dropped and
+    get no count. Fills ``scnt`` with the surviving per-node count of
+    incident edges above ``s`` to alive neighbors, and returns the survivor
+    count.
     """
     adj = g._adj
     stack = []
@@ -108,7 +138,7 @@ def _similarity_prefilter(g: SimGraph, s: float, nodes: Iterable[int], alive: by
         alive[u] = 0
         n_alive -= 1
         for t, w in adj[u]:
-            if w > s and alive[t]:
+            if w > s and alive[t] == 1:
                 scnt[t] -= 1
                 if scnt[t] == 0:
                     stack.append(t)
@@ -121,21 +151,28 @@ class PeelRun:
 
     The set alive at size k is the last k nodes of ``trace.order``;
     ``alphas[k]`` is its average similarity and ``supported[k]`` is 1 when
-    each of its members has an edge above s to another member (index 0 is
-    unused). A run depends only on the graph, s and the start set, so one
-    run answers the peel's question for every p.
+    each of its members has an edge above s to another member. Sizes below
+    ``first`` are never reached (index 0 always, and every size below the
+    anchor's of an anchored peel's union run). A run depends only on the
+    graph, s, the start set and the anchor, so one run answers the peel's
+    question for every p.
     """
 
     trace: PeelTrace
     alphas: list[float]
     supported: bytearray
+    first: int = 1
+
+    def sizes(self) -> range:
+        """Every size the run recorded."""
+        return range(self.first, len(self.trace.order) + 1)
 
     def best_size(self, p: int) -> int:
         """Size of the best supported set above ``p`` nodes, 0 if none; the
         largest one wins an exact tie."""
         alphas, supported = self.alphas, self.supported
         best_alpha, best = -1.0, 0
-        for k in range(len(self.trace.order), p, -1):
+        for k in range(len(self.trace.order), max(p, self.first - 1), -1):
             if supported[k] and alphas[k] > best_alpha:
                 best_alpha, best = alphas[k], k
         return best
@@ -145,11 +182,25 @@ class PeelRun:
         return self.trace.members_at(self.best_size(p))
 
 
+class Anchor(Protocol):
+    """A group a peel pins, with what the peel needs to know of it: W of
+    the group, and for every node of the graph its weight into the group
+    (``inw``) and its strongest edge into it (``top``, 0.0 without any).
+    Knowing these, a peel touches only the edges of the nodes it may
+    remove. A session's group state is one."""
+
+    members: Collection[int]
+    weight: float
+    inw: Sequence[float]
+    top: Sequence[float]
+
+
 def modified_sgsel(
     g: SimGraph,
     c: ConstraintPair,
     within: Iterable[int] | None = None,
     stats: PeelStats | None = None,
+    anchor: Anchor | None = None,
 ) -> tuple[Solution, PeelProfile]:
     """Single global peel returning the best feasible set and the size profile.
 
@@ -165,50 +216,106 @@ def modified_sgsel(
     Solution when nothing feasible exists. The profile's ``run`` holds the
     peel's p-independent record, from which ``run.best(p)`` picks the result
     for any other size floor.
+
+    ``anchor`` pins its members: they join the start set, stay alive, count
+    toward every incident weight and support, and are never removed; the
+    other nodes are prefiltered and peeled as usual, and set-up visits only
+    their edges. ``run`` then records each union of the anchor with the
+    outside nodes still alive, so ``run.best(p)`` is the best superset of
+    the anchor, and the profile's ``outside`` run records the outside nodes
+    alone along the same removal order. Without an anchor both are the same
+    run.
     """
-    profile = PeelProfile()
-    if within is None:
+    s = c.s
+    pins = anchor.members if anchor is not None else ()
+    if within is None and not pins:
         nodes: Iterable[int] = range(g.n)
         alive = bytearray(b"\x01") * g.n
     else:
-        nodes = sorted(set(within))
+        start = set(range(g.n)) if within is None else set(within)
+        nodes = sorted(start.difference(pins))
+        if nodes:
+            g._check_node(nodes[0])
+            g._check_node(nodes[-1])
         alive = bytearray(g.n)
         for u in nodes:
-            g._check_node(u)
             alive[u] = 1
+        for u in pins:
+            alive[u] = 2
 
-    s = c.s
     scnt = [0] * g.n
-    n_alive = _similarity_prefilter(g, s, nodes, alive, scnt)
+    m = _similarity_prefilter(g, s, nodes, alive, scnt)
 
     adj = g._adj
     incident = [0.0] * g.n
     total = 0.0
     heap = []
-    for u in nodes:
-        if not alive[u]:
-            continue
-        iw = 0.0
-        for t, w in adj[u]:
-            if alive[t]:
-                iw += w
-        incident[u] = iw
-        total += iw
-        heap.append((iw, u))
-    total /= 2.0
+    unsupported = 0
+    if not pins:
+        anc, acnt = [0.0] * g.n, [0] * g.n
+        for u in nodes:
+            if not alive[u]:
+                continue
+            iw = 0.0
+            for t, w in adj[u]:
+                if alive[t]:
+                    iw += w
+            incident[u] = iw
+            total += iw
+            heap.append((iw, u))
+    else:
+        # per outside node, the weight and the edges above s into the
+        # anchor; an anchor node counts its edges above s to outside nodes,
+        # plus one for good if it has one to another anchor node, and its
+        # -1 never equals that count
+        anc, top = anchor.inw, anchor.top
+        acnt = [0] * g.n
+        for u in nodes:
+            if not alive[u]:
+                continue
+            iw = 0.0
+            cnt = 0
+            for t, w in adj[u]:
+                a = alive[t]
+                if a:
+                    iw += w
+                    if a == 2 and w > s:
+                        cnt += 1
+                        scnt[t] += 1
+            incident[u] = iw
+            acnt[u] = cnt
+            total += iw + anc[u]
+            heap.append((iw, u))
+        for u in pins:
+            acnt[u] = -1
+            if top[u] > s:
+                scnt[u] += 1
+            elif not scnt[u]:
+                unsupported += 1
+    # every edge was counted from both ends, the anchor's own edges excepted
+    total = total / 2.0 + (anchor.weight if pins else 0.0)
     heapq.heapify(heap)
     if stats is not None:
         stats.pushes += len(heap)
 
-    size = n_alive
-    unsupported = 0
+    na = len(pins)
+    n_alive = na + m
+    j = m
+    if na:
+        out_total = sum(incident[u] - anc[u] for _, u in heap) / 2.0
+        out_unsupported = sum(1 for _, u in heap if scnt[u] == acnt[u])
+    else:
+        out_total, out_unsupported = total, 0
     order: list[int] = []
-    # the weight alive at each size; the prefilter leaves the start supported
-    totals: list[float] = [0.0] * (n_alive + 1)
-    supported = bytearray(n_alive + 1)
+    # the weights alive and whether all are supported, indexed by the number
+    # of outside nodes alive, for the union and for the outside nodes alone
+    totals = [0.0] * (m + 1)
+    out_totals = [0.0] * (m + 1)
+    supported = bytearray(m + 1)
+    out_supported = bytearray(m + 1)
     if n_alive:
-        totals[size] = total
-        supported[size] = 1
+        totals[m], supported[m] = total, unsupported == 0
+        out_totals[m], out_supported[m] = out_total, out_unsupported == 0
 
     pops = 0
     pushes = 0
@@ -222,35 +329,56 @@ def modified_sgsel(
         alive[v] = 0
         order.append(v)
         total -= iw
-        size -= 1
-        if scnt[v] == 0:
+        out_total -= iw - anc[v]
+        j -= 1
+        sv = scnt[v]
+        if sv == 0:
             unsupported -= 1
+        if sv == acnt[v]:
+            out_unsupported -= 1
         for t, w in adj[v]:
-            if alive[t]:
-                nw = incident[t] - w
-                incident[t] = nw
-                heappush(heap, (nw, t))
-                pushes += 1
+            a = alive[t]
+            if a:
+                if a == 1:
+                    nw = incident[t] - w
+                    incident[t] = nw
+                    heappush(heap, (nw, t))
+                    pushes += 1
                 if w > s:
-                    scnt[t] -= 1
-                    if scnt[t] == 0:
+                    st = scnt[t] - 1
+                    scnt[t] = st
+                    if st == 0:
                         unsupported += 1
-        if size == 0:
+                    if st == acnt[t]:
+                        out_unsupported += 1
+        totals[j], supported[j] = total, unsupported == 0
+        out_totals[j], out_supported[j] = out_total, out_unsupported == 0
+        if j == 0:
             break
-        totals[size] = total
-        supported[size] = unsupported == 0
 
     if stats is not None:
         stats.pops += pops
         stats.pushes += pushes
         stats.removals += len(order)
 
-    trace = PeelTrace(tuple(order))
-    alphas = [0.0, *map(truediv, totals[1:], range(1, n_alive + 1))]
-    profile.run = run = PeelRun(trace, alphas, supported)
-    profile._best = {k: (alphas[k], trace) for k in range(1, n_alive + 1)}
+    outside_order = tuple(order)
+    outside = PeelRun(
+        PeelTrace(outside_order),
+        [0.0, *map(truediv, out_totals[1:], range(1, m + 1))],
+        out_supported,
+    )
+    if na:
+        run = PeelRun(
+            PeelTrace(outside_order + tuple(sorted(pins))),
+            [0.0] * na + list(map(truediv, totals, range(na, n_alive + 1))),
+            bytearray(na) + supported,
+            na,
+        )
+    else:
+        run = outside
+    profile = PeelProfile(run, outside)
 
     k = run.best_size(c.p)
     if not k:
         return Solution.empty(), profile
-    return Solution(trace.members_at(k), totals[k], alphas[k]), profile
+    return Solution(run.trace.members_at(k), totals[k - na], run.alphas[k]), profile

@@ -36,8 +36,10 @@ from msel import (
     total_weight,
     write_msg1,
     apply_size_delta,
+    augment_graph,
     ScheduleEvent,
 )
+from msel.peel import _similarity_prefilter
 
 from helpers import assert_close, gnp_graph
 
@@ -201,7 +203,46 @@ def test_incremental_engine_efficiency(capsys):
         assert time.perf_counter() - t0 < 300.0
 
 
-def test_peel_mechanics_and_scale(capsys):
+@pytest.fixture(scope="module")
+def big_graph():
+    return random_graph(100_000, 1_000_000, seed=42)
+
+
+def _fresh_removals(g, s):
+    """Removals of a fresh ``modified_sgsel``: it peels every node its
+    similarity prefilter keeps, so counting the survivors is enough."""
+    return _similarity_prefilter(g, s, range(g.n), bytearray(b"\x01") * g.n, [0] * g.n)
+
+
+def test_event_cost_at_scale(capsys, big_graph):
+    with criterion(capsys, "4b no event peels more than a fresh solve at 100k nodes"):
+        sess = init_session(big_graph, ConstraintPair(s=0.1, p=10))
+        extra = SimGraph(3, [(0, 1, 0.9), (0, 2, 0.9), (1, 2, 0.9)])
+        events = [
+            ScheduleEvent("size_delta", 5),
+            ScheduleEvent("size_delta", -3),
+            ScheduleEvent("similarity_delta", 0.1),
+            ScheduleEvent("similarity_delta", -0.1),
+            None,  # a 3-node graph bridged to three incumbent members
+            ScheduleEvent("similarity_set", 0.85),
+            ScheduleEvent("size_set", 99_000),
+        ]
+        fresh = {}
+        for ev in events:
+            before = sess.event_removals
+            if ev is None:
+                ends = sorted(sess.current.members)[:3]
+                augment_graph(sess, extra, [(u, i, 0.5) for i, u in enumerate(ends)])
+            else:
+                run_schedule(sess, [ev])
+            cost = sess.event_removals - before
+            key = (sess.graph, sess.constraints.s)
+            if key not in fresh:
+                fresh[key] = _fresh_removals(*key)
+            assert cost <= fresh[key], (sess.history[-1].event, cost, fresh[key])
+
+
+def test_peel_mechanics_and_scale(capsys, big_graph):
     with criterion(capsys, "5 peel bookkeeping exact and fast at scale"):
         rng = random.Random(1005)
         for _ in range(100):
@@ -231,9 +272,8 @@ def test_peel_mechanics_and_scale(capsys):
                     assert math.isclose(W, fresh_W, rel_tol=1e-9, abs_tol=1e-9)
             assert math.isclose(W, 0.0, abs_tol=1e-9)
 
-        big = random_graph(100_000, 1_000_000, seed=42)
         t0 = time.perf_counter()
-        sol, prof = modified_sgsel(big, ConstraintPair(s=0.05, p=10))
+        sol, prof = modified_sgsel(big_graph, ConstraintPair(s=0.05, p=10))
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0, f"large peel took {elapsed:.2f}s"
         assert sol.members

@@ -22,6 +22,7 @@ from msel import (
     init_session,
     is_feasible,
     parse_schedule,
+    planted_community_graph,
     run_schedule,
     total_weight,
     write_msg1,
@@ -83,6 +84,8 @@ def test_init_session_infeasible_start_is_not_an_error(two_triangles):
 
 def test_size_increase_merges_residual_group(two_cluster):
     sess = init_session(two_cluster, ConstraintPair(s=0.05, p=2))
+    # without the kept init run the anchored peel has to find the superset
+    sess._runs.clear()
     sol = apply_size_delta(sess, 3)
     assert sess.constraints.p == 5
     assert sol.members == frozenset(range(8))
@@ -92,8 +95,12 @@ def test_size_increase_merges_residual_group(two_cluster):
     res = exact_msp(sess.graph, sess.constraints)
     assert res.opt_set == sol.members
     assert_close(res.opt_alpha, sol.alpha)
-    # the merge really did peel the complement
+    # the anchored peel really did peel the complement
     assert sess.event_removals > 0
+    # with the init run kept, it answers the same event at no peel cost
+    kept = init_session(two_cluster, ConstraintPair(s=0.05, p=2))
+    assert apply_size_delta(kept, 3) == sol
+    assert kept.event_removals == 0
 
 
 def test_size_increase_already_satisfied_is_free(two_triangles):
@@ -546,14 +553,14 @@ def _random_event(rng, sess):
 def _random_session_walk(rng, n_events=4, forget_runs=False):
     """One random instance plus a short schedule of deltas, set events and
     bridged augments, oracle-checked after every event. With ``forget_runs``
-    the session drops its kept peel runs before each event."""
+    the session drops its kept anchored peel run before each event."""
     g = gnp_graph(rng, rng.randint(4, 11))
     p = rng.randint(1, 3)
     s = rng.uniform(0.1, 0.4)
     sess = init_session(g, ConstraintPair(s=s, p=p))
     for _ in range(rng.randint(1, n_events)):
         if forget_runs:
-            sess._runs.clear()
+            sess._runs.pop(False, None)
         _random_event(rng, sess)
         _assert_bookkeeping(sess)
         res = exact_msp(sess.graph, sess.constraints)
@@ -573,8 +580,31 @@ def test_random_walks_track_the_oracle():
         _random_session_walk(rng, n_events=6)
 
 
+def test_random_walks_track_the_oracle_on_a_second_stream():
+    # walk 9 of this stream merges a graph whose best group mixes the
+    # incumbent with new nodes, which only a peel around the incumbent sees
+    rng = random.Random(37)
+    for _ in range(100):
+        _random_session_walk(rng, n_events=6)
+
+
+def test_same_set_gets_the_same_alpha_bits_by_any_path():
+    # p = 45 then p -= 10 and p = 10 come back to the community init chose,
+    # through a peel of the whole graph and a profile scan
+    for seed in range(5):
+        g = planted_community_graph(1000, 3000, seed=seed, community=30)
+        sess = init_session(g, ConstraintPair(s=0.2, p=2))
+        first = sess.current
+        run_schedule(sess, [ScheduleEvent("size_set", 45), ScheduleEvent("size_delta", -10),
+                            ScheduleEvent("size_set", 10)])
+        assert sess.current.members == first.members
+        assert repr(sess.current.alpha) == repr(first.alpha)
+
+
 def test_kept_peel_runs_change_no_result():
-    # the walks of the test above, each replayed with every peel run anew
+    # the walks of the test above, each replayed with every anchored peel
+    # run anew; the kept whole-graph run stays, as it picks a repair's
+    # candidate by design
     def outcome(sess):
         return (
             [(r.event, repr(r.alpha), r.size, r.feasible) for r in sess.history],

@@ -15,6 +15,8 @@ from msel import (
     total_weight,
 )
 
+from msel.dcsel import _Group
+
 from helpers import assert_close, gnp_graph
 
 
@@ -206,3 +208,36 @@ def test_peel_trace_materialization():
     assert trace.members_at(4) == frozenset({2, 4, 7, 9})
     with pytest.raises(ParameterError):
         trace.members_at(5)
+
+
+def test_anchored_runs_match_recomputation():
+    # one anchored peel records, for every size, the union with the anchor
+    # and the outside nodes alone; the anchor is never removed
+    rng = random.Random(18)
+    for _ in range(40):
+        g = gnp_graph(rng, rng.randint(3, 16), prob=rng.uniform(0.2, 0.7))
+        s = rng.uniform(0.1, 0.6)
+        c0 = ConstraintPair(s=s, p=0)
+        anchor = frozenset(rng.sample(range(g.n), rng.randint(1, g.n - 1)))
+        stats = PeelStats()
+        # a session's group state is what a session pins
+        sol, profile = modified_sgsel(g, ConstraintPair(s=s, p=1), anchor=_Group(g, anchor), stats=stats)
+        run, outside = profile.run, profile.outside
+        removed = outside.trace.order
+        assert stats.removals == len(removed)
+        assert not anchor & set(removed)
+        assert run.trace.order[:len(removed)] == removed
+        assert frozenset(run.trace.order[len(removed):]) == anchor
+        for k in run.sizes():
+            members = run.trace.members_at(k)
+            assert anchor <= members
+            assert_close(run.alphas[k], avg_similarity(members, g))
+            assert run.supported[k] == is_feasible(members, g, c0)
+        for k in outside.sizes():
+            members = outside.trace.members_at(k)
+            assert_close(outside.alphas[k], avg_similarity(members, g))
+            assert outside.supported[k] == is_feasible(members, g, c0)
+        assert sol.members == run.best(1)
+        # every node a whole-graph prefilter keeps is in the anchored start set
+        whole = modified_sgsel(g, c0)[1].run
+        assert set(whole.trace.order) <= set(run.trace.order)
