@@ -15,10 +15,12 @@ on an infeasible group gets one fresh peel of the whole graph, unless a
 peel proved that no group is feasible.
 
 A peel's removal order and per-size records depend on the graph, s, the
-nodes it starts from and the nodes it pins, never on p. The session keeps
-its last whole-graph peel and its last anchored peel. While the kept
-whole-graph run matches the graph and s, it answers a repair at no peel
-cost; an anchored peel that would repeat the kept one is answered from it.
+nodes it starts from and the nodes it pins, never on p. While the graph and
+s are those of the session's last whole-graph peel, a repair takes that
+peel's pick instead of peeling. The session keeps its last whole-graph run
+and its last anchored run, so such a pick, or an anchored peel that would
+repeat the kept one, costs no peel; the kept runs save work only and
+change no result.
 
 The session keeps the incumbent's membership mask, each node's weight into
 the group and the group's support at the current similarity floor up to
@@ -274,17 +276,19 @@ class Session:
     initial solve's removals live only in ``stats``. ``_group`` mirrors
     ``current``; it is rebuilt whenever ``graph`` or ``current`` is assigned
     from outside the event functions. ``_empty_at`` holds the graph and
-    constraints of the last peel that proved no group feasible.
+    constraints of the last peel that proved no group feasible, and
+    ``_whole_at`` the graph and s of the last whole-graph peel, whose pick a
+    repair takes while they still hold.
 
     ``_runs`` keeps the last whole-graph peel (key True) and the last
-    anchored peel (key False) as ``(graph, s, anchor mask, (run, outside))``:
-    the mask is None for a whole-graph peel, whose two runs are one, and the
-    bytes of the pinned group otherwise. A repair under the kept
-    whole-graph run's graph and s takes its pick without peeling; an
-    anchored peel of the same graph, s and anchor is answered from the kept
-    one. Only peels actually run count in ``stats`` and ``event_removals``,
-    and only they fold records into ``profile``: a kept run's records are
-    there already.
+    anchored peel (key False) as ``(graph, s, anchor mask, runs)``: the mask
+    is None for a whole-graph peel, whose runs hold its one run, and the
+    bytes of the pinned group otherwise, whose runs are the union run and
+    then the outside run. A peel of the same graph, s and anchor is
+    answered from the kept one; dropping ``_runs`` costs peels but changes
+    no result. Only peels actually run count in ``stats`` and
+    ``event_removals``, and only they fold records into ``profile``: a kept
+    run's records are there already.
     """
 
     graph: SimGraph
@@ -296,7 +300,8 @@ class Session:
     event_removals: int = 0
     _group: _Group | None = field(default=None, repr=False, compare=False)
     _empty_at: tuple[SimGraph, ConstraintPair] | None = field(default=None, repr=False, compare=False)
-    _runs: dict[bool, tuple[SimGraph, float, bytes | None, tuple[PeelRun, PeelRun]]] = field(
+    _whole_at: tuple[SimGraph, float] | None = field(default=None, repr=False, compare=False)
+    _runs: dict[bool, tuple[SimGraph, float, bytes | None, tuple[PeelRun, ...]]] = field(
         default_factory=dict, repr=False, compare=False)
 
 
@@ -359,7 +364,8 @@ def init_session(g: SimGraph, c: ConstraintPair) -> Session:
     stats = PeelStats()
     sol, profile = modified_sgsel(g, c, stats=stats)
     sess = Session(graph=g, constraints=c, current=sol, profile=profile, stats=stats,
-                   _empty_at=None if sol else (g, c), _runs={True: (g, c.s, None, (profile.run,) * 2)})
+                   _empty_at=None if sol else (g, c), _whole_at=(g, c.s),
+                   _runs={True: (g, c.s, None, profile.runs())})
     _adopt(sess, _Group(g, sol.members))
     _record(sess, "init", t0)
     return sess
@@ -372,19 +378,21 @@ def _remember_current(sess: Session) -> None:
         sess.profile.record(sol.size, sol.alpha, PeelTrace(tuple(sorted(sol.members))))
 
 
-def _peel(sess: Session, c: ConstraintPair, anchor: _Group | None = None) -> tuple[PeelRun, PeelRun]:
-    """The union and outside runs of a peel of the whole graph (``anchor``
-    None or empty, one run twice) or of one with ``anchor``'s members pinned.
+def _peel(sess: Session, c: ConstraintPair, anchor: _Group | None = None) -> tuple[PeelRun, ...]:
+    """The run of a peel of the whole graph (``anchor`` None or empty), or
+    the union and outside runs of one with ``anchor``'s members pinned.
 
     The session's kept run of the same kind answers when its graph, s and
     anchor match, at no peel cost; otherwise the peel runs, its work is
-    counted, its records are folded into the session profile and its runs
-    replace the kept ones. A start set of at most p nodes proves that no
-    group is feasible.
+    counted, its records go into the session profile and its runs replace
+    the kept ones. A whole-graph peel sets ``_whole_at``. A start set of at
+    most p nodes proves that no group is feasible.
     """
     g = sess.graph
     whole = anchor is None or not anchor.members
     mask = None if whole else bytes(anchor.mask)
+    if whole:
+        sess._whole_at = (g, c.s)
     kept = sess._runs.get(whole)
     if kept is not None and kept[0] is g and kept[1] == c.s and kept[2] == mask:
         runs = kept[3]
@@ -392,13 +400,10 @@ def _peel(sess: Session, c: ConstraintPair, anchor: _Group | None = None) -> tup
         within = None if whole else [u for u, inside in enumerate(mask) if not inside]
         before = sess.stats.removals
         # the group's state carries all a peel needs to know of its anchor
-        prof = modified_sgsel(g, c, within=within, stats=sess.stats,
-                              anchor=None if whole else anchor)[1]
+        runs = modified_sgsel(g, c, within=within, stats=sess.stats,
+                              anchor=None if whole else anchor, into=sess.profile)[1].runs()
         sess.event_removals += sess.stats.removals - before
-        runs = (prof.run, prof.outside)
         sess._runs[whole] = (g, c.s, mask, runs)
-        for run in {id(r): r for r in runs}.values():
-            sess.profile.add_run(run)
     if len(runs[0].trace.order) <= c.p:
         sess._empty_at = (g, c)
     return runs
@@ -440,18 +445,17 @@ def _step(sess: Session, label: str, repair: Callable[..., _Group | None], *args
 
 def _repair(sess: Session, grp: _Group) -> _Group:
     """Propose the better of ``grp`` and the best feasible group one peel
-    finds: the better of the best superset of ``grp`` and the best group
-    outside it, from one anchored peel around ``grp``; or, at no peel cost,
-    the kept whole-graph run's pick while that run matches the graph and s.
-    The two picks are ranked by their runs' alphas; against ``grp``,
+    finds: the pick of the last whole-graph peel while the graph and s are
+    still its own, otherwise the better of the best superset of ``grp`` and
+    the best group outside it, from one anchored peel around ``grp``. The
+    two picks are ranked by their runs' alphas; against ``grp``,
     feasibility outranks alpha and ``grp`` wins exact ties."""
     c = sess.constraints
     grp.settle()
-    kept = sess._runs.get(True)
-    whole = kept is not None and kept[0] is sess.graph and kept[1] == c.s
+    at = sess._whole_at
+    whole = at is not None and at[0] is sess.graph and at[1] == c.s
     runs = _peel(sess, c, None if whole else grp)
-    picks = [(run.alphas[k], k, run) for run in {id(r): r for r in runs}.values()
-             if (k := run.best_size(c.p))]
+    picks = [(run.alphas[k], k, run) for run in runs if (k := run.best_size(c.p))]
     if not picks:
         return grp
     _, k, run = max(picks, key=lambda e: e[0])

@@ -52,62 +52,54 @@ class PeelProfile:
     An entry is (alpha, trace), and the set of size k is always the last k
     nodes of ``trace.order``. ``alpha_at(k)`` is -1.0 for sizes never
     reached, matching the convention that an unrecorded size holds the
-    empty set. ``add_run`` merges every size of a peel run; the entries are
-    built only when the profile is first read, so a caller that keeps only
-    a peel's runs never pays for them. A profile returned by
-    ``modified_sgsel`` carries that peel's ``run`` and ``outside`` run; one
-    that merges several peels has neither.
+    empty set. ``add_run`` merges every size of a peel run. ``run`` and
+    ``outside`` are the runs of the last peel ``modified_sgsel`` merged into
+    the profile: ``outside`` is None unless that peel pinned an anchor, and
+    both are None in a profile no peel went into.
     """
 
-    def __init__(self, run: PeelRun | None = None, outside: PeelRun | None = None):
+    def __init__(self):
         self._best: dict[int, tuple[float, PeelTrace]] = {}
-        self._unread: list[PeelRun] = []
-        self.run, self.outside = run, outside
-        for r in (run, None if outside is run else outside):
-            if r is not None:
-                self.add_run(r)
+        self.run: PeelRun | None = None
+        self.outside: PeelRun | None = None
+
+    def runs(self) -> tuple[PeelRun, ...]:
+        """The distinct runs of the last peel merged in."""
+        return tuple(r for r in (self.run, self.outside) if r is not None)
 
     def add_run(self, run: PeelRun) -> None:
         """Merge every size ``run`` recorded, as ``record`` would."""
-        self._unread.append(run)
-
-    def _read(self) -> dict[int, tuple[float, PeelTrace]]:
         best = self._best
-        while self._unread:
-            run = self._unread.pop(0)
-            trace, alphas = run.trace, run.alphas
-            for k in run.sizes():
-                cur = best.get(k)
-                if cur is None or alphas[k] > cur[0]:
-                    best[k] = (alphas[k], trace)
-        return best
+        trace, alphas = run.trace, run.alphas
+        for k in run.sizes():
+            cur = best.get(k)
+            if cur is None or alphas[k] > cur[0]:
+                best[k] = (alphas[k], trace)
 
     def record(self, size: int, alpha: float, trace: PeelTrace) -> None:
         """Keep (alpha, trace) for ``size`` if alpha beats the stored value."""
-        best = self._read()
-        cur = best.get(size)
+        cur = self._best.get(size)
         if cur is None or alpha > cur[0]:
-            best[size] = (alpha, trace)
+            self._best[size] = (alpha, trace)
 
     def alpha_at(self, size: int) -> float:
-        cur = self._read().get(size)
+        cur = self._best.get(size)
         return cur[0] if cur is not None else -1.0
 
     def members_at(self, size: int) -> frozenset[int]:
-        cur = self._read().get(size)
+        cur = self._best.get(size)
         return cur[1].members_at(size) if cur is not None else frozenset()
 
     def sizes(self) -> list[int]:
-        return sorted(self._read())
+        return sorted(self._best)
 
     def items(self) -> Iterator[tuple[int, float, PeelTrace]]:
         """(size, alpha, trace) for every recorded size."""
-        best = self._read()
-        for size in sorted(best):
-            yield size, *best[size]
+        for size in self.sizes():
+            yield size, *self._best[size]
 
     def __len__(self) -> int:
-        return len(self._read())
+        return len(self._best)
 
 
 def _similarity_prefilter(g: SimGraph, s: float, nodes: Iterable[int], alive: bytearray, scnt: list[int]) -> int:
@@ -201,6 +193,7 @@ def modified_sgsel(
     within: Iterable[int] | None = None,
     stats: PeelStats | None = None,
     anchor: Anchor | None = None,
+    into: PeelProfile | None = None,
 ) -> tuple[Solution, PeelProfile]:
     """Single global peel returning the best feasible set and the size profile.
 
@@ -223,8 +216,12 @@ def modified_sgsel(
     their edges. ``run`` then records each union of the anchor with the
     outside nodes still alive, so ``run.best(p)`` is the best superset of
     the anchor, and the profile's ``outside`` run records the outside nodes
-    alone along the same removal order. Without an anchor both are the same
-    run.
+    alone along the same removal order; without an anchor ``outside`` is
+    None.
+
+    The peel's records go into ``into`` when given, which is then the
+    profile returned, so a caller that keeps one profile across peels
+    builds no other.
     """
     s = c.s
     pins = anchor.members if anchor is not None else ()
@@ -232,6 +229,9 @@ def modified_sgsel(
         nodes: Iterable[int] = range(g.n)
         alive = bytearray(b"\x01") * g.n
     else:
+        if pins:
+            g._check_node(min(pins))
+            g._check_node(max(pins))
         start = set(range(g.n)) if within is None else set(within)
         nodes = sorted(start.difference(pins))
         if nodes:
@@ -375,8 +375,11 @@ def modified_sgsel(
             na,
         )
     else:
-        run = outside
-    profile = PeelProfile(run, outside)
+        run, outside = outside, None
+    profile = PeelProfile() if into is None else into
+    profile.run, profile.outside = run, outside
+    for r in profile.runs():
+        profile.add_run(r)
 
     k = run.best_size(c.p)
     if not k:

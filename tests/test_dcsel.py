@@ -84,8 +84,10 @@ def test_init_session_infeasible_start_is_not_an_error(two_triangles):
 
 def test_size_increase_merges_residual_group(two_cluster):
     sess = init_session(two_cluster, ConstraintPair(s=0.05, p=2))
-    # without the kept init run the anchored peel has to find the superset
+    # with no whole-graph peel at this s to take a pick from and no run
+    # kept, one anchored peel around the triangle has to find the superset
     sess._runs.clear()
+    sess._whole_at = None
     sol = apply_size_delta(sess, 3)
     assert sess.constraints.p == 5
     assert sol.members == frozenset(range(8))
@@ -553,14 +555,14 @@ def _random_event(rng, sess):
 def _random_session_walk(rng, n_events=4, forget_runs=False):
     """One random instance plus a short schedule of deltas, set events and
     bridged augments, oracle-checked after every event. With ``forget_runs``
-    the session drops its kept anchored peel run before each event."""
+    the session drops its kept peel runs before each event."""
     g = gnp_graph(rng, rng.randint(4, 11))
     p = rng.randint(1, 3)
     s = rng.uniform(0.1, 0.4)
     sess = init_session(g, ConstraintPair(s=s, p=p))
     for _ in range(rng.randint(1, n_events)):
         if forget_runs:
-            sess._runs.pop(False, None)
+            sess._runs.clear()
         _random_event(rng, sess)
         _assert_bookkeeping(sess)
         res = exact_msp(sess.graph, sess.constraints)
@@ -602,9 +604,7 @@ def test_same_set_gets_the_same_alpha_bits_by_any_path():
 
 
 def test_kept_peel_runs_change_no_result():
-    # the walks of the test above, each replayed with every anchored peel
-    # run anew; the kept whole-graph run stays, as it picks a repair's
-    # candidate by design
+    # the walks of the test above, each replayed with every peel run anew
     def outcome(sess):
         return (
             [(r.event, repr(r.alpha), r.size, r.feasible) for r in sess.history],

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -138,6 +139,11 @@ def test_within_order_and_duplicates_do_not_matter():
     assert results[0][0]
     with pytest.raises(InvalidNodeError):
         modified_sgsel(g, c, within=[3, g.n])
+    # pinned ids are checked too: -1 must not pin the last node
+    for bad in (-1, g.n):
+        anchor = SimpleNamespace(members=[3, bad], weight=0.0, inw=[0.0] * g.n, top=[0.0] * g.n)
+        with pytest.raises(InvalidNodeError):
+            modified_sgsel(g, c, anchor=anchor)
 
 
 def test_run_picks_the_peel_result_for_every_p():
