@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 from pathlib import Path
@@ -211,6 +212,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
                     raise ParseError("row has fewer fields than the header", path=args.inp, line=reader.line_num)
                 try:
                     point = (float(row["step"]), float(row["alpha"]))
+                    if not all(map(math.isfinite, point)):
+                        raise ValueError(f"step and alpha must be finite, got {point}")
                 except ValueError as e:
                     raise ParseError(f"bad number: {e}", path=args.inp, line=reader.line_num) from None
                 series.setdefault(row["algo"], []).append(point)

@@ -2,17 +2,18 @@
 
 A Session wraps one graph plus the current constraint pair and solution. When
 a constraint changes, the session reuses what earlier peels already computed:
-size decreases are answered from the recorded per-size profile, and every
-other repair (a size increase the group falls short of, a similarity raise
-the stripped group fails, a similarity decrease, a graph merge) is one
-anchored peel: the incumbent stays pinned while the nodes outside it are
-peeled, which records for every size both the best superset of the
-incumbent and the outside nodes alone. The repair proposes the best of the
-incumbent and those two picks. Every peel folds its per-size records into
-the session profile, so later decreases see them too. Every event runs
-through one step: its repair proposes a group, and an event that would end
-on an infeasible group gets one fresh peel of the whole graph, unless a
-peel proved that no group is feasible.
+size decreases are answered from the recorded per-size profile, a similarity
+raise the group still satisfies keeps it, and every other repair (a size
+increase the group falls short of, a similarity raise the stripped group
+fails, a similarity decrease, a graph merge) is one anchored peel: the
+incumbent stays pinned while the nodes outside it are peeled, which records
+for every size both the best superset of the incumbent and the outside nodes
+alone. The repair proposes the best of the incumbent and those two picks.
+Every peel folds its per-size records into the session profile, so later
+decreases see them too. Every event runs through one step: its repair
+proposes a group, the step alone adopts it, and an event that would end on
+an infeasible group is repaired once more from a fresh peel of the whole
+graph, unless a peel proved that no group is feasible.
 
 A peel's removal order and per-size records depend on the graph, s, the
 nodes it starts from and the nodes it pins, never on p. While the graph and
@@ -203,7 +204,7 @@ class _Group:
         self._low = low
         self.solution = None
 
-    def move_to(self, target: frozenset[int]) -> None:
+    def move_to(self, target: set[int] | frozenset[int]) -> None:
         """Make ``target`` the member set: node by node, or by refilling from
         scratch when more nodes change than ``target`` holds. The refill also
         keeps ``weight`` a sum over the group's own edges rather than a long
@@ -361,12 +362,10 @@ def init_session(g: SimGraph, c: ConstraintPair) -> Session:
     if g.n == 0:
         raise PreconditionError("cannot open a session on an empty graph")
     t0 = time.perf_counter_ns()
-    stats = PeelStats()
-    sol, profile = modified_sgsel(g, c, stats=stats)
-    sess = Session(graph=g, constraints=c, current=sol, profile=profile, stats=stats,
-                   _empty_at=None if sol else (g, c), _whole_at=(g, c.s),
-                   _runs={True: (g, c.s, None, profile.runs())})
-    _adopt(sess, _Group(g, sol.members))
+    sess = Session(graph=g, constraints=c, current=Solution.empty(), profile=PeelProfile())
+    members = _peel(sess, c)[0].best(c.p)
+    sess.event_removals = 0  # the initial solve is not an event
+    _adopt(sess, _Group(g, members))
     _record(sess, "init", t0)
     return sess
 
@@ -409,24 +408,15 @@ def _peel(sess: Session, c: ConstraintPair, anchor: _Group | None = None) -> tup
     return runs
 
 
-def _fresh_fallback(sess: Session, grp: _Group, c: ConstraintPair) -> None:
-    """Peel the whole graph once and move ``grp`` onto the result if it is
-    feasible. Groups that mix part of the incumbent with outside nodes are
-    invisible to an anchored peel; only this decides whether any exist."""
-    fresh = _peel(sess, c)[0].best(c.p)
-    if fresh:  # a peel returns a feasible group or none
-        grp.move_to(fresh)
-
-
 def _step(sess: Session, label: str, repair: Callable[..., _Group | None], *args) -> Solution:
     """Run one event and record it.
 
     ``repair(sess, *args)`` applies the event and returns the group it
-    proposes, or None when the incumbent stands. An outcome that is
-    infeasible under the constraints now in force gets one fresh peel of the
-    whole graph, unless an earlier one proved that nothing is feasible; only
-    then is a proposed group adopted, and only a feasible one is stored in
-    the profile.
+    proposes, or None when the incumbent stands. An infeasible outcome is
+    repaired once more from a peel of the whole graph, unless a peel proved
+    that nothing is feasible: only that peel sees groups that mix part of
+    the incumbent with outside nodes. The outcome is adopted here and
+    nowhere else, and stored in the profile only if it is feasible.
     """
     t0 = time.perf_counter_ns()
     grp = repair(sess, *args)
@@ -435,7 +425,7 @@ def _step(sess: Session, label: str, repair: Callable[..., _Group | None], *args
         grp = _group_of(sess)
     if grp is not None:
         if not grp.feasible(c) and not _proven_empty(sess):
-            _fresh_fallback(sess, grp, c)
+            grp = _repair(sess, grp, whole=True)
         _adopt(sess, grp)
         if grp.feasible(c):
             _remember_current(sess)
@@ -443,17 +433,17 @@ def _step(sess: Session, label: str, repair: Callable[..., _Group | None], *args
     return sess.current
 
 
-def _repair(sess: Session, grp: _Group) -> _Group:
+def _repair(sess: Session, grp: _Group, whole: bool = False) -> _Group:
     """Propose the better of ``grp`` and the best feasible group one peel
-    finds: the pick of the last whole-graph peel while the graph and s are
-    still its own, otherwise the better of the best superset of ``grp`` and
-    the best group outside it, from one anchored peel around ``grp``. The
-    two picks are ranked by their runs' alphas; against ``grp``,
-    feasibility outranks alpha and ``grp`` wins exact ties."""
+    finds: the pick of a whole-graph peel when ``whole`` is set or the graph
+    and s are still those of the last one, otherwise the better of the best
+    superset of ``grp`` and the best group outside it, from one anchored
+    peel around ``grp``. The two picks are ranked by their runs' alphas;
+    against ``grp``, feasibility outranks alpha and ``grp`` wins exact ties."""
     c = sess.constraints
     grp.settle()
     at = sess._whole_at
-    whole = at is not None and at[0] is sess.graph and at[1] == c.s
+    whole = whole or (at is not None and at[0] is sess.graph and at[1] == c.s)
     runs = _peel(sess, c, None if whole else grp)
     picks = [(run.alphas[k], k, run) for run in runs if (k := run.best_size(c.p))]
     if not picks:
@@ -481,25 +471,17 @@ def expand_greedy(sess: Session, label: str = "expand") -> Solution:
     return _step(sess, label, _grow)
 
 
-def _constraints(p: int, s: float) -> ConstraintPair:
-    if p < 0:
-        raise ParameterError(f"size constraint would become {p}")
-    if not (0.0 < s < 1.0):
-        raise ParameterError(f"similarity constraint would become {s}")
-    return ConstraintPair(s=s, p=p)
-
-
 def next_constraints(c: ConstraintPair, ev: ScheduleEvent) -> ConstraintPair:
     """The constraints in force after ``ev``. Set events take their value
     exactly, deltas add to the current value, and augment changes nothing."""
     if ev.kind == "size_set":
-        return _constraints(ev.value, c.s)
+        return ConstraintPair(s=c.s, p=ev.value)
     if ev.kind == "size_delta":
-        return _constraints(c.p + ev.value, c.s)
+        return ConstraintPair(s=c.s, p=c.p + ev.value)
     if ev.kind == "similarity_set":
-        return _constraints(c.p, ev.value)
+        return ConstraintPair(s=ev.value, p=c.p)
     if ev.kind == "similarity_delta":
-        return _constraints(c.p, c.s + ev.value)
+        return ConstraintPair(s=c.s + ev.value, p=c.p)
     return c
 
 
@@ -524,9 +506,7 @@ def _retarget(sess: Session, c_new: ConstraintPair) -> _Group | None:
             cand.move_to(trace.members_at(size))
             cand.settle()
             if cand.alpha > floor and cand.feasible(c_new):
-                # adopted here rather than proposed: the profile holds it already
-                _adopt(sess, cand)
-                break
+                return cand
         return None
     if c_new.p > c_old.p:
         if sess.current and c_new.p < sess.current.size:
@@ -535,11 +515,14 @@ def _retarget(sess: Session, c_new: ConstraintPair) -> _Group | None:
     if c_new.s < c_old.s:
         return _repair(sess, grp)
     if c_new.s > c_old.s:
-        maxw = sess.graph._max_weights()
-        grp.move_to(frozenset(u for u in grp.members if maxw[u] > c_new.s))
         if grp.feasible(c_new):
             return grp
-        return _repair(sess, grp)
+        # strip the members without any edge above s; only those whose
+        # strongest edge into the group is not above s can lack one
+        s, adj, top = c_new.s, sess.graph._adj, grp.top
+        grp.move_to(grp.members.difference(
+            u for u in grp.members if top[u] <= s and all(w <= s for _, w in adj[u])))
+        return grp if grp.feasible(c_new) else _repair(sess, grp)
     return None
 
 
@@ -553,7 +536,7 @@ def apply_size_delta(sess: Session, dp: int, label: str | None = None) -> Soluti
     the group, its best feasible superset and the best feasible group
     outside it.
     """
-    c_new = _constraints(sess.constraints.p + dp, sess.constraints.s)
+    c_new = ConstraintPair(s=sess.constraints.s, p=sess.constraints.p + dp)
     label = ScheduleEvent("size_delta", int(dp)).text() if label is None else label
     return _step(sess, label, _retarget, c_new)
 
@@ -561,12 +544,13 @@ def apply_size_delta(sess: Session, dp: int, label: str | None = None) -> Soluti
 def apply_similarity_delta(sess: Session, ds: float, label: str | None = None) -> Solution:
     """Move the similarity floor by ``ds`` and repair the solution.
 
-    Raising the floor strips nodes that no longer have any qualifying edge;
-    if the stripped group is still feasible it is kept, otherwise it is
-    repaired by one anchored peel around it. Lowering the floor enlarges the
-    search space, which one anchored peel around the group searches.
+    A raise the group still satisfies keeps it. Otherwise the members
+    without any edge above the new floor are stripped, which reads only the
+    edges of members with no edge above it into the group; a feasible
+    stripped group is kept, any other is repaired by one anchored peel
+    around it. A lowered floor is searched by one anchored peel.
     """
-    c_new = _constraints(sess.constraints.p, sess.constraints.s + ds)
+    c_new = ConstraintPair(s=sess.constraints.s + ds, p=sess.constraints.p)
     label = ScheduleEvent("similarity_delta", float(ds)).text() if label is None else label
     return _step(sess, label, _retarget, c_new)
 

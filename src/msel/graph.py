@@ -25,7 +25,7 @@ class SimGraph:
     list after construction, so the sharing is invisible.
     """
 
-    __slots__ = ("n", "m", "labels", "_adj", "_maxw")
+    __slots__ = ("n", "m", "labels", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Edge], labels: Sequence[str] | None = None):
         if n < 0:
@@ -54,14 +54,6 @@ class SimGraph:
         self.m = m
         self.labels = tuple(labels) if labels is not None else None
         self._adj = adj
-        self._maxw: list[float] | None = None
-
-    @classmethod
-    def _from_adj(cls, n: int, m: int, adj: list, labels: tuple[str, ...] | None) -> "SimGraph":
-        """Wrap already validated, sorted adjacency lists without copying them."""
-        g = cls.__new__(cls)
-        g.n, g.m, g.labels, g._adj, g._maxw = n, m, labels, adj, None
-        return g
 
     def neighbors(self, u: int) -> Sequence[tuple[int, float]]:
         """(neighbor, weight) pairs of ``u``, sorted by neighbor id. Read-only."""
@@ -91,13 +83,7 @@ class SimGraph:
     def max_incident_weight(self, u: int) -> float:
         """Largest weight on any edge at ``u`` (0.0 for isolated nodes)."""
         self._check_node(u)
-        return self._max_weights()[u]
-
-    def _max_weights(self) -> list[float]:
-        """Every node's largest incident weight, computed once per graph."""
-        if self._maxw is None:
-            self._maxw = [max(w for _, w in lst) if lst else 0.0 for lst in self._adj]
-        return self._maxw
+        return max((w for _, w in self._adj[u]), default=0.0)
 
     def _check_node(self, u: int) -> None:
         if not (0 <= u < self.n):
@@ -262,4 +248,7 @@ def disjoint_union(g1: SimGraph, g2: SimGraph, bridges: Iterable[Edge] = ()) -> 
         l1 = g1.labels if g1.labels is not None else ("",) * g1.n
         l2 = g2.labels if g2.labels is not None else ("",) * g2.n
         labels = l1 + l2
-    return SimGraph._from_adj(g1.n + g2.n, m, adj, labels)
+    # the lists are validated and sorted already, so wrap them without a copy
+    g = SimGraph.__new__(SimGraph)
+    g.n, g.m, g.labels, g._adj = g1.n + g2.n, m, labels, adj
+    return g

@@ -238,6 +238,10 @@ def test_plot_rejects_malformed_rows(tmp_path, capsys):
         "alpha.csv": good + "1,p+=1,dcsel,oops,3,true,10\n",
         "step.csv": good + "x,p+=1,dcsel,0.9,3,true,10\n",
         "short.csv": good + "1,p+=1\n",
+        "alpha_nan.csv": good + "1,p+=1,dcsel,nan,3,true,10\n",
+        "alpha_inf.csv": good + "1,p+=1,dcsel,inf,3,true,10\n",
+        "step_nan.csv": good + "nan,p+=1,dcsel,0.9,3,true,10\n",
+        "step_inf.csv": good + "-inf,p+=1,dcsel,0.9,3,true,10\n",
     }
     for name, body in cases.items():
         path = tmp_path / name

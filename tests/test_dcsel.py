@@ -7,6 +7,7 @@ from msel import (
     InvalidNodeError,
     ParameterError,
     PeelProfile,
+    PeelStats,
     PreconditionError,
     ScheduleError,
     ScheduleEvent,
@@ -21,6 +22,7 @@ from msel import (
     expand_greedy,
     init_session,
     is_feasible,
+    modified_sgsel,
     parse_schedule,
     planted_community_graph,
     run_schedule,
@@ -69,6 +71,11 @@ def test_init_session_solves_and_records(two_cluster):
     rec = sess.history[0]
     assert rec.step == 0 and rec.event == "init" and rec.feasible
     assert rec.wall_ns > 0
+    # the initial solve's work is counted in stats only, as one fresh peel's
+    stats = PeelStats()
+    modified_sgsel(two_cluster, ConstraintPair(s=0.05, p=2), stats=stats)
+    assert sess.stats == stats and stats.removals > 0
+    assert sess.event_removals == 0
 
 
 def test_init_session_rejects_empty_graph():
@@ -168,6 +175,24 @@ def test_similarity_increase_strips_dead_members():
     assert sol.members == frozenset({0, 3})
     assert_close(sol.alpha, 0.475)
     assert is_feasible(sol.members, g, sess.constraints)
+
+
+def test_similarity_increase_keeps_members_with_an_edge_outside():
+    # at s = 0.81 member 3's strongest edge into {0, 2, 3, 4, 5, 6} is 0.51,
+    # but its 0.9 edge to outside node 1 keeps it: the stripped group
+    # {0, 3, 5, 6} fails, and the peel around it adds 1. Stripping 3 too
+    # would leave {0, 5, 6} feasible at alpha 0.613 and stop there.
+    g = SimGraph(7, [
+        (0, 2, .73), (0, 5, .93), (0, 6, .91), (1, 3, .9), (2, 3, .34), (2, 4, .55),
+        (2, 5, .51), (2, 6, .37), (3, 4, .51), (3, 5, .44), (4, 5, .19), (4, 6, .15),
+    ])
+    sess = init_session(g, ConstraintPair(s=0.5, p=1))
+    assert sess.current.members == frozenset({0, 2, 3, 4, 5, 6})
+    sol = apply_similarity_delta(sess, 0.31)
+    best = exact_msp(g, sess.constraints)
+    assert sol.members == best.opt_set == frozenset({0, 1, 3, 5, 6})
+    assert_close(sol.alpha, 0.636)
+    assert sess.history[-1].feasible
 
 
 def test_similarity_increase_switches_to_surviving_region():

@@ -199,6 +199,21 @@ def test_weight_arithmetic_matches_naive():
             assert_close(incident_weight(u, F, g), naive_incident(u, F, g))
 
 
+def test_max_incident_weight_after_a_bridged_union(two_triangles):
+    extra = SimGraph(3, [(0, 1, 0.4)])
+    merged = disjoint_union(two_triangles, extra, bridges=[(3, 0, 0.6), (0, 1, 0.2)])
+    # a bridge heavier than node 3's own edges raises its maximum, a lighter
+    # one leaves node 0's alone, and both reach into the added graph
+    assert merged.max_incident_weight(3) == 0.6
+    assert merged.max_incident_weight(0) == 0.9
+    assert merged.max_incident_weight(6) == 0.6
+    assert merged.max_incident_weight(7) == 0.4
+    # an added node with no edge at all
+    assert merged.max_incident_weight(8) == 0.0
+    # the base graph is unchanged
+    assert two_triangles.max_incident_weight(3) == 0.1
+
+
 def test_disjoint_union_layout(two_triangles):
     extra = SimGraph(2, [(0, 1, 0.5)], labels=("x", "y"))
     base_adj = [list(two_triangles.neighbors(u)) for u in range(two_triangles.n)]
