@@ -11,8 +11,10 @@ from __future__ import annotations
 import heapq
 import random
 
+import numpy as np
+
 from .graph import ConstraintPair, SimGraph, Solution
-from .peel import modified_sgsel
+from .peel import _running_sum, modified_sgsel
 
 
 def sgsel(g: SimGraph, c: ConstraintPair) -> Solution:
@@ -74,26 +76,13 @@ def _metric_peel(g, c, key_fn, static_keys: bool = False) -> Solution:
     n = g.n
     if n == 0:
         return Solution.empty()
-    adj = g._adj
     alive = bytearray(b"\x01") * n
-    incident = [0.0] * n
-    deg = [0] * n
-    scnt = [0] * n
-    total = 0.0
-    for u in range(n):
-        iw = 0.0
-        cnt = 0
-        sup = 0
-        for t, w in adj[u]:
-            iw += w
-            cnt += 1
-            if w > c.s:
-                sup += 1
-        incident[u] = iw
-        deg[u] = cnt
-        scnt[u] = sup
-        total += iw
-    total /= 2.0
+    rows, _ = g.gather(np.arange(n))
+    incident_at = np.bincount(rows, weights=g.weights, minlength=n)
+    total = _running_sum(incident_at) / 2.0
+    incident = incident_at.tolist()
+    deg = np.diff(g.indptr).tolist()
+    scnt = np.bincount(rows[g.weights > c.s], minlength=n).tolist()
 
     key = [key_fn(u, deg[u], incident[u]) for u in range(n)]
     heap = [(key[u], u) for u in range(n)]
@@ -120,7 +109,7 @@ def _metric_peel(g, c, key_fn, static_keys: bool = False) -> Solution:
         size -= 1
         if scnt[v] == 0:
             unsupported -= 1
-        for t, w in adj[v]:
+        for t, w in zip(*g.row(v)):
             if not alive[t]:
                 continue
             incident[t] -= w

@@ -16,6 +16,8 @@ weight bit for bit. Node labels are not carried by MSG1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import lt
 from pathlib import Path
 
 import numpy as np
@@ -181,23 +183,26 @@ def write_msg1(g: SimGraph, path: str | Path) -> None:
     """Write a graph in MSG1 form; edges emitted in (u, v) ascending order."""
     path = Path(path)
     lines = ["MSG1", f"{g.n} {g.m}"]
-    for u, v, w in g.edges():
-        lines.append(f"{u} {v} {_fmt_weight(w)}")
+    lines.extend(f"{u} {v} {_fmt_weight(w)}" for u, v, w in g.edges())
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_msg1(path: str | Path) -> SimGraph:
-    """Parse an MSG1 file, enforcing the header, counts, ordering, and range."""
+    """Parse an MSG1 file, enforcing the header, counts, ordering, and range.
+
+    A bad file raises ParseError naming its first bad line, as a line by
+    line reader would find it; a repeated edge names the line that repeats
+    it.
+    """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as e:
         raise ParseError(f"cannot open: {e}", path=str(path)) from None
 
     n = m = -1
-    edges: list[tuple[int, int, float]] = []
     stage = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -206,46 +211,96 @@ def read_msg1(path: str | Path) -> SimGraph:
                 raise ParseError(f"bad magic {line!r}", path=str(path), line=lineno)
             stage = 1
             continue
-        if stage == 1:
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError("header needs `N M`", path=str(path), line=lineno)
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError as e:
-                raise ParseError(f"bad header: {e}", path=str(path), line=lineno) from e
-            if n < 0 or m < 0:
-                raise ParseError("negative counts", path=str(path), line=lineno)
-            stage = 2
-            continue
         parts = line.split()
-        if len(parts) != 3:
-            raise ParseError("edge line needs `u v w`", path=str(path), line=lineno)
+        if len(parts) != 2:
+            raise ParseError("header needs `N M`", path=str(path), line=lineno)
         try:
-            u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+            n, m = int(parts[0]), int(parts[1])
         except ValueError as e:
-            raise ParseError(f"bad edge: {e}", path=str(path), line=lineno) from e
-        if len(edges) >= m:
-            raise ParseError(f"more than {m} edge lines", path=str(path), line=lineno)
-        if not (0 <= u < v < n):
-            raise ParseError(
-                f"edge ({u}, {v}) violates 0 <= u < v < {n}", path=str(path), line=lineno
-            )
-        if not (0.0 < w <= 1.0):
-            raise ParseError(f"weight {w!r} outside (0, 1]", path=str(path), line=lineno)
-        edges.append((u, v, w))
-
+            raise ParseError(f"bad header: {e}", path=str(path), line=lineno) from e
+        if n < 0 or m < 0:
+            raise ParseError("negative counts", path=str(path), line=lineno)
+        stage = 2
+        break
     if stage == 0:
         raise ParseError("empty file, expected MSG1 magic", path=str(path))
     if stage == 1:
         raise ParseError("missing `N M` header", path=str(path))
-    if len(edges) != m:
-        raise ParseError(f"header promised {m} edges, found {len(edges)}", path=str(path))
+
+    edges, numbers = _edge_block(lines, lineno, n, m, path)
     try:
         return SimGraph(n, edges)
     except MselError as e:
-        # duplicate edges are the one structural fault not caught above
-        raise ParseError(str(e), path=str(path)) from e
+        # a repeated edge is the one fault not caught above; the graph names
+        # the smallest pair repeated, and its second line is the one to blame
+        key = edges[:, 0].astype(np.int64) * n + edges[:, 1].astype(np.int64)
+        order = np.argsort(key, kind="stable")
+        again = order[np.flatnonzero(np.diff(key[order]) == 0)[0] + 1]
+        raise ParseError(str(e), path=str(path), line=int(numbers[again])) from e
+
+
+# edge lines tokenised at a time, which bounds the tokens held at once
+_CHUNK = 8192
+
+
+def _edge_block(lines: list[str], start: int, n: int, m: int, path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The edges on ``lines[start:]`` as an (m, 3) array of u, v, w, and the
+    line number of each.
+
+    Each chunk of lines is tokenised and its columns converted at once, and
+    no per-line object outlives its line, so a large file does not set off
+    the garbage collector. Of the checks a line by line reader makes in turn
+    (three fields, numbers, at most m edges, ``0 <= u < v < n``, a weight in
+    (0, 1]), the error raised is the first check failing on the first line
+    failing any.
+    """
+    blocks, numbers = [], []
+    seen = 0
+    for lo in range(start, len(lines), _CHUNK):
+        chunk = lines[lo:lo + _CHUNK]
+        fields = np.fromiter(map(len, map(str.split, chunk)), np.int64, len(chunk))
+        comment = np.fromiter(map(str.startswith, map(str.lstrip, chunk), repeat("#")), bool, len(chunk))
+        at = np.flatnonzero((fields > 0) & ~comment)
+        # (edge line index in the chunk, check order, message) of each failure
+        errors = []
+        short = np.flatnonzero(fields[at] != 3)
+        size = int(short[0]) if short.size else len(at)
+        if short.size:
+            errors.append((size, 0, "edge line needs `u v w`"))
+        # every line kept has three fields, so the tokens fall in threes
+        toks = " ".join(map(chunk.__getitem__, at[:size].tolist())).split()
+        cols = []
+        for c, conv in enumerate((int, int, float)):
+            vals: list = []
+            try:
+                vals.extend(map(conv, toks[c:3 * size:3]))
+            except ValueError as e:
+                # the converted values stop short of the first bad token
+                size = len(vals)
+                errors.append((size, 1, f"bad edge: {e}"))
+            cols.append(vals)
+        us, vs, ws = (col[:size] for col in cols)
+        if m - seen < size:
+            errors.append((m - seen, 2, f"more than {m} edge lines"))
+        if us and not (min(us) >= 0 and max(vs) < n and all(map(lt, us, vs))):
+            k = next(k for k, (u, v) in enumerate(zip(us, vs)) if not 0 <= u < v < n)
+            errors.append((k, 3, f"edge ({us[k]}, {vs[k]}) violates 0 <= u < v < {n}"))
+        w = np.array(ws, dtype=np.float64)
+        bad = np.flatnonzero(~((w > 0.0) & (w <= 1.0)))
+        if bad.size:
+            k = int(bad[0])
+            errors.append((k, 4, f"weight {ws[k]!r} outside (0, 1]"))
+        if errors:
+            k, _, message = min(errors)
+            raise ParseError(message, path=str(path), line=lo + int(at[k]) + 1)
+        blocks.append(np.column_stack((us, vs, w)))
+        numbers.append(at + lo + 1)
+        seen += size
+    if seen != m:
+        raise ParseError(f"header promised {m} edges, found {seen}", path=str(path))
+    if not blocks:
+        return np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
+    return np.concatenate(blocks), np.concatenate(numbers)
 
 
 def parse_bridges(path: str | Path) -> list[tuple[int, int, float]]:

@@ -39,6 +39,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .errors import (
     MselError,
     ParameterError,
@@ -115,13 +117,15 @@ class _Group:
     For each node u, member or not, ``inw[u]`` sums the weights of u's edges
     to members and ``top[u]`` is the largest of them (0.0 without any), so
     the group is supported at s exactly when every member's ``top`` exceeds
-    s. ``weight`` is W of the group. Adding or removing a node costs its
-    degree, which lets an event pay for the nodes that change instead of
-    rescanning the whole group. ``solution`` is the Solution the group was
-    last adopted as, and None once a member changes.
+    s. ``weight`` is W of the group, and ``settled`` says it is the exactly
+    rounded sum of the members' ``inw`` (after a fill or a settle, until a
+    member changes). Adding or removing a node costs its degree, which lets
+    an event pay for the nodes that change instead of rescanning the whole
+    group. ``solution`` is the Solution the group was last adopted as, and
+    None once a member changes.
     """
 
-    __slots__ = ("graph", "members", "mask", "inw", "top", "weight", "solution", "_low")
+    __slots__ = ("graph", "members", "mask", "inw", "top", "weight", "settled", "solution", "_low")
 
     def __init__(self, g: SimGraph, members: Iterable[int] = ()):
         self.graph = g
@@ -129,19 +133,22 @@ class _Group:
 
     def _fill(self, members: Iterable[int]) -> None:
         g = self.graph
-        adj = g._adj
         self.members = set(members)
-        self.mask = mask = bytearray(g.n)
-        self.inw = inw = [0.0] * g.n
-        self.top = top = [0.0] * g.n
-        for u in self.members:
-            mask[u] = 1
-        for u in self.members:
-            for t, w in adj[u]:
-                inw[t] += w
-                if w > top[t]:
-                    top[t] = w
-        self.weight = math.fsum(inw[u] for u in self.members) / 2.0
+        # the members' rows in the set's order, so each node's weight adds
+        # the same terms in the same order as adding the members one by one
+        ids = np.fromiter(self.members, np.int64, len(self.members))
+        _, pos = g.gather(ids)
+        dst, w = g.indices[pos], g.weights[pos]
+        inw = np.bincount(dst, weights=w, minlength=g.n)
+        top = np.zeros(g.n)
+        np.maximum.at(top, dst, w)
+        mask = np.zeros(g.n, dtype=np.uint8)
+        mask[ids] = 1
+        self.mask = bytearray(mask)
+        self.inw = inw.tolist()
+        self.top = top.tolist()
+        self.weight = math.fsum(inw[ids].tolist()) / 2.0
+        self.settled = True
         self.solution = None
         self._low: float | None = None
 
@@ -153,6 +160,7 @@ class _Group:
         new.inw = self.inw.copy()
         new.top = self.top.copy()
         new.weight = self.weight
+        new.settled = self.settled
         new.solution = self.solution
         new._low = self._low
         return new
@@ -176,7 +184,8 @@ class _Group:
         mask[u] = 1
         self.members.add(u)
         self.weight += inw[u]
-        for t, w in self.graph._adj[u]:
+        self.settled = False
+        for t, w in zip(*self.graph.row(u)):
             inw[t] += w
             if w > top[t]:
                 if mask[t] and top[t] == low:
@@ -188,17 +197,18 @@ class _Group:
         self.solution = None
 
     def remove(self, u: int) -> None:
-        adj = self.graph._adj
+        row = self.graph.row
         mask, inw, top, low = self.mask, self.inw, self.top, self._low
         mask[u] = 0
         self.members.discard(u)
         self.weight = self.weight - inw[u] if self.members else 0.0
+        self.settled = False
         if top[u] == low:
             low = None
-        for t, w in adj[u]:
+        for t, w in zip(*row(u)):
             inw[t] -= w
             if w == top[t]:
-                top[t] = max((w2 for x, w2 in adj[t] if mask[x]), default=0.0)
+                top[t] = max((w2 for x, w2 in zip(*row(t)) if mask[x]), default=0.0)
                 if mask[t] and low is not None and top[t] < low:
                     low = top[t]
         self._low = low
@@ -222,9 +232,11 @@ class _Group:
     def settle(self) -> None:
         """Set ``weight`` to the exactly rounded sum of the members' ``inw``,
         so a member set's alpha does not depend on the order in which its
-        members came and went."""
-        inw = self.inw
-        self.weight = math.fsum(inw[u] for u in self.members) / 2.0
+        members came and went. ``settled`` says it is that sum already."""
+        if not self.settled:
+            inw = self.inw
+            self.weight = math.fsum(map(inw.__getitem__, self.members)) / 2.0
+            self.settled = True
 
     def absorb(self) -> None:
         """Add outside nodes while the best one's weight into the group beats α.
@@ -235,7 +247,7 @@ class _Group:
         """
         if not self.members:
             return
-        adj, mask, inw = self.graph._adj, self.mask, self.inw
+        g, mask, inw = self.graph, self.mask, self.inw
         heap = [(-iw, u) for u, iw in enumerate(inw) if iw > 0.0 and not mask[u]]
         heapq.heapify(heap)
         size = len(self.members)
@@ -248,7 +260,7 @@ class _Group:
                 break
             self.add(u)
             size += 1
-            for t, _ in adj[u]:
+            for t in g.row(u)[0]:
                 if not mask[t]:
                     heapq.heappush(heap, (-inw[t], t))
 
@@ -396,7 +408,7 @@ def _peel(sess: Session, c: ConstraintPair, anchor: _Group | None = None) -> tup
     if kept is not None and kept[0] is g and kept[1] == c.s and kept[2] == mask:
         runs = kept[3]
     else:
-        within = None if whole else [u for u, inside in enumerate(mask) if not inside]
+        within = None if whole else np.flatnonzero(np.frombuffer(mask, np.uint8) == 0)
         before = sess.stats.removals
         # the group's state carries all a peel needs to know of its anchor
         runs = modified_sgsel(g, c, within=within, stats=sess.stats,
@@ -519,9 +531,9 @@ def _retarget(sess: Session, c_new: ConstraintPair) -> _Group | None:
             return grp
         # strip the members without any edge above s; only those whose
         # strongest edge into the group is not above s can lack one
-        s, adj, top = c_new.s, sess.graph._adj, grp.top
+        s, g, top = c_new.s, sess.graph, grp.top
         grp.move_to(grp.members.difference(
-            u for u in grp.members if top[u] <= s and all(w <= s for _, w in adj[u])))
+            u for u in grp.members if top[u] <= s and g.max_incident_weight(u) <= s))
         return grp if grp.feasible(c_new) else _repair(sess, grp)
     return None
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import InvalidNodeError, ParameterError, PreconditionError
 
 Edge = tuple[int, int, float]
@@ -18,72 +20,108 @@ Edge = tuple[int, int, float]
 class SimGraph:
     """Undirected weighted graph with dense ids and weights in (0, 1].
 
-    Adjacency lists are sorted by neighbor id, so two graphs built from the
-    same edge set (in any order) have identical internal layout and every
-    traversal is deterministic. Graphs made by ``disjoint_union`` share the
-    unchanged adjacency lists of their first input; no graph ever mutates a
-    list after construction, so the sharing is invisible.
+    Adjacency is stored once, in compressed sparse rows: the neighbours of
+    ``u`` are ``indices[indptr[u]:indptr[u + 1]]`` (int32) in increasing id
+    order, with their weights at the same positions of ``weights``
+    (float64), and every edge appears in both of its rows. So two graphs
+    built from the same edge set (in any order) have identical arrays and
+    every traversal is deterministic. The arrays are read-only.
     """
 
-    __slots__ = ("n", "m", "labels", "_adj")
+    __slots__ = ("n", "m", "labels", "indptr", "indices", "weights")
 
-    def __init__(self, n: int, edges: Iterable[Edge], labels: Sequence[str] | None = None):
+    def __init__(self, n: int, edges: Iterable[Edge] | np.ndarray,
+                 labels: Sequence[str] | None = None):
+        """``edges`` holds (u, v, w) triples in any order, as an iterable or
+        an (m, 3) array. A bad edge raises for the first one in input
+        order, a duplicate for the smallest (u, v) repeated."""
         if n < 0:
             raise ParameterError(f"node count must be nonnegative, got {n}")
         if labels is not None and len(labels) != n:
             raise ParameterError(f"labels length {len(labels)} != node count {n}")
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        m = 0
-        for u, v, w in edges:
-            if not (0 <= u < n) or not (0 <= v < n):
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        e = np.array(edges, dtype=np.float64)
+        if e.size == 0:
+            e = e.reshape(0, 3)
+        if e.ndim != 2 or e.shape[1] != 3:
+            raise ParameterError("edges must be (u, v, w) triples")
+        ends, w = e[:, :2], e[:, 2]
+        bad_end = ~((ends >= 0) & (ends < n)).all(axis=1)
+        loop = ends[:, 0] == ends[:, 1]
+        bad = bad_end | loop | ~((w > 0.0) & (w <= 1.0))
+        if bad.any():
+            i = int(bad.argmax())
+            u, v, wi = edges[i]
+            if bad_end[i]:
                 raise InvalidNodeError(f"edge ({u},{v}) outside id range 0..{n - 1}")
-            if u == v:
+            if loop[i]:
                 raise ParameterError(f"self-loop on node {u}")
-            if not (0.0 < w <= 1.0):
-                raise ParameterError(f"edge ({u},{v}) weight {w} outside (0,1]")
-            w = float(w)
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-            m += 1
-        for u, lst in enumerate(adj):
-            lst.sort()
-            for i in range(1, len(lst)):
-                if lst[i][0] == lst[i - 1][0]:
-                    raise ParameterError(f"duplicate edge ({u},{lst[i][0]})")
-        self.n = n
-        self.m = m
+            raise ParameterError(f"edge ({u},{v}) weight {wi} outside (0,1]")
+        ends = ends.astype(np.int64)
+        rows = np.concatenate((ends[:, 0], ends[:, 1]))
+        cols = np.concatenate((ends[:, 1], ends[:, 0]))
+        key = rows * n + cols
+        order = np.argsort(key)
+        rows, cols = rows[order], cols[order]
+        dup = np.flatnonzero(np.diff(key[order]) == 0)
+        if dup.size:
+            raise ParameterError(f"duplicate edge ({rows[dup[0]]},{cols[dup[0]]})")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        self._set(n, len(e), labels, indptr, cols.astype(np.int32), np.concatenate((w, w))[order])
+
+    def _set(self, n, m, labels, indptr, indices, weights) -> None:
+        """Take validated, sorted arrays as the graph's, read-only."""
+        for a in (indptr, indices, weights):
+            a.flags.writeable = False
+        self.n, self.m = n, m
         self.labels = tuple(labels) if labels is not None else None
-        self._adj = adj
+        self.indptr, self.indices, self.weights = indptr, indices, weights
+
+    def row(self, u: int) -> tuple[list[int], list[float]]:
+        """The neighbours of ``u`` in increasing id order and their weights,
+        as two lists; ``u`` is not range-checked."""
+        a, b = self.indptr[u:u + 2].tolist()
+        return self.indices[a:b].tolist(), self.weights[a:b].tolist()
+
+    def gather(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The edges of ``nodes``, row after row in the order given: the row
+        node of each, and its position in ``indices`` and ``weights``. The
+        cost follows the degrees of ``nodes``."""
+        starts = self.indptr[nodes]
+        counts = self.indptr[nodes + 1] - starts
+        firsts = np.cumsum(counts) - counts
+        pos = np.repeat(starts - firsts, counts) + np.arange(int(counts.sum()))
+        return np.repeat(nodes, counts), pos
 
     def neighbors(self, u: int) -> Sequence[tuple[int, float]]:
-        """(neighbor, weight) pairs of ``u``, sorted by neighbor id. Read-only."""
+        """(neighbor, weight) pairs of ``u``, sorted by neighbor id."""
         self._check_node(u)
-        return self._adj[u]
+        return list(zip(*self.row(u)))
 
     def degree(self, u: int) -> int:
         self._check_node(u)
-        return len(self._adj[u])
+        return int(self.indptr[u + 1] - self.indptr[u])
 
     def weight(self, u: int, v: int) -> float:
         """Weight of edge (u, v), or 0.0 if absent."""
         self._check_node(u)
         self._check_node(v)
-        for t, w in self._adj[u]:
-            if t == v:
-                return w
-        return 0.0
+        a, b = self.indptr[u:u + 2].tolist()
+        i = a + int(np.searchsorted(self.indices[a:b], v))
+        return float(self.weights[i]) if i < b and self.indices[i] == v else 0.0
 
     def edges(self) -> Iterator[Edge]:
         """All edges as (u, v, w) with u < v, in sorted order."""
-        for u, lst in enumerate(self._adj):
-            for v, w in lst:
-                if u < v:
-                    yield (u, v, w)
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        upper = rows < self.indices
+        return zip(rows[upper].tolist(), self.indices[upper].tolist(), self.weights[upper].tolist())
 
     def max_incident_weight(self, u: int) -> float:
         """Largest weight on any edge at ``u`` (0.0 for isolated nodes)."""
         self._check_node(u)
-        return max((w for _, w in self._adj[u]), default=0.0)
+        return max(self.row(u)[1], default=0.0)
 
     def _check_node(self, u: int) -> None:
         if not (0 <= u < self.n):
@@ -106,7 +144,7 @@ def total_weight(F: Iterable[int], g: SimGraph) -> float:
     members = _check_members(F, g)
     acc = 0.0
     for u in members:
-        for t, w in g.neighbors(u):
+        for t, w in zip(*g.row(u)):
             if t > u and t in members:
                 acc += w
     return acc
@@ -125,7 +163,7 @@ def incident_weight(u: int, F: Iterable[int], g: SimGraph) -> float:
     g._check_node(u)
     members = _check_members(F, g)
     acc = 0.0
-    for t, w in g.neighbors(u):
+    for t, w in zip(*g.row(u)):
         if t in members:
             acc += w
     return acc
@@ -144,7 +182,7 @@ def cross_weight(A: Iterable[int], B: Iterable[int], g: SimGraph) -> float:
         sa, sb = sb, sa
     acc = 0.0
     for u in sa:
-        for t, w in g.neighbors(u):
+        for t, w in zip(*g.row(u)):
             if t in sb:
                 acc += w
     return acc
@@ -174,7 +212,7 @@ def is_feasible(F: Iterable[int], g: SimGraph, c: ConstraintPair) -> bool:
     if len(members) <= c.p:
         return False
     for u in members:
-        for t, w in g.neighbors(u):
+        for t, w in zip(*g.row(u)):
             if w > c.s and t in members:
                 break
         else:
@@ -214,16 +252,15 @@ def disjoint_union(g1: SimGraph, g2: SimGraph, bridges: Iterable[Edge] = ()) -> 
     """Combine two graphs, shifting ``g2`` ids up by ``g1.n``.
 
     Bridge edges are given as (u, v, w) with ``u`` a g1 id and ``v`` a g2-local
-    id; they land between the two halves of the result. The result shares
-    ``g1``'s adjacency lists except at bridge endpoints, which get copies:
-    beyond one reference per g1 node, building it costs O(|g2| + bridges),
-    and neither input is ever mutated.
+    id; they land between the two halves of the result. The result's arrays
+    are the inputs' arrays laid end to end with the bridges inserted: a
+    bridge comes last in its g1 row and first in its g2 row, since it joins
+    the lower half to the upper. Building it costs O(m1 + m2 + bridges)
+    array copying, and neither input is ever mutated.
     """
-    offset = g1.n
-    adj = list(g1._adj)
-    adj.extend([(t + offset, w) for t, w in lst] for lst in g2._adj)
-    touched: dict[int, list[tuple[int, float]]] = {}
-    m = g1.m + g2.m
+    offset, n = g1.n, g1.n + g2.n
+    ends: list[tuple[int, int]] = []
+    weights: list[float] = []
     for u, v, w in bridges:
         if not (0 <= u < g1.n):
             raise PreconditionError(f"bridge endpoint {u} not in base graph 0..{g1.n - 1}")
@@ -232,23 +269,32 @@ def disjoint_union(g1: SimGraph, g2: SimGraph, bridges: Iterable[Edge] = ()) -> 
         v += offset
         if not (0.0 < w <= 1.0):
             raise ParameterError(f"edge ({u},{v}) weight {w} outside (0,1]")
-        w = float(w)
-        if u not in touched:
-            touched[u] = adj[u] = list(adj[u])
-        touched.setdefault(v, adj[v]).append((u, w))
-        adj[u].append((v, w))
-        m += 1
-    for x, lst in touched.items():
-        lst.sort()
-        for i in range(1, len(lst)):
-            if lst[i][0] == lst[i - 1][0]:
-                raise ParameterError(f"duplicate edge ({x},{lst[i][0]})")
+        ends.append((u, v))
+        weights.append(float(w))
+    if len(set(ends)) < len(ends):
+        # name the repeat as a row-by-row scan of the bridge ends would,
+        # visiting them in the order they first appear
+        for x in dict.fromkeys(x for e in ends for x in e):
+            seen = sorted(v if u == x else u for u, v in ends if x in (u, v))
+            for a, b in zip(seen, seen[1:]):
+                if a == b:
+                    raise ParameterError(f"duplicate edge ({x},{a})")
+    b = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    rows = np.concatenate((b[:, 0], b[:, 1]))
+    cols = np.concatenate((b[:, 1], b[:, 0]))
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    base = np.concatenate((g1.indptr[:-1], g2.indptr + g1.indptr[-1]))
+    at = np.where(rows < offset, base[rows + 1], base[rows])
+    indices = np.insert(np.concatenate((g1.indices, g2.indices + np.int32(offset))), at, cols)
+    wts = np.insert(np.concatenate((g1.weights, g2.weights)), at, np.array(weights * 2)[order])
+    indptr = base + np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
     labels = None
     if g1.labels is not None or g2.labels is not None:
         l1 = g1.labels if g1.labels is not None else ("",) * g1.n
         l2 = g2.labels if g2.labels is not None else ("",) * g2.n
         labels = l1 + l2
-    # the lists are validated and sorted already, so wrap them without a copy
+    # the arrays are validated and sorted already, so wrap them as they are
     g = SimGraph.__new__(SimGraph)
-    g.n, g.m, g.labels, g._adj = g1.n + g2.n, m, labels, adj
+    g._set(n, g1.m + g2.m + len(ends), labels, indptr, indices, wts)
     return g

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from operator import truediv
 from typing import Collection, Iterable, Iterator, Protocol, Sequence
 
+import numpy as np
+
 from .errors import ParameterError
 from .graph import ConstraintPair, SimGraph, Solution
 
@@ -102,39 +104,42 @@ class PeelProfile:
         return len(self._best)
 
 
-def _similarity_prefilter(g: SimGraph, s: float, nodes: Iterable[int], alive: bytearray, scnt: list[int]) -> int:
-    """Drop nodes with no alive incident edge above ``s`` until a fixpoint.
+def _setup(g: SimGraph, s: float, alive: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prefilter the start set of a peel and count what its loop starts from.
 
-    ``nodes`` lists the alive nodes that may be dropped, in id order; their
-    ``alive`` entry is 1. Pinned nodes (``alive`` 2) are never dropped and
-    get no count. Fills ``scnt`` with the surviving per-node count of
-    incident edges above ``s`` to alive neighbors, and returns the survivor
-    count.
+    ``alive`` marks each node 1 when the peel may remove it, 2 when it is
+    pinned and 0 when it is not in the start set. The similarity prefilter
+    sets to 0 every node marked 1 without an edge above ``s`` to an alive
+    node; only the rows of the nodes marked 1 are read. Returns, for every
+    node, its weight into the alive nodes, summed in neighbour-id order (for
+    surviving nodes marked 1), its count of edges above ``s`` to alive nodes
+    (for pinned nodes, from nodes marked 1 only), and its count of edges
+    above ``s`` to pinned nodes.
     """
-    adj = g._adj
-    stack = []
-    n_alive = 0
-    for u in nodes:
-        n_alive += 1
-        cnt = 0
-        for t, w in adj[u]:
-            if w > s and alive[t]:
-                cnt += 1
-        scnt[u] = cnt
-        if cnt == 0:
-            stack.append(u)
-    while stack:
-        u = stack.pop()
-        if not alive[u]:
-            continue
-        alive[u] = 0
-        n_alive -= 1
-        for t, w in adj[u]:
-            if w > s and alive[t] == 1:
-                scnt[t] -= 1
-                if scnt[t] == 0:
-                    stack.append(t)
-    return n_alive
+    n = g.n
+    nodes = np.flatnonzero(alive == 1)
+    src, pos = g.gather(nodes)
+    dst, w = g.indices[pos], g.weights[pos]
+    strong = w > s
+    cnt = np.bincount(src[strong & (alive[dst] != 0)], minlength=n)
+    # Edges are symmetric: when u has an edge above s to an alive t, t has
+    # the same edge to u. So dropping the nodes without any such edge
+    # strands no other node; one round reaches the prefilter's fixpoint,
+    # and no survivor's count includes a dropped node.
+    alive[nodes[cnt[nodes] == 0]] = 0
+    keep = (alive[src] != 0) & (alive[dst] != 0)
+    src, dst, w, strong = src[keep], dst[keep], w[keep], strong[keep]
+    pinned = strong & (alive[dst] == 2)
+    # bincount adds each bin's weights in input order, that is row by row
+    incident = np.bincount(src, weights=w, minlength=n)
+    return incident, cnt + np.bincount(dst[pinned], minlength=n), np.bincount(src[pinned], minlength=n)
+
+
+def _running_sum(x: np.ndarray) -> float:
+    """x[0] + x[1] + ... added left to right, as a plain loop would; np.sum
+    adds pairwise and builtin sum() is compensated from Python 3.12 on,
+    either of which would change the bits of an alpha."""
+    return float(np.cumsum(x)[-1]) if x.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -223,75 +228,44 @@ def modified_sgsel(
     profile returned, so a caller that keeps one profile across peels
     builds no other.
     """
-    s = c.s
+    s, n = c.s, g.n
     pins = anchor.members if anchor is not None else ()
-    if within is None and not pins:
-        nodes: Iterable[int] = range(g.n)
-        alive = bytearray(b"\x01") * g.n
+    alive = np.zeros(n, dtype=np.uint8)
+    if pins:
+        pinned = np.fromiter(pins, np.int64, len(pins))
+        g._check_node(int(pinned.min()))
+        g._check_node(int(pinned.max()))
+    if within is None:
+        alive[:] = 1
     else:
-        if pins:
-            g._check_node(min(pins))
-            g._check_node(max(pins))
-        start = set(range(g.n)) if within is None else set(within)
-        nodes = sorted(start.difference(pins))
-        if nodes:
-            g._check_node(nodes[0])
-            g._check_node(nodes[-1])
-        alive = bytearray(g.n)
-        for u in nodes:
-            alive[u] = 1
-        for u in pins:
-            alive[u] = 2
+        start = np.fromiter(within, np.int64)
+        if start.size:
+            g._check_node(int(start.min()))
+            g._check_node(int(start.max()))
+        alive[start] = 1
+    if pins:
+        alive[pinned] = 2
 
-    scnt = [0] * g.n
-    m = _similarity_prefilter(g, s, nodes, alive, scnt)
-
-    adj = g._adj
-    incident = [0.0] * g.n
-    total = 0.0
-    heap = []
+    incident_at, scnt_at, acnt_at = _setup(g, s, alive)
+    free = np.flatnonzero(alive == 1)  # the outside nodes the prefilter kept
+    m = len(free)
+    heap = list(zip(incident_at[free].tolist(), free.tolist()))
     unsupported = 0
     if not pins:
-        anc, acnt = [0.0] * g.n, [0] * g.n
-        for u in nodes:
-            if not alive[u]:
-                continue
-            iw = 0.0
-            for t, w in adj[u]:
-                if alive[t]:
-                    iw += w
-            incident[u] = iw
-            total += iw
-            heap.append((iw, u))
+        anc = [0.0] * n
+        total = _running_sum(incident_at[free])
     else:
         # per outside node, the weight and the edges above s into the
         # anchor; an anchor node counts its edges above s to outside nodes,
         # plus one for good if it has one to another anchor node, and its
         # -1 never equals that count
         anc, top = anchor.inw, anchor.top
-        acnt = [0] * g.n
-        for u in nodes:
-            if not alive[u]:
-                continue
-            iw = 0.0
-            cnt = 0
-            for t, w in adj[u]:
-                a = alive[t]
-                if a:
-                    iw += w
-                    if a == 2 and w > s:
-                        cnt += 1
-                        scnt[t] += 1
-            incident[u] = iw
-            acnt[u] = cnt
-            total += iw + anc[u]
-            heap.append((iw, u))
-        for u in pins:
-            acnt[u] = -1
-            if top[u] > s:
-                scnt[u] += 1
-            elif not scnt[u]:
-                unsupported += 1
+        anc_at = np.fromiter(map(anc.__getitem__, free.tolist()), np.float64, m)
+        total = _running_sum(incident_at[free] + anc_at)
+        top_above = np.fromiter(map(top.__getitem__, pinned.tolist()), np.float64, len(pinned)) > s
+        unsupported = int(np.count_nonzero(~top_above & (scnt_at[pinned] == 0)))
+        scnt_at[pinned] += top_above
+        acnt_at[pinned] = -1
     # every edge was counted from both ends, the anchor's own edges excepted
     total = total / 2.0 + (anchor.weight if pins else 0.0)
     heapq.heapify(heap)
@@ -302,10 +276,18 @@ def modified_sgsel(
     n_alive = na + m
     j = m
     if na:
-        out_total = sum(incident[u] - anc[u] for _, u in heap) / 2.0
-        out_unsupported = sum(1 for _, u in heap if scnt[u] == acnt[u])
+        # left to right in heap order: builtin sum() is compensated from
+        # Python 3.12 on, which would make the bits depend on the interpreter
+        out_total = 0.0
+        for iw, u in heap:
+            out_total += iw - anc[u]
+        out_total /= 2.0
+        out_unsupported = int(np.count_nonzero(scnt_at[free] == acnt_at[free]))
     else:
         out_total, out_unsupported = total, 0
+    incident, scnt, acnt = incident_at.tolist(), scnt_at.tolist(), acnt_at.tolist()
+    alive = bytearray(alive)
+    ptr, indices, weights = g.indptr.tolist(), g.indices, g.weights
     order: list[int] = []
     # the weights alive and whether all are supported, indexed by the number
     # of outside nodes alive, for the union and for the outside nodes alone
@@ -336,7 +318,8 @@ def modified_sgsel(
             unsupported -= 1
         if sv == acnt[v]:
             out_unsupported -= 1
-        for t, w in adj[v]:
+        lo, hi = ptr[v], ptr[v + 1]
+        for t, w in zip(indices[lo:hi].tolist(), weights[lo:hi].tolist()):
             a = alive[t]
             if a:
                 if a == 1:

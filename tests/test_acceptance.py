@@ -14,6 +14,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from msel import (
@@ -39,7 +40,7 @@ from msel import (
     augment_graph,
     ScheduleEvent,
 )
-from msel.peel import _similarity_prefilter
+from msel.peel import _setup
 
 from helpers import assert_close, gnp_graph
 
@@ -211,7 +212,9 @@ def big_graph():
 def _fresh_removals(g, s):
     """Removals of a fresh ``modified_sgsel``: it peels every node its
     similarity prefilter keeps, so counting the survivors is enough."""
-    return _similarity_prefilter(g, s, range(g.n), bytearray(b"\x01") * g.n, [0] * g.n)
+    alive = np.ones(g.n, dtype=np.uint8)
+    _setup(g, s, alive)
+    return int(np.count_nonzero(alive))
 
 
 def test_event_cost_at_scale(capsys, big_graph):

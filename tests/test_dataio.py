@@ -187,6 +187,51 @@ def test_read_rejects_duplicate_edge(tmp_path):
         read_msg1(p)
 
 
+BAD_EDGE_LINES = [
+    ("1 0 0.5", "edge (1, 0) violates 0 <= u < v < 3"),
+    ("0 0 0.5", "edge (0, 0) violates 0 <= u < v < 3"),
+    ("0 3 0.5", "edge (0, 3) violates 0 <= u < v < 3"),
+    ("0 1 0.0", "weight 0.0 outside (0, 1]"),
+    ("0 1 1.5", "weight 1.5 outside (0, 1]"),
+    ("0 1 nope", "bad edge: could not convert string to float: 'nope'"),
+    ("0 2 0.6", "duplicate edge (0,2)"),
+]
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 2])
+@pytest.mark.parametrize("bad, message", BAD_EDGE_LINES)
+def test_read_names_the_bad_line(tmp_path, monkeypatch, bad, message, chunk):
+    if chunk is not None:
+        # the edge block is read in chunks of lines; the line named must
+        # not depend on where a chunk ends
+        monkeypatch.setattr("msel.dataio._CHUNK", chunk)
+    p = tmp_path / "e.msg1"
+    p.write_text(f"MSG1\n3 2\n\n0 2 0.5\n# the next line is bad\n{bad}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_msg1(p)
+    assert err.value.line == 6
+    assert str(err.value) == f"{p}:6: {message}"
+
+
+def test_read_names_the_first_of_several_bad_lines(tmp_path, monkeypatch):
+    monkeypatch.setattr("msel.dataio._CHUNK", 2)
+    p = tmp_path / "e.msg1"
+    cases = [
+        # a bad weight before a short line, a bad id before a bad weight,
+        # a short line before a bad number, and one edge line too many
+        ("0 1 0.5\n0 2 2.0\n1 2\n", 4, "weight 2.0 outside (0, 1]"),
+        ("0 1 0.5\n# c\n0 1 x\n2 1 0.5\n", 5, "bad edge: could not convert string to float: 'x'"),
+        ("0 1 0.5\n2 1 0.5\n0 2 1.5\n", 4, "edge (2, 1) violates 0 <= u < v < 3"),
+        ("1 2\n0 1 y\n", 3, "edge line needs `u v w`"),
+        ("0 1 0.5\n0 2 0.5\n1 2 0.5\n1 2 0.5\n", 5, "more than 2 edge lines"),
+    ]
+    for body, line, message in cases:
+        p.write_text(f"MSG1\n3 2\n{body}", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_msg1(p)
+        assert (err.value.line, str(err.value)) == (line, f"{p}:{line}: {message}")
+
+
 def test_read_empty_file(tmp_path):
     p = tmp_path / "empty.msg1"
     p.write_text("", encoding="utf-8")

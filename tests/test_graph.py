@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from msel import (
+    AttributeMatrix,
     ConstraintPair,
     InvalidNodeError,
     ParameterError,
@@ -10,10 +12,12 @@ from msel import (
     SimGraph,
     Solution,
     avg_similarity,
+    build_similarity_graph,
     cross_weight,
     disjoint_union,
     incident_weight,
     is_feasible,
+    read_msg1,
     total_weight,
 )
 
@@ -247,3 +251,75 @@ def test_disjoint_union_layout(two_triangles):
         disjoint_union(two_triangles, extra, bridges=[(1, 1, 0.5), (1, 1, 0.6)])
     # failed unions leave the inputs as they were, too
     assert [list(two_triangles.neighbors(u)) for u in range(two_triangles.n)] == base_adj
+
+
+def assert_csr(g, edges):
+    """``g``'s arrays hold ``edges`` (u, v, w triples, any order) in sorted,
+    symmetric, read-only rows, and ``neighbors`` reads them as before."""
+    ptr, idx, wts = g.indptr, g.indices, g.weights
+    assert (ptr.dtype, idx.dtype, wts.dtype) == (np.int64, np.int32, np.float64)
+    assert not (ptr.flags.writeable or idx.flags.writeable or wts.flags.writeable)
+    with pytest.raises(ValueError):
+        idx[:1] = 0
+    assert len(ptr) == g.n + 1 and ptr[0] == 0 and ptr[-1] == len(idx) == len(wts) == 2 * g.m
+    rows = np.repeat(np.arange(g.n), np.diff(ptr))
+    for u in range(g.n):
+        assert (np.diff(idx[ptr[u]:ptr[u + 1]]) > 0).all()
+    entries = list(zip(rows.tolist(), idx.tolist(), wts.tolist()))
+    assert sorted(entries) == entries
+    assert sorted((v, u, w) for u, v, w in entries) == entries
+    expect = [[] for _ in range(g.n)]
+    for u, v, w in edges:
+        expect[u].append((v, w))
+        expect[v].append((u, w))
+    assert [g.neighbors(u) for u in range(g.n)] == [sorted(x) for x in expect]
+    assert list(g.edges()) == sorted((min(u, v), max(u, v), w) for u, v, w in edges)
+
+
+def test_csr_layout_of_every_constructor(tmp_path, two_triangles):
+    rng = random.Random(10)
+    for _ in range(20):
+        g = gnp_graph(rng, rng.randint(0, 20))
+        edges = [(v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in g.edges()]
+        rng.shuffle(edges)
+        assert_csr(SimGraph(g.n, edges), edges)
+    path = tmp_path / "c.msg1"
+    path.write_text("# head\nMSG1\n\n4 3\n# edges\n2 3 0.5\n\n0 3 0.25\n  # last\n0 1 1.0\n", encoding="utf-8")
+    assert_csr(read_msg1(path), [(2, 3, 0.5), (0, 3, 0.25), (0, 1, 1.0)])
+    extra = SimGraph(3, [(1, 2, 0.4), (0, 2, 0.3)])
+    bridges = [(5, 0, 0.2), (0, 2, 0.7), (5, 1, 0.6), (3, 0, 0.8)]
+    merged = disjoint_union(two_triangles, extra, bridges)
+    assert_csr(merged, list(two_triangles.edges()) + [(u + 6, v + 6, w) for u, v, w in extra.edges()]
+               + [(u, v + 6, w) for u, v, w in bridges])
+    values = (np.random.default_rng(3).random((12, 5)) < 0.5).astype(float)
+    attrs = AttributeMatrix(values=values, ids=tuple(range(12)))
+    for g in (build_similarity_graph(attrs, mode="edges", edges=[(0, 5), (5, 0), (3, 1), (7, 2)]),
+              build_similarity_graph(attrs, mode="knn", k=3)):
+        assert_csr(g, list(g.edges()))
+
+
+def test_graph_errors_name_the_first_bad_edge():
+    cases = [
+        ([(0, 1, 0.5), (2, 2, 0.5), (0, 9, 0.5)], ParameterError, "self-loop on node 2"),
+        ([(0, 1, 1.5), (0, 9, 0.5)], ParameterError, "edge (0,1) weight 1.5 outside (0,1]"),
+        ([(0, 1, 0.5), (0, 9, 0.0)], InvalidNodeError, "edge (0,9) outside id range 0..3"),
+        ([(0, 1, float("nan"))], ParameterError, "edge (0,1) weight nan outside (0,1]"),
+        # the smallest pair repeated, in either orientation
+        ([(2, 3, 0.5), (1, 2, 0.5), (3, 2, 0.1), (2, 1, 0.4)], ParameterError, "duplicate edge (1,2)"),
+    ]
+    for edges, kind, message in cases:
+        with pytest.raises(kind) as err:
+            SimGraph(4, edges)
+        assert str(err.value) == message
+        with pytest.raises(kind):
+            SimGraph(4, np.array(edges, dtype=np.float64))
+    with pytest.raises(InvalidNodeError):
+        SimGraph(4, [(0, float("nan"), 0.5)])
+
+
+def test_disjoint_union_names_a_repeated_bridge_like_a_row_scan(two_triangles):
+    extra = SimGraph(2, [])
+    # the ends in order of first appearance are 0, 7, 2: node 7 repeats 2 first
+    with pytest.raises(ParameterError) as err:
+        disjoint_union(two_triangles, extra, [(0, 1, 0.5), (2, 1, 0.5), (2, 1, 0.6)])
+    assert str(err.value) == "duplicate edge (7,2)"

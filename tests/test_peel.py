@@ -1,6 +1,8 @@
+import math
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from msel import (
@@ -11,12 +13,14 @@ from msel import (
     PeelTrace,
     SimGraph,
     avg_similarity,
+    incident_weight,
     is_feasible,
     modified_sgsel,
     total_weight,
 )
 
 from msel.dcsel import _Group
+from msel.peel import _setup
 
 from helpers import assert_close, gnp_graph
 
@@ -247,3 +251,56 @@ def test_anchored_runs_match_recomputation():
         # every node a whole-graph prefilter keeps is in the anchored start set
         whole = modified_sgsel(g, c0)[1].run
         assert set(whole.trace.order) <= set(run.trace.order)
+
+
+def _naive_prefilter(g, s, free, pinned):
+    """Drop free nodes without an edge above s to a live node, one at a
+    time, until none is left to drop."""
+    live = set(free)
+    while True:
+        drop = {u for u in live if not any(w > s and (t in live or t in pinned) for t, w in g.neighbors(u))}
+        if not drop:
+            return live
+        live -= drop
+
+
+def test_setup_kernels_match_a_naive_prefilter_and_incident_weights():
+    rng = random.Random(808)
+    for _ in range(150):
+        g = gnp_graph(rng, rng.randint(1, 22), prob=rng.choice([0.15, 0.4, 0.7]))
+        s = rng.choice([0.1, 0.4, 0.7, 0.9])
+        marks = [rng.choice((0, 1, 1, 1, 2)) for _ in range(g.n)]
+        free = {u for u, a in enumerate(marks) if a == 1}
+        pinned = {u for u, a in enumerate(marks) if a == 2}
+        alive = np.array(marks, dtype=np.uint8)
+        incident, scnt, acnt = _setup(g, s, alive)
+        live = _naive_prefilter(g, s, free, pinned)
+        assert set(np.flatnonzero(alive == 1).tolist()) == live
+        assert set(np.flatnonzero(alive == 2).tolist()) == pinned
+        members = live | pinned
+        for u in live:
+            # the same terms in the same order: equal bits, not just close
+            assert incident[u] == incident_weight(u, members, g)
+            assert scnt[u] == sum(1 for t, w in g.neighbors(u) if w > s and t in members)
+            assert acnt[u] == sum(1 for t, w in g.neighbors(u) if w > s and t in pinned)
+        for u in pinned:
+            assert scnt[u] == sum(1 for t, w in g.neighbors(u) if w > s and t in live)
+
+
+def test_group_fill_matches_adding_members_one_by_one():
+    rng = random.Random(809)
+    for _ in range(100):
+        g = gnp_graph(rng, rng.randint(1, 22), prob=rng.choice([0.2, 0.5, 0.9]))
+        grp = _Group(g, {u for u in range(g.n) if rng.random() < 0.5})
+        for u in range(g.n):
+            # the deleted per-edge loop: members in the set's order
+            inw, top = 0.0, 0.0
+            for x in grp.members:
+                inw += g.weight(x, u)
+                top = max(top, g.weight(x, u))
+            assert grp.inw[u] == inw
+            assert_close(grp.inw[u], incident_weight(u, grp.members, g))
+            assert grp.top[u] == max((w for t, w in g.neighbors(u) if t in grp.members), default=0.0) == top
+            assert grp.mask[u] == (u in grp.members)
+        assert grp.settled
+        assert grp.weight == math.fsum(grp.inw[u] for u in grp.members) / 2.0
