@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from msel import write_msg1
-from msel.cli import ALGORITHMS, BENCH_HEADER, RUN_HEADER, main
+from msel.cli import ALGORITHMS, BENCH_HEADER, RUN_HEADER, main, replay
+from msel.dcsel import parse_schedule
+from msel.synth import planted_community_graph, random_graph
 
 DATA = Path(__file__).parent / "data"
 
@@ -108,6 +110,36 @@ def test_run_every_algorithm_smoke(tmp_path, cluster_graph, delta_schedule, caps
         ])
         assert rc == 0
         assert len(read_csv(out)) == 5
+
+
+def _golden_replay_lines(tmp_path):
+    """One tab-separated line per (algorithm, step) of a fixed schedule:
+    algo, step, event, repr(alpha), size, feasible. The schedule holds p and
+    s deltas, p and s sets and one bridged augment; the graph is small
+    enough that all six replays take about a second."""
+    g = planted_community_graph(100, 450, seed=5, community=10)
+    write_msg1(random_graph(30, 120, seed=9), tmp_path / "extra.msg1")
+    (tmp_path / "extra.bridges").write_text(
+        "0 0 0.95\n3 1 0.9\n5 2 0.85\n90 7 0.6\n", encoding="utf-8")
+    sched = tmp_path / "golden.sched"
+    sched.write_text(
+        "init p=4 s=0.1\np += 9\np -= 6\ns += 0.3\ns -= 0.25\np = 25\ns = 0.2\n"
+        "augment extra.msg1 bridges extra.bridges\np -= 20\ns += 0.5\np = 3\ns -= 0.45\n",
+        encoding="utf-8",
+    )
+    init_c, events = parse_schedule(sched)
+    return [
+        f"{algo}\t{r.step}\t{r.event}\t{r.alpha!r}\t{r.size}\t{r.feasible}"
+        for algo in ALGORITHMS
+        for r in replay(algo, g, init_c, events, seed=3)
+    ]
+
+
+def test_replay_matches_golden_for_every_algorithm(tmp_path):
+    # data/replay.golden holds the lines _golden_replay_lines returned when
+    # it was written; every alpha must keep its bits
+    want = (DATA / "replay.golden").read_text(encoding="utf-8").splitlines()
+    assert _golden_replay_lines(tmp_path) == want
 
 
 def test_run_unknown_algo(tmp_path, cluster_graph, delta_schedule, capsys):
