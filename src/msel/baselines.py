@@ -1,8 +1,9 @@
 """Comparison selectors: reference-ball peeling and three simple removal rules.
 
 The simple rules (random, degree, average) peel the whole node set by their
-metric with no shortcuts, tracking the best state that satisfied both
-constraints along the way, exactly like the main peel records its best state.
+metric with no shortcuts, recording every size they pass through as a
+``PeelRun`` and picking the best state that satisfied both constraints
+through it, exactly like the main peel.
 They exist to be fair strawmen in benchmarks, not to be fast.
 """
 
@@ -10,11 +11,12 @@ from __future__ import annotations
 
 import heapq
 import random
+from operator import truediv
 
 import numpy as np
 
 from .graph import ConstraintPair, SimGraph, Solution
-from .peel import _running_sum, modified_sgsel
+from .peel import PeelRun, PeelTrace, _running_sum, modified_sgsel
 
 
 def sgsel(g: SimGraph, c: ConstraintPair) -> Solution:
@@ -68,7 +70,8 @@ def average_peel(g: SimGraph, c: ConstraintPair) -> Solution:
 
 def _metric_peel(g, c, key_fn, static_keys: bool = False) -> Solution:
     """Remove argmin key_fn(u, deg, incident) nodes one by one from the whole
-    graph, recording the best state satisfying both constraints.
+    graph, recording each size's total weight and support, and return the
+    set ``PeelRun.best_size`` picks, as the main peel does.
 
     The initial untouched state is a candidate too. Keys are recomputed for a
     node whenever one of its neighbors is removed, unless ``static_keys``.
@@ -90,21 +93,18 @@ def _metric_peel(g, c, key_fn, static_keys: bool = False) -> Solution:
 
     unsupported = sum(1 for u in range(n) if scnt[u] == 0)
     size = n
-    alpha = total / size
-    best_alpha = -1.0
-    best_members: frozenset[int] | None = None
-    best_weight = 0.0
-    if size > c.p and unsupported == 0:
-        best_alpha, best_weight = alpha, total
-        best_members = frozenset(range(n))
-    removed: list[int] = []
+    # the weight alive and whether all are supported, indexed by size
+    totals = [0.0] * (n + 1)
+    supported = bytearray(n + 1)
+    totals[n], supported[n] = total, unsupported == 0
+    order: list[int] = []
 
     while heap:
         k, v = heapq.heappop(heap)
         if not alive[v] or k != key[v]:
             continue
         alive[v] = 0
-        removed.append(v)
+        order.append(v)
         total -= incident[v]
         size -= 1
         if scnt[v] == 0:
@@ -121,17 +121,12 @@ def _metric_peel(g, c, key_fn, static_keys: bool = False) -> Solution:
             if not static_keys:
                 key[t] = key_fn(t, deg[t], incident[t])
                 heapq.heappush(heap, (key[t], t))
+        totals[size], supported[size] = total, unsupported == 0
         if size == 0:
             break
-        alpha = total / size
-        if size > c.p and unsupported == 0 and alpha > best_alpha:
-            best_alpha, best_weight = alpha, total
-            best_members = None  # reconstructed from the removal count below
-            best_at = len(removed)
 
-    if best_alpha < 0.0:
+    run = PeelRun(PeelTrace(tuple(order)), [0.0, *map(truediv, totals[1:], range(1, n + 1))], supported)
+    k = run.best_size(c.p)
+    if not k:
         return Solution.empty()
-    if best_members is None:
-        gone = set(removed[:best_at])
-        best_members = frozenset(u for u in range(n) if u not in gone)
-    return Solution(best_members, best_weight, best_alpha)
+    return Solution(run.trace.members_at(k), totals[k], run.alphas[k])

@@ -14,6 +14,7 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 from .baselines import average_peel, degree_peel, random_peel, sgsel
 from .dataio import (
@@ -47,25 +48,38 @@ from .oracle import exact_msp, ratio_check
 from .peel import modified_sgsel
 from .plotting import render_alpha_svg
 
-ALGORITHMS = ("dcsel", "sgsel", "msgsel", "random", "degree", "average")
+
+def _modified(g: SimGraph, c: ConstraintPair, seed: int) -> Solution:
+    return modified_sgsel(g, c)[0]
+
+
+# One from-scratch solve per algorithm name, in the order help and errors
+# list them. dcsel solves like msgsel; only its replay keeps a session.
+_SOLVERS: dict[str, Callable[[SimGraph, ConstraintPair, int], Solution]] = {
+    "dcsel": _modified,
+    "sgsel": lambda g, c, seed: sgsel(g, c),
+    "msgsel": _modified,
+    "random": random_peel,
+    "degree": lambda g, c, seed: degree_peel(g, c),
+    "average": lambda g, c, seed: average_peel(g, c),
+}
+ALGORITHMS = tuple(_SOLVERS)
 
 RUN_HEADER = ["step", "event", "algo", "alpha", "size", "feasible", "wall_ns"]
 BENCH_HEADER = ["step", "event", "algo", "alpha", "size", "feasible", "wall_ns_min", "wall_ns_mean"]
 
 
+def _solver(algo: str) -> Callable[[SimGraph, ConstraintPair, int], Solution]:
+    """The from-scratch solve named ``algo``; an unknown name is a ParameterError."""
+    try:
+        return _SOLVERS[algo]
+    except KeyError:
+        raise ParameterError(f"unknown algorithm {algo!r}; choose from {', '.join(ALGORITHMS)}") from None
+
+
 def solve_once(algo: str, g: SimGraph, c: ConstraintPair, seed: int) -> Solution:
     """One from-scratch solve with the named algorithm."""
-    if algo == "dcsel" or algo == "msgsel":
-        return modified_sgsel(g, c)[0]
-    if algo == "sgsel":
-        return sgsel(g, c)
-    if algo == "random":
-        return random_peel(g, c, seed)
-    if algo == "degree":
-        return degree_peel(g, c)
-    if algo == "average":
-        return average_peel(g, c)
-    raise ParameterError(f"unknown algorithm {algo!r}; choose from {', '.join(ALGORITHMS)}")
+    return _solver(algo)(g, c, seed)
 
 
 def replay(
@@ -81,8 +95,7 @@ def replay(
     other algorithm re-solves from scratch after each event, under whatever
     constraints and graph the events have accumulated to at that step.
     """
-    if algo not in ALGORITHMS:
-        raise ParameterError(f"unknown algorithm {algo!r}; choose from {', '.join(ALGORITHMS)}")
+    solve = _solver(algo)
     if algo == "dcsel":
         sess = init_session(g, init_c)
         run_schedule(sess, events)
@@ -93,7 +106,7 @@ def replay(
 
     def step(idx: int, label: str) -> None:
         t0 = time.perf_counter_ns()
-        sol = solve_once(algo, g, c, seed)
+        sol = solve(g, c, seed)
         wall = time.perf_counter_ns() - t0
         records.append(
             StepRecord(idx, label, sol.alpha, sol.size, is_feasible(sol.members, g, c), wall)
@@ -165,8 +178,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not algos:
         raise ParameterError("--algos is empty")
     for a in algos:
-        if a not in ALGORITHMS:
-            raise ParameterError(f"unknown algorithm {a!r}; choose from {', '.join(ALGORITHMS)}")
+        _solver(a)
     g = read_msg1(args.graph)
     init_c, events = parse_schedule(args.schedule)
 
@@ -274,26 +286,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# bad input (files, formats, parameters) exits 2, any other package error 3
+_INPUT_ERRORS = (ParseError, ParameterError, DataError, CapacityError, PreconditionError, InvalidNodeError)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ScheduleError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (
-        ParseError,
-        ParameterError,
-        DataError,
-        CapacityError,
-        PreconditionError,
-        InvalidNodeError,
-    ) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except MselError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(e, _INPUT_ERRORS) else 3
 
 
 if __name__ == "__main__":

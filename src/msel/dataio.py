@@ -127,30 +127,29 @@ def to_sim_graph(ds: RawDataset, mode: str = "edges", k: int | None = None) -> S
     column before weighting, which leaves 0/1 columns' weights unchanged and
     brings unbounded columns into range.
     """
-    index = {ext: i for i, ext in enumerate(ds.ids)}
-    structural: set[tuple[int, int]] = set()
-    for cited, citing in ds.cite_edges:
-        u, v = index[cited], index[citing]
-        if u == v:
-            continue
-        structural.add((min(u, v), max(u, v)))
     attrs = AttributeMatrix(
         values=normalize_attributes(ds.features),
         ids=tuple(range(ds.n)),
         labels=ds.labels,
     )
-    return build_similarity_graph(attrs, mode=mode, edges=sorted(structural), k=k)
+    return build_similarity_graph(attrs, mode=mode, edges=sorted(_cite_pairs(ds)), k=k)
+
+
+def _cite_pairs(ds: RawDataset) -> set[tuple[int, int]]:
+    """The citation pairs as dense ids (u, v) with u < v: symmetrized,
+    deduplicated, self-citations dropped."""
+    index = {ext: i for i, ext in enumerate(ds.ids)}
+    pairs: set[tuple[int, int]] = set()
+    for cited, citing in ds.cite_edges:
+        u, v = index[cited], index[citing]
+        if u != v:
+            pairs.add((u, v) if u < v else (v, u))
+    return pairs
 
 
 def dataset_stats(ds: RawDataset) -> tuple[int, int, int]:
     """(node count, undirected deduplicated edge count, feature count)."""
-    index = {ext: i for i, ext in enumerate(ds.ids)}
-    structural = {
-        (min(index[a], index[b]), max(index[a], index[b]))
-        for a, b in ds.cite_edges
-        if index[a] != index[b]
-    }
-    return ds.n, len(structural), ds.dim
+    return ds.n, len(_cite_pairs(ds)), ds.dim
 
 
 def _opened(path: Path):
@@ -162,21 +161,13 @@ def _opened(path: Path):
 
 def _fmt_weight(w: float) -> str:
     """Shortest decimal that round-trips ``w``, padded to >= 6 significant digits."""
-    r = repr(float(w))
-    if "e" in r:
-        mant, _, exp = r.partition("e")
-        digits = len(mant.replace("-", "").replace(".", "").lstrip("0"))
-        if digits < 6:
-            if "." not in mant:
-                mant += "."
-            mant += "0" * (6 - digits)
-        return f"{mant}e{exp}"
-    digits = len(r.replace("-", "").replace(".", "").lstrip("0"))
+    mant, e, exp = repr(float(w)).partition("e")
+    digits = len(mant.replace("-", "").replace(".", "").lstrip("0"))
     if digits < 6:
-        if "." not in r:
-            r += "."
-        r += "0" * (6 - digits)
-    return r
+        if "." not in mant:
+            mant += "."
+        mant += "0" * (6 - digits)
+    return mant + e + exp
 
 
 def write_msg1(g: SimGraph, path: str | Path) -> None:

@@ -238,6 +238,20 @@ class _Group:
             self.weight = math.fsum(map(inw.__getitem__, self.members)) / 2.0
             self.settled = True
 
+    def challenger(self, members: frozenset[int], c: ConstraintPair) -> "_Group | None":
+        """A settled copy of the group moved onto ``members``, if it beats
+        the group under ``c``, else None. A candidate beats the group when it
+        is feasible and has a higher alpha or the group is infeasible; the
+        group wins exact ties, and its own member set never beats it."""
+        if members == self.members:
+            return None
+        cand = self.copy()
+        cand.move_to(members)
+        cand.settle()
+        if cand.feasible(c) and (cand.alpha > self.alpha or not self.feasible(c)):
+            return cand
+        return None
+
     def absorb(self) -> None:
         """Add outside nodes while the best one's weight into the group beats α.
 
@@ -450,8 +464,8 @@ def _repair(sess: Session, grp: _Group, whole: bool = False) -> _Group:
     finds: the pick of a whole-graph peel when ``whole`` is set or the graph
     and s are still those of the last one, otherwise the better of the best
     superset of ``grp`` and the best group outside it, from one anchored
-    peel around ``grp``. The two picks are ranked by their runs' alphas;
-    against ``grp``, feasibility outranks alpha and ``grp`` wins exact ties."""
+    peel around ``grp``. The two picks are ranked by their runs' alphas,
+    and the winner replaces ``grp`` only if it beats it (``challenger``)."""
     c = sess.constraints
     grp.settle()
     at = sess._whole_at
@@ -461,13 +475,8 @@ def _repair(sess: Session, grp: _Group, whole: bool = False) -> _Group:
     if not picks:
         return grp
     _, k, run = max(picks, key=lambda e: e[0])
-    members = run.trace.members_at(k)
-    if members == grp.members:
-        return grp
-    cand = grp.copy()
-    cand.move_to(members)
-    cand.settle()
-    return cand if (cand.feasible(c), cand.alpha) > (grp.feasible(c), grp.alpha) else grp
+    cand = grp.challenger(run.trace.members_at(k), c)
+    return grp if cand is None else cand
 
 
 def _grow(sess: Session) -> _Group:
@@ -514,10 +523,7 @@ def _retarget(sess: Session, c_new: ConstraintPair) -> _Group | None:
             key=lambda e: (-e[1], e[0]),
         )
         for size, _, trace in ranked:
-            cand = grp.copy()
-            cand.move_to(trace.members_at(size))
-            cand.settle()
-            if cand.alpha > floor and cand.feasible(c_new):
+            if (cand := grp.challenger(trace.members_at(size), c_new)) is not None:
                 return cand
         return None
     if c_new.p > c_old.p:
@@ -548,9 +554,9 @@ def apply_size_delta(sess: Session, dp: int, label: str | None = None) -> Soluti
     the group, its best feasible superset and the best feasible group
     outside it.
     """
-    c_new = ConstraintPair(s=sess.constraints.s, p=sess.constraints.p + dp)
-    label = ScheduleEvent("size_delta", int(dp)).text() if label is None else label
-    return _step(sess, label, _retarget, c_new)
+    ev = ScheduleEvent("size_delta", int(dp))
+    label = ev.text() if label is None else label
+    return _step(sess, label, _retarget, next_constraints(sess.constraints, ev))
 
 
 def apply_similarity_delta(sess: Session, ds: float, label: str | None = None) -> Solution:
@@ -562,9 +568,9 @@ def apply_similarity_delta(sess: Session, ds: float, label: str | None = None) -
     stripped group is kept, any other is repaired by one anchored peel
     around it. A lowered floor is searched by one anchored peel.
     """
-    c_new = ConstraintPair(s=sess.constraints.s + ds, p=sess.constraints.p)
-    label = ScheduleEvent("similarity_delta", float(ds)).text() if label is None else label
-    return _step(sess, label, _retarget, c_new)
+    ev = ScheduleEvent("similarity_delta", float(ds))
+    label = ev.text() if label is None else label
+    return _step(sess, label, _retarget, next_constraints(sess.constraints, ev))
 
 
 def _merge(sess: Session, extra: SimGraph, bridges: list[tuple[int, int, float]]) -> _Group | None:

@@ -22,6 +22,8 @@ from .graph import SimGraph
 FULL_MODE_MAX_NODES = 5000
 
 _BLOCK = 256
+# floats in one temporary of the real-valued kernel (4 MB of float64)
+_KERNEL_FLOATS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -85,11 +87,16 @@ def pair_weight(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _weights_block(block: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Pairwise weights between each row of ``block`` and each row of ``others``."""
+    """Pairwise weights between each row of ``block`` and each row of ``others``,
+    taking as many rows at a time as keep a (rows, others, d) temporary within
+    ``_KERNEL_FLOATS`` floats; how rows are sliced changes no weight's bits."""
     d = block.shape[1]
-    agree = 1.0 - np.abs(block[:, None, :] - others[None, :, :])
-    out = np.sqrt(np.einsum("ijk,ijk->ij", agree, agree) / d)
-    return np.minimum(out, 1.0)
+    step = max(1, _KERNEL_FLOATS // max(1, others.shape[0] * d))
+    sums = np.empty((block.shape[0], others.shape[0]))
+    for lo in range(0, block.shape[0], step):
+        agree = 1.0 - np.abs(block[lo:lo + step, None, :] - others[None, :, :])
+        sums[lo:lo + step] = np.einsum("ijk,ijk->ij", agree, agree)
+    return np.minimum(np.sqrt(sums / d), 1.0)
 
 
 def _binary_weights_block(block: np.ndarray, others: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Callable
 
 from .errors import ParameterError
 from .graph import SimGraph
@@ -21,24 +22,12 @@ def random_graph(n: int, m: int, seed: int, w_lo: float = 0.05, w_hi: float = 1.
     if not (0.0 <= w_lo < w_hi <= 1.0):
         raise ParameterError("need 0 <= w_lo < w_hi <= 1")
     rng = random.Random(seed)
-    seen: set[int] = set()
-    edges: list[tuple[int, int, float]] = []
-    while len(edges) < m:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v:
-            continue
-        if u > v:
-            u, v = v, u
-        key = u * n + v
-        if key in seen:
-            continue
-        seen.add(key)
+
+    def weight() -> float:
         w = rng.uniform(w_lo, w_hi)
-        if w <= w_lo:
-            w = w_hi
-        edges.append((u, v, w))
-    return SimGraph(n, edges)
+        return w_hi if w <= w_lo else w
+
+    return SimGraph(n, _sample_pairs(rng, n, m, [], weight))
 
 
 def planted_community_graph(
@@ -61,15 +50,19 @@ def planted_community_graph(
     if clique_m > m:
         raise ParameterError(f"community clique needs {clique_m} edges, only m={m} allowed")
     rng = random.Random(seed)
-    edges: list[tuple[int, int, float]] = []
-    seen: set[int] = set()
-    for u in range(community):
-        for v in range(u + 1, community):
-            seen.add(u * n + v)
-            edges.append((u, v, rng.uniform(*w_in)))
+    clique = [(u, v, rng.uniform(*w_in)) for u in range(community) for v in range(u + 1, community)]
     limit = n * (n - 1) // 2
     if m > limit:
         raise ParameterError(f"m={m} exceeds the {limit} possible pairs")
+    return SimGraph(n, _sample_pairs(rng, n, m, clique, lambda: rng.uniform(*w_out)))
+
+
+def _sample_pairs(rng: random.Random, n: int, m: int, edges: list[tuple[int, int, float]],
+                  weight: Callable[[], float]) -> list[tuple[int, int, float]]:
+    """Extend ``edges`` (pairs u < v) to ``m`` distinct pairs: endpoints are
+    drawn uniformly, self-loops and repeats rejected, and each new pair
+    weighted by ``weight()``, drawn right after its endpoints."""
+    seen = {u * n + v for u, v, _ in edges}
     while len(edges) < m:
         u = rng.randrange(n)
         v = rng.randrange(n)
@@ -81,5 +74,5 @@ def planted_community_graph(
         if key in seen:
             continue
         seen.add(key)
-        edges.append((u, v, rng.uniform(*w_out)))
-    return SimGraph(n, edges)
+        edges.append((u, v, weight()))
+    return edges

@@ -132,7 +132,9 @@ def test_fmt_weight_keeps_six_significant_digits():
     assert _fmt_weight(0.5) == "0.500000"
     assert _fmt_weight(1.0) == "1.00000"
     assert _fmt_weight(0.8660254037844386) == "0.8660254037844386"
-    for w in [0.1, 0.123456, 1 / 3, 2 ** -20, 0.9999999]:
+    assert _fmt_weight(1e-07) == "1.00000e-07"
+    assert _fmt_weight(1.5e-07) == "1.50000e-07"
+    for w in [0.1, 0.123456, 1 / 3, 2 ** -20, 0.9999999, 1e-07, 1.5e-07]:
         txt = _fmt_weight(w)
         assert float(txt) == w
         digits = txt.replace(".", "").lstrip("0")

@@ -691,3 +691,34 @@ def test_profile_entries_stay_consistent_after_events(two_cluster):
         members = sess.profile.members_at(size)
         assert len(members) == size
         assert_close(avg_similarity(members, sess.graph), sess.profile.alpha_at(size))
+
+
+def test_challenger_beats_the_group_only_when_feasible_and_better():
+    from msel.dcsel import _Group
+
+    # triangles A = {0, 1, 2} and B = {3, 4, 5} with equal weights, and a
+    # weaker triangle C = {6, 7, 8}
+    edges = []
+    for base, w in ((0, 0.5), (3, 0.5), (6, 0.2)):
+        edges += [(base, base + 1, w), (base, base + 2, w), (base + 1, base + 2, w)]
+    g = SimGraph(9, edges)
+    loose, tight = ConstraintPair(s=0.1, p=2), ConstraintPair(s=0.1, p=3)
+    grp = _Group(g, {0, 1, 2})
+    # its own member set, an exact tie and a weaker group never beat it
+    assert grp.challenger(frozenset({0, 1, 2}), loose) is None
+    assert grp.challenger(frozenset({3, 4, 5}), loose) is None
+    assert grp.challenger(frozenset({6, 7, 8}), loose) is None
+    # an infeasible candidate never beats it, even an infeasible group
+    assert grp.challenger(frozenset({3, 4, 5}), tight) is None
+    # a feasible candidate beats an infeasible group at the same alpha
+    cand = grp.challenger(frozenset(range(6)), tight)
+    assert cand is not None and cand.members == set(range(6))
+    assert cand.settled and cand.alpha == grp.alpha
+    # and at a lower one
+    pair = _Group(g, {0, 1})
+    cand = pair.challenger(frozenset({6, 7, 8}), loose)
+    assert cand is not None and cand.alpha < pair.alpha
+    # a strictly better feasible candidate beats a feasible group
+    weak = _Group(g, {6, 7, 8})
+    assert weak.challenger(frozenset({0, 1, 2}), loose).members == {0, 1, 2}
+    assert weak.members == {6, 7, 8}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,29 @@ def test_binary_fast_path_matches_generic():
         assert float(w_generic[u, v]) == pytest.approx(
             pair_weight(values[u], values[v]), rel=1e-9
         )
+
+
+def test_real_valued_kernel_memory_is_bounded(monkeypatch):
+    """A 600 x 100 real-valued knn build stays small, and slicing the
+    kernel's rows changes no weight's bits."""
+    from msel import similarity
+
+    values = np.random.default_rng(5).random((600, 100))
+    attrs = AttributeMatrix(values, tuple(range(600)))
+    tracemalloc.start()
+    try:
+        g = build_similarity_graph(attrs, mode="knn", k=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+    sliced = similarity._weights_block(values[:64], values)
+    monkeypatch.setattr(similarity, "_KERNEL_FLOATS", 10**12)
+    whole = similarity._weights_block(values[:64], values)
+    assert np.array_equal(sliced, whole)
+    checked = [(u, v, w) for u, v, w in g.edges() if u < 64]
+    assert checked
+    assert all(w == whole[u, v] for u, v, w in checked)
 
 
 def test_labels_carried_through():
