@@ -16,7 +16,8 @@ weight bit for bit. Node labels are not carried by MSG1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cached_property
+from itertools import chain, compress, repeat
 from operator import lt
 from pathlib import Path
 
@@ -49,6 +50,20 @@ class RawDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
+    @cached_property
+    def cite_pairs(self) -> np.ndarray:
+        """The citation pairs as dense ids, an (m, 2) int64 array of rows
+        u < v in increasing order: symmetrized, deduplicated, self-citations
+        dropped. Built on first use and kept."""
+        index = {ext: i for i, ext in enumerate(self.ids)}
+        ends = np.fromiter(map(index.__getitem__, chain.from_iterable(self.cite_edges)),
+                           np.int64, 2 * len(self.cite_edges)).reshape(-1, 2)
+        ends.sort(axis=1)
+        ends = ends[ends[:, 0] != ends[:, 1]]
+        key = np.sort(ends[:, 0] * self.n + ends[:, 1])
+        key = key[np.append(True, key[1:] != key[:-1])]
+        return np.column_stack(np.divmod(key, self.n))
+
 
 def load_content_cites(content_path: str | Path, cites_path: str | Path) -> RawDataset:
     """Parse a content/cites file pair into a RawDataset.
@@ -60,96 +75,118 @@ def load_content_cites(content_path: str | Path, cites_path: str | Path) -> RawD
     content_path = Path(content_path)
     cites_path = Path(cites_path)
 
+    with _opened(content_path) as fh:
+        lines = fh.read().split("\n")
+    ids, features, labels = _content_columns(lines) or _content_by_line(lines, content_path)
+
+    with _opened(cites_path) as fh:
+        lines = fh.read().split("\n")
+    fields = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+    bad = np.flatnonzero((fields != 0) & (fields != 2))
+    if bad.size:
+        raise ParseError(
+            f"cites line needs `cited citing`, got {fields[bad[0]]} fields",
+            path=str(cites_path), line=int(bad[0]) + 1,
+        )
+    # every line kept has two fields, so the tokens fall in pairs
+    toks = " ".join(lines).split()
+    known = np.fromiter(map(set(ids).__contains__, toks), bool, len(toks))
+    kept = known.reshape(-1, 2).all(axis=1)
+    edges = tuple(compress(zip(toks[0::2], toks[1::2]), kept))
+    return RawDataset(tuple(ids), features, tuple(labels), edges, len(kept) - len(edges))
+
+
+def _content_columns(lines: list[str]):
+    """(ids, features, labels) of content lines that are all well formed,
+    with every feature column parsed in one call; None when there are no
+    nodes or any line needs ``_content_by_line``'s checks.
+
+    ``np.loadtxt`` splits on the whitespace ``str.split`` splits on and
+    parses a number as ``float`` does, so what it accepts gets the same
+    bits; what it rejects (a ragged row, or ``float`` spellings it lacks,
+    such as ``1_0`` or non-ASCII digits) goes line by line.
+    """
+    ids, bodies, labels = [], [], []
+    for line in lines:
+        head = line.split(None, 1)
+        if not head:
+            continue
+        tail = head[1].rsplit(None, 1) if len(head) == 2 else ()
+        if len(tail) != 2:
+            return None
+        ids.append(head[0])
+        bodies.append(tail[0])
+        labels.append(tail[1])
+    if not ids or len(set(ids)) < len(ids):
+        return None
+    try:
+        features = np.loadtxt(bodies, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return ids, features, labels
+
+
+def _content_by_line(lines: list[str], path: Path):
+    """(ids, features, labels) of content lines, checked one line at a time;
+    the first bad line raises."""
     ids: list[str] = []
     rows: list[np.ndarray] = []
     labels: list[str] = []
     seen: set[str] = set()
     dim = -1
-    with _opened(content_path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts:
-                continue
-            if len(parts) < 3:
-                raise ParseError(
-                    f"content line needs `id features... label`, got {len(parts)} fields",
-                    path=str(content_path), line=lineno,
-                )
-            ext, label = parts[0], parts[-1]
-            if ext in seen:
-                raise DataError(f"duplicate node id {ext!r} in {content_path}")
-            seen.add(ext)
-            try:
-                vec = np.array(parts[1:-1], dtype=np.float64)
-            except ValueError as e:
-                raise ParseError(
-                    f"bad feature value: {e}", path=str(content_path), line=lineno
-                ) from e
-            if dim < 0:
-                dim = vec.size
-            elif vec.size != dim:
-                raise ParseError(
-                    f"expected {dim} features, found {vec.size}",
-                    path=str(content_path), line=lineno,
-                )
-            ids.append(ext)
-            rows.append(vec)
-            labels.append(label)
-
-    edges: list[tuple[str, str]] = []
-    dropped = 0
-    with _opened(cites_path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise ParseError(
-                    f"cites line needs `cited citing`, got {len(parts)} fields",
-                    path=str(cites_path), line=lineno,
-                )
-            cited, citing = parts
-            if cited in seen and citing in seen:
-                edges.append((cited, citing))
-            else:
-                dropped += 1
-
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(parts) < 3:
+            raise ParseError(
+                f"content line needs `id features... label`, got {len(parts)} fields",
+                path=str(path), line=lineno,
+            )
+        ext, label = parts[0], parts[-1]
+        if ext in seen:
+            raise DataError(f"duplicate node id {ext!r} in {path}")
+        seen.add(ext)
+        try:
+            vec = np.array(parts[1:-1], dtype=np.float64)
+        except ValueError as e:
+            raise ParseError(
+                f"bad feature value: {e}", path=str(path), line=lineno
+            ) from e
+        if dim < 0:
+            dim = vec.size
+        elif vec.size != dim:
+            raise ParseError(
+                f"expected {dim} features, found {vec.size}",
+                path=str(path), line=lineno,
+            )
+        ids.append(ext)
+        rows.append(vec)
+        labels.append(label)
     features = np.vstack(rows) if rows else np.zeros((0, 0))
-    return RawDataset(tuple(ids), features, tuple(labels), tuple(edges), dropped)
+    return ids, features, labels
 
 
 def to_sim_graph(ds: RawDataset, mode: str = "edges", k: int | None = None) -> SimGraph:
     """Build a similarity graph from a dataset.
 
-    External ids densify to 0..n-1 in content-file order. Citation pairs are
-    symmetrized and deduplicated, and self-citations are dropped; they supply
-    the structure only for mode="edges". Features are min-max normalized per
-    column before weighting, which leaves 0/1 columns' weights unchanged and
-    brings unbounded columns into range.
+    External ids densify to 0..n-1 in content-file order. Citation pairs
+    (``ds.cite_pairs``) supply the structure only for mode="edges".
+    Features are min-max normalized per column before weighting, which
+    leaves 0/1 columns' weights unchanged and brings unbounded columns into
+    range.
     """
     attrs = AttributeMatrix(
         values=normalize_attributes(ds.features),
         ids=tuple(range(ds.n)),
         labels=ds.labels,
     )
-    return build_similarity_graph(attrs, mode=mode, edges=sorted(_cite_pairs(ds)), k=k)
-
-
-def _cite_pairs(ds: RawDataset) -> set[tuple[int, int]]:
-    """The citation pairs as dense ids (u, v) with u < v: symmetrized,
-    deduplicated, self-citations dropped."""
-    index = {ext: i for i, ext in enumerate(ds.ids)}
-    pairs: set[tuple[int, int]] = set()
-    for cited, citing in ds.cite_edges:
-        u, v = index[cited], index[citing]
-        if u != v:
-            pairs.add((u, v) if u < v else (v, u))
-    return pairs
+    return build_similarity_graph(attrs, mode=mode, edges=ds.cite_pairs, k=k)
 
 
 def dataset_stats(ds: RawDataset) -> tuple[int, int, int]:
     """(node count, undirected deduplicated edge count, feature count)."""
-    return ds.n, len(_cite_pairs(ds)), ds.dim
+    return ds.n, len(ds.cite_pairs), ds.dim
 
 
 def _opened(path: Path):
@@ -171,10 +208,13 @@ def _fmt_weight(w: float) -> str:
 
 
 def write_msg1(g: SimGraph, path: str | Path) -> None:
-    """Write a graph in MSG1 form; edges emitted in (u, v) ascending order."""
+    """Write a graph in MSG1 form; edges emitted in (u, v) ascending order.
+    Each distinct weight is formatted once."""
     path = Path(path)
+    edges = list(g.edges())
+    text = {w: _fmt_weight(w) for w in {e[2] for e in edges}}
     lines = ["MSG1", f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v} {_fmt_weight(w)}" for u, v, w in g.edges())
+    lines.extend(f"{u} {v} {text[w]}" for u, v, w in edges)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -211,13 +211,13 @@ def is_feasible(F: Iterable[int], g: SimGraph, c: ConstraintPair) -> bool:
     members = _check_members(F, g)
     if len(members) <= c.p:
         return False
-    for u in members:
-        for t, w in zip(*g.row(u)):
-            if w > c.s and t in members:
-                break
-        else:
-            return False
-    return True
+    nodes = np.fromiter(members, np.int64, len(members))
+    unmet = np.zeros(g.n, dtype=bool)
+    unmet[nodes] = True
+    rows, pos = g.gather(nodes)
+    # a member with an edge above s to another member is met
+    unmet[rows[(g.weights[pos] > c.s) & unmet[g.indices[pos]]]] = False
+    return not unmet.any()
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,7 @@ from .graph import SimGraph
 # clearly a mistake rather than letting it run for hours.
 FULL_MODE_MAX_NODES = 5000
 
-_BLOCK = 256
-# floats in one temporary of the real-valued kernel (4 MB of float64)
+# floats in one kernel temporary (4 MB of float64)
 _KERNEL_FLOATS = 1 << 19
 
 
@@ -66,11 +65,10 @@ def normalize_attributes(raw: np.ndarray) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise DataError("attribute array contains NaN or infinite entries")
     lo = arr.min(axis=0)
-    hi = arr.max(axis=0)
-    span = hi - lo
-    out = np.zeros_like(arr)
-    varying = span > 0
-    out[:, varying] = (arr[:, varying] - lo[varying]) / span[varying]
+    span = arr.max(axis=0) - lo
+    # a constant column's entries all equal its minimum, so they come out 0
+    out = arr - lo
+    out /= np.where(span > 0, span, 1.0)
     return out
 
 
@@ -99,96 +97,148 @@ def _weights_block(block: np.ndarray, others: np.ndarray) -> np.ndarray:
     return np.minimum(np.sqrt(sums / d), 1.0)
 
 
-def _binary_weights_block(block: np.ndarray, others: np.ndarray) -> np.ndarray:
+def _binary_weights_block(left: np.ndarray, right: np.ndarray, d: int) -> np.ndarray:
     """Same as _weights_block for 0/1 attributes, via one matrix product.
 
-    For binary vectors each coordinate contributes 1 when equal and 0 when
-    different, so the inner sum is just the count of agreeing coordinates:
-    d - hamming = d - (ones(x) + ones(y) - 2*dot(x, y)).
+    For 0/1 vectors each coordinate adds 1 to the inner sum when the two
+    agree and 0 when they differ, so the sum counts agreements,
+    d - |x| - |y| + 2 x.y: the product of the factor rows [x, 1, d - |x|]
+    in ``left`` and the factor columns [2y, -|y|, 1] in ``right``. Every
+    partial sum of that product is an integer in [-d, 3d], so a float32
+    product is exact while 3d <= 2**24, and the weights have the bits
+    ``pair_weight`` gives.
     """
-    d = block.shape[1]
-    dots = block @ others.T
-    ones_b = block.sum(axis=1)[:, None]
-    ones_o = others.sum(axis=1)[None, :]
-    agree_counts = d - (ones_b + ones_o - 2.0 * dots)
-    return np.sqrt(agree_counts / d)
+    w = np.divide(left @ right, d, dtype=np.float64)
+    return np.sqrt(w, out=w)
 
 
 def _is_binary(values: np.ndarray) -> bool:
-    return bool(np.isin(values, (0.0, 1.0)).all())
+    return bool(((values == 0.0) | (values == 1.0)).all())
+
+
+def _weight_rows(values: np.ndarray):
+    """Yield ``(lo, w)`` over consecutive blocks of rows, ``w[i, v]`` being
+    the weight between rows ``lo + i`` and ``v``; a block holds at most
+    ``_KERNEL_FLOATS`` weights, or one row where a row holds more."""
+    n, d = values.shape
+    step = max(1, _KERNEL_FLOATS // max(1, n))
+    if not _is_binary(values):
+        for lo in range(0, n, step):
+            yield lo, _weights_block(values[lo:lo + step], values)
+        return
+    dtype = np.float32 if 3 * d <= 2**24 else np.float64
+    ones = values.sum(axis=1)
+    left = np.column_stack((values, np.ones_like(ones), d - ones)).astype(dtype)
+    right = np.vstack((2.0 * values.T, -ones, np.ones_like(ones)), dtype=dtype)
+    for lo in range(0, n, step):
+        yield lo, _binary_weights_block(left[lo:lo + step], right, d)
+
+
+def _last_of_each_pair(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Positions of the last occurrence of each unordered pair ``{a[i], b[i]}``,
+    in increasing (min, max) order."""
+    key = np.minimum(a, b) * n + np.maximum(a, b)
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    return order[np.append(ranked[1:] != ranked[:-1], True)]
+
+
+def _edge_weights(values: np.ndarray, edges) -> np.ndarray:
+    """The (u, v, w) rows, u < v, of the distinct non-loop pairs in ``edges``
+    with a positive weight; a pair given twice takes its last orientation."""
+    n, d = values.shape
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    bad = ~((e >= 0) & (e < n)).all(axis=1)
+    if bad.any():
+        u, v = e[int(bad.argmax())].tolist()
+        raise ParameterError(f"edge ({u}, {v}) outside 0..{n - 1}")
+    e = e[e[:, 0] != e[:, 1]]
+    e = e[_last_of_each_pair(e[:, 0], e[:, 1], n)]
+    if d and _is_binary(values):
+        # every term of the inner sum is 0 or 1, so counting agreeing
+        # coordinates gives pair_weight's bits; gathered in slices of at
+        # most _KERNEL_FLOATS coordinates
+        bits = values != 0.0
+        counts = np.empty(len(e), dtype=np.int64)
+        step = max(1, _KERNEL_FLOATS // d)
+        for lo in range(0, len(e), step):
+            part = e[lo:lo + step]
+            counts[lo:lo + step] = np.count_nonzero(bits[part[:, 0]] == bits[part[:, 1]], axis=1)
+        w = np.minimum(np.sqrt(counts / d), 1.0)
+    else:
+        w = np.array([pair_weight(values[u], values[v]) for u, v in e.tolist()])
+    e.sort(axis=1)
+    keep = w > 0.0
+    return np.column_stack((e[keep], w[keep]))
+
+
+def _knn_edges(values: np.ndarray, k: int) -> np.ndarray:
+    """The (u, v, w) rows of the union of each row's k heaviest pairs,
+    ties broken by ``argpartition``; zero weights make no edge."""
+    n = values.shape[0]
+    us, vs, ws = [], [], []
+    for lo, w in _weight_rows(values):
+        rows = np.arange(lo, lo + w.shape[0])
+        w[rows - lo, rows] = -1.0
+        top = np.argpartition(w, n - k, axis=1)[:, n - k:]
+        tw = np.take_along_axis(w, top, axis=1)
+        keep = tw > 0.0
+        us.append(np.broadcast_to(rows[:, None], top.shape)[keep])
+        vs.append(top[keep])
+        ws.append(tw[keep])
+    u, v, w = (np.concatenate(x) for x in (us, vs, ws))
+    at = _last_of_each_pair(u, v, n)
+    return np.column_stack((np.minimum(u, v)[at], np.maximum(u, v)[at], w[at]))
+
+
+def _full_edges(values: np.ndarray) -> np.ndarray:
+    """The (u, v, w) rows, u < v, of every pair with a positive weight."""
+    n = values.shape[0]
+    parts = []
+    for lo, w in _weight_rows(values):
+        keep = w > 0.0
+        keep &= np.arange(n) > np.arange(lo, lo + w.shape[0])[:, None]
+        i, v = np.nonzero(keep)
+        parts.append(np.column_stack((i + lo, v, w[i, v])))
+    return np.concatenate(parts) if parts else np.zeros((0, 3))
 
 
 def build_similarity_graph(
     attrs: AttributeMatrix,
     mode: str = "edges",
-    edges: list[tuple[int, int]] | None = None,
+    edges: list[tuple[int, int]] | np.ndarray | None = None,
     k: int | None = None,
 ) -> SimGraph:
     """Turn attribute rows into a SimGraph, weighting pairs by similarity.
 
-    mode="edges" weights exactly the given (row, row) index pairs, for use
-    with an observed relation such as a citation list. mode="knn" connects
-    each row to its k most similar rows (union-symmetrized). mode="full"
-    weights every pair, and is guarded by FULL_MODE_MAX_NODES. Pairs whose
-    similarity is exactly 0 produce no edge in any mode.
+    mode="edges" weights exactly the given (row, row) index pairs (a list of
+    pairs or an (m, 2) array), for use with an observed relation such as a
+    citation list. mode="knn" connects each row to its k most similar rows
+    (union-symmetrized). mode="full" weights every pair, and is guarded by
+    FULL_MODE_MAX_NODES. Pairs whose similarity is exactly 0 produce no edge
+    in any mode. Every mode holds its kernel temporaries to about
+    ``_KERNEL_FLOATS`` floats, whatever the node count.
     """
     n = attrs.n
-    values = attrs.values
     labels = list(attrs.labels) if attrs.labels is not None else None
-    binary = _is_binary(values)
-    block_fn = _binary_weights_block if binary else _weights_block
 
     if mode == "edges":
         if edges is None:
             raise ParameterError('mode="edges" requires an edge list')
-        out: list[tuple[int, int, float]] = []
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParameterError(f"edge ({u}, {v}) outside 0..{n - 1}")
-            if u == v:
-                continue
-            w = pair_weight(values[u], values[v])
-            if w > 0.0:
-                out.append((min(u, v), max(u, v), w))
-        dedup = {(u, v): w for u, v, w in out}
-        return SimGraph(n, [(u, v, w) for (u, v), w in sorted(dedup.items())], labels=labels)
+        return SimGraph(n, _edge_weights(attrs.values, edges), labels=labels)
 
     if mode == "knn":
         if k is None or k < 1:
             raise ParameterError('mode="knn" requires k >= 1')
         if k >= n:
             raise ParameterError(f"k={k} must be below the node count {n}")
-        pairs: dict[tuple[int, int], float] = {}
-        for start in range(0, n, _BLOCK):
-            stop = min(start + _BLOCK, n)
-            w_rows = block_fn(values[start:stop], values)
-            for i in range(stop - start):
-                u = start + i
-                row = w_rows[i].copy()
-                row[u] = -1.0
-                top = np.argpartition(row, n - k)[n - k:]
-                for v in top:
-                    w = float(row[v])
-                    if w > 0.0:
-                        a, b = (u, int(v)) if u < v else (int(v), u)
-                        pairs[(a, b)] = w
-        return SimGraph(n, [(u, v, w) for (u, v), w in sorted(pairs.items())], labels=labels)
+        return SimGraph(n, _knn_edges(attrs.values, k), labels=labels)
 
     if mode == "full":
         if n > FULL_MODE_MAX_NODES:
             raise CapacityError(
                 f"full mode on {n} nodes exceeds the {FULL_MODE_MAX_NODES} node guard"
             )
-        out = []
-        for start in range(0, n, _BLOCK):
-            stop = min(start + _BLOCK, n)
-            w_rows = block_fn(values[start:stop], values)
-            for i in range(stop - start):
-                u = start + i
-                for v in range(u + 1, n):
-                    w = float(w_rows[i, v])
-                    if w > 0.0:
-                        out.append((u, v, w))
-        return SimGraph(n, out, labels=labels)
+        return SimGraph(n, _full_edges(attrs.values), labels=labels)
 
     raise ParameterError(f"unknown mode {mode!r}; expected edges, knn, or full")

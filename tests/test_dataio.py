@@ -2,10 +2,12 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from msel import (
     DataError,
+    MselError,
     ParseError,
     SimGraph,
     dataset_stats,
@@ -47,6 +49,7 @@ def test_dataset_stats_counts():
     # duplicates and the self cite collapse in the structural view
     raw = load_content_cites(DATA / "toy.content", DATA / "toy.cites")
     assert dataset_stats(raw) == (6, 5, 4)
+    assert raw.cite_pairs.tolist() == [[0, 1], [0, 2], [3, 4], [3, 5], [4, 5]]
 
 
 def test_to_sim_graph_weights_match_pair_weight():
@@ -96,6 +99,110 @@ def test_malformed_cite_line_rejected(tmp_path):
     with pytest.raises(ParseError) as err:
         load_content_cites(content, cites)
     assert "c.cites" in str(err.value)
+    cites.write_text("a b\n\nb a x\na\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="got 3 fields") as err:
+        load_content_cites(content, cites)
+    assert err.value.line == 3
+
+
+def _content_reference(path):
+    """A content file read one line at a time, each field checked in turn:
+    the reference the loader must agree with."""
+    ids, rows, labels, seen, dim = [], [], [], set(), -1
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            parts = raw.split()
+            if not parts:
+                continue
+            if len(parts) < 3:
+                raise ParseError(
+                    f"content line needs `id features... label`, got {len(parts)} fields",
+                    path=str(path), line=lineno,
+                )
+            if parts[0] in seen:
+                raise DataError(f"duplicate node id {parts[0]!r} in {path}")
+            seen.add(parts[0])
+            try:
+                vec = np.array(parts[1:-1], dtype=np.float64)
+            except ValueError as e:
+                raise ParseError(f"bad feature value: {e}", path=str(path), line=lineno) from e
+            if dim < 0:
+                dim = vec.size
+            elif vec.size != dim:
+                raise ParseError(f"expected {dim} features, found {vec.size}", path=str(path), line=lineno)
+            ids.append(parts[0])
+            rows.append(vec)
+            labels.append(parts[-1])
+    return tuple(ids), np.vstack(rows) if rows else np.zeros((0, 0)), tuple(labels)
+
+
+def _load_like_reference(tmp_path, text):
+    """Load ``text`` as a content file and check the loader against the
+    reference: the same ids, labels and feature bits, or the same error
+    class, message and line."""
+    content, cites = tmp_path / "t.content", tmp_path / "t.cites"
+    content.write_text(text, encoding="utf-8", newline="")
+    cites.write_text("", encoding="utf-8")
+    try:
+        ids, features, labels = _content_reference(content)
+    except MselError as e:
+        with pytest.raises(type(e)) as err:
+            load_content_cites(content, cites)
+        assert str(err.value) == str(e)
+        assert getattr(err.value, "line", None) == getattr(e, "line", None)
+        return err.value
+    ds = load_content_cites(content, cites)
+    assert (ds.ids, ds.labels) == (ids, labels)
+    assert ds.features.shape == features.shape
+    assert np.array_equal(ds.features.view(np.int64), features.view(np.int64))
+    return ds
+
+
+def test_loader_matches_line_by_line_reference_on_valid_files(tmp_path):
+    rng = random.Random(12)
+    spellings = [repr, "{:.3e}".format, "{:.20f}".format, "{:+.17g}".format,
+                 lambda x: str(int(x * 10)), lambda x: "-0", lambda x: "1e-320"]
+    for trial in range(12):
+        d = rng.randint(1, 9)
+        lines = []
+        for i in range(rng.randint(1, 40)):
+            values = [rng.choice(spellings)(rng.uniform(-1e3, 1e3)) for _ in range(d)]
+            gaps = [rng.choice([" ", "  ", "\t", " \t "]) for _ in range(d + 1)]
+            body = "".join(g + v for g, v in zip(gaps, values))
+            lines.append(f"{rng.choice(['', ' '])}n{i}ü{body}{gaps[-1]}lab{i % 3}é{rng.choice(['', ' '])}")
+            if rng.random() < 0.1:
+                lines.append(rng.choice(["", "  ", "\t"]))
+        end = rng.choice(["\n", "\r\n"])
+        text = end.join(lines) + rng.choice([end, ""])
+        ds = _load_like_reference(tmp_path, text)
+        assert ds.features.shape[1] == d
+
+
+def test_loader_matches_line_by_line_reference_on_every_fault(tmp_path):
+    cases = [
+        ("", None),                                   # no nodes
+        ("\n  \n", None),                            # blank lines only
+        ("a 1 0 x\n\n\nb 0 1 y\n", None),             # blank lines skipped
+        ("a 1_0 \u0661 x\nb 2 3 y\n", [[10.0, 1.0], [2.0, 3.0]]),
+        ("a nan -inf x\n", None),
+        ("a 1 0 x\n\nb 1\n", ParseError),           # short line after a blank
+        ("a\n", ParseError),
+        ("a 1 0 x\nb 1 y\n", ParseError),            # ragged, fewer
+        ("a 1 0 x\nb 1 0 1 y\n", ParseError),        # ragged, more
+        ("a 1 0 x\na 0 1 y\n", DataError),           # duplicate id
+        ("a 1 oops x\n", ParseError),                 # bad float
+        ("a 1 0 x\nb 1 oops y\nb 1 0 z\n", ParseError),
+        ("a 1 0 x\na 1 oops y\n", DataError),        # the id is checked first
+        ("a 1_0 0 x\nb 1 0 y\nc 1 y\n", ParseError),  # slow path, ragged last
+    ]
+    for text, expect in cases:
+        got = _load_like_reference(tmp_path, text)
+        if isinstance(expect, type):
+            assert isinstance(got, expect), text
+        else:
+            assert not isinstance(got, Exception), text
+            if expect is not None:
+                assert got.features.tolist() == expect
 
 
 # ---------------------------------------------------------------- msg1

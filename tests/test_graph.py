@@ -21,7 +21,7 @@ from msel import (
     total_weight,
 )
 
-from helpers import assert_close, gnp_graph, naive_incident, naive_total_weight
+from helpers import assert_close, gnp_graph, naive_feasible, naive_incident, naive_total_weight
 
 
 def test_total_weight_singleton(triangle):
@@ -40,6 +40,8 @@ def test_total_weight_triangle(triangle):
 def test_total_weight_rejects_bad_member(triangle):
     with pytest.raises(InvalidNodeError):
         total_weight({0, 3}, triangle)
+    with pytest.raises(InvalidNodeError, match="member id 3 outside 0..2"):
+        is_feasible({0, 3}, triangle, ConstraintPair(s=0.1, p=0))
 
 
 def test_avg_similarity_values(triangle):
@@ -201,6 +203,9 @@ def test_weight_arithmetic_matches_naive():
         if g.n:
             u = rng.randrange(g.n)
             assert_close(incident_weight(u, F, g), naive_incident(u, F, g))
+        for s in (0.1, 0.5, 0.9):
+            c = ConstraintPair(s=s, p=rng.randint(0, 3))
+            assert is_feasible(F, g, c) == naive_feasible(F, g, c)
 
 
 def test_max_incident_weight_after_a_bridged_union(two_triangles):

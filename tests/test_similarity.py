@@ -9,10 +9,12 @@ from msel import (
     CapacityError,
     DataError,
     ParameterError,
+    SimGraph,
     build_similarity_graph,
     normalize_attributes,
     pair_weight,
 )
+from msel.similarity import _weights_block
 
 
 def test_normalize_binary_unchanged():
@@ -157,8 +159,6 @@ def test_unknown_mode():
 
 def test_binary_fast_path_matches_generic():
     """Full-mode weights agree whether or not the 0/1 shortcut is taken."""
-    from msel.similarity import _weights_block
-
     rng = np.random.default_rng(33)
     values = (rng.random((40, 12)) < 0.4).astype(np.float64)
     attrs = AttributeMatrix(values, tuple(range(40)))
@@ -194,6 +194,91 @@ def test_real_valued_kernel_memory_is_bounded(monkeypatch):
     checked = [(u, v, w) for u, v, w in g.edges() if u < 64]
     assert checked
     assert all(w == whole[u, v] for u, v, w in checked)
+
+
+def _reference_graph(values, mode, edges=None, k=None):
+    """Per-pair and per-row builds of each mode, in plain loops: the
+    generic or 0/1 kernel over blocks of 256 rows, one argpartition per
+    knn row, and a dict that keeps the last weight of a repeated pair."""
+    n, d = values.shape
+    binary = np.isin(values, (0.0, 1.0)).all()
+
+    def block_fn(block, others):
+        if not binary:
+            return _weights_block(block, others)
+        dots = block @ others.T
+        ones_b = block.sum(axis=1)[:, None]
+        ones_o = others.sum(axis=1)[None, :]
+        return np.sqrt((d - (ones_b + ones_o - 2.0 * dots)) / d)
+
+    pairs = {}
+    if mode == "edges":
+        for u, v in edges:
+            if u != v:
+                w = pair_weight(values[u], values[v])
+                if w > 0.0:
+                    pairs[(min(u, v), max(u, v))] = w
+    for start in range(0, n, 256) if mode != "edges" else ():
+        stop = min(start + 256, n)
+        w_rows = block_fn(values[start:stop], values)
+        for i in range(stop - start):
+            u = start + i
+            if mode == "full":
+                for v in range(u + 1, n):
+                    if w_rows[i, v] > 0.0:
+                        pairs[(u, v)] = float(w_rows[i, v])
+                continue
+            row = w_rows[i].copy()
+            row[u] = -1.0
+            for v in np.argpartition(row, n - k)[n - k:].tolist():
+                if row[v] > 0.0:
+                    pairs[(min(u, v), max(u, v))] = float(row[v])
+    return SimGraph(n, [(u, v, w) for (u, v), w in sorted(pairs.items())])
+
+
+@pytest.mark.parametrize("kind", ["real", "binary", "ties"])
+def test_array_builds_match_the_loops(kind, monkeypatch):
+    """Every mode gives the CSR arrays of the plain loops, bit for bit, on
+    real-valued rows, random 0/1 rows and 0/1 rows repeated many times
+    (where knn must break ties as argpartition does row by row), and the
+    same again with kernel blocks of a few rows."""
+    from msel import similarity
+
+    rng = np.random.default_rng({"real": 41, "binary": 42, "ties": 43}[kind])
+    if kind == "real":
+        values = rng.random((90, 7))
+    elif kind == "binary":
+        values = (rng.random((90, 12)) < 0.4).astype(np.float64)
+    else:
+        values = (rng.random((6, 5)) < 0.5).astype(np.float64)[rng.integers(0, 6, 90)]
+    edges = [tuple(e) for e in rng.integers(0, 90, (300, 2)).tolist()]
+    attrs = AttributeMatrix(values, tuple(range(90)))
+    cases = [("edges", {"edges": edges}), ("full", {})] + [("knn", {"k": k}) for k in (1, 5, 20)]
+    for kernel_floats in (similarity._KERNEL_FLOATS, 200):
+        monkeypatch.setattr(similarity, "_KERNEL_FLOATS", kernel_floats)
+        for mode, kw in cases:
+            got = build_similarity_graph(attrs, mode=mode, **kw)
+            want = _reference_graph(values, mode, **kw)
+            assert got.m == want.m, (mode, kw)
+            for name in ("indptr", "indices", "weights"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (mode, kw, name)
+
+
+def test_edges_mode_memory_is_bounded():
+    """Weighing 100,000 pairs of 512-column 0/1 rows gathers the pairs'
+    rows a slice at a time, so the build stays small."""
+    rng = np.random.default_rng(6)
+    values = (rng.random((2000, 512)) < 0.3).astype(np.float64)
+    pairs = rng.integers(0, 2000, (100_000, 2))
+    attrs = AttributeMatrix(values, tuple(range(2000)))
+    tracemalloc.start()
+    try:
+        g = build_similarity_graph(attrs, mode="edges", edges=pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m > 90_000
+    assert peak <= 32 * 2**20
 
 
 def test_labels_carried_through():
