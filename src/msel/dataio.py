@@ -25,7 +25,12 @@ import numpy as np
 
 from .errors import DataError, MselError, ParseError
 from .graph import SimGraph
-from .similarity import AttributeMatrix, build_similarity_graph, normalize_attributes
+from .similarity import (
+    AttributeMatrix,
+    build_similarity_graph,
+    last_of_each_pair,
+    normalize_attributes,
+)
 
 
 @dataclass(frozen=True)
@@ -58,11 +63,10 @@ class RawDataset:
         index = {ext: i for i, ext in enumerate(self.ids)}
         ends = np.fromiter(map(index.__getitem__, chain.from_iterable(self.cite_edges)),
                            np.int64, 2 * len(self.cite_edges)).reshape(-1, 2)
-        ends.sort(axis=1)
         ends = ends[ends[:, 0] != ends[:, 1]]
-        key = np.sort(ends[:, 0] * self.n + ends[:, 1])
-        key = key[np.append(True, key[1:] != key[:-1])]
-        return np.column_stack(np.divmod(key, self.n))
+        ends = ends[last_of_each_pair(ends[:, 0], ends[:, 1], self.n)]
+        ends.sort(axis=1)
+        return ends
 
 
 def load_content_cites(content_path: str | Path, cites_path: str | Path) -> RawDataset:

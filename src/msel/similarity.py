@@ -129,18 +129,20 @@ def _weight_rows(values: np.ndarray):
     dtype = np.float32 if 3 * d <= 2**24 else np.float64
     ones = values.sum(axis=1)
     left = np.column_stack((values, np.ones_like(ones), d - ones)).astype(dtype)
-    right = np.vstack((2.0 * values.T, -ones, np.ones_like(ones)), dtype=dtype)
+    right = np.vstack((2.0 * values.T, -ones, np.ones_like(ones))).astype(dtype)
     for lo in range(0, n, step):
         yield lo, _binary_weights_block(left[lo:lo + step], right, d)
 
 
-def _last_of_each_pair(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Positions of the last occurrence of each unordered pair ``{a[i], b[i]}``,
-    in increasing (min, max) order."""
+def last_of_each_pair(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Positions of the last occurrence of each unordered pair ``{a[i], b[i]}``
+    of ids below ``n``, in increasing (min, max) order; empty for no pairs."""
     key = np.minimum(a, b) * n + np.maximum(a, b)
     order = np.argsort(key, kind="stable")
     ranked = key[order]
-    return order[np.append(ranked[1:] != ranked[:-1], True)]
+    last = np.ones(len(ranked), dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=last[:-1])
+    return order[last]
 
 
 def _edge_weights(values: np.ndarray, edges) -> np.ndarray:
@@ -153,7 +155,7 @@ def _edge_weights(values: np.ndarray, edges) -> np.ndarray:
         u, v = e[int(bad.argmax())].tolist()
         raise ParameterError(f"edge ({u}, {v}) outside 0..{n - 1}")
     e = e[e[:, 0] != e[:, 1]]
-    e = e[_last_of_each_pair(e[:, 0], e[:, 1], n)]
+    e = e[last_of_each_pair(e[:, 0], e[:, 1], n)]
     if d and _is_binary(values):
         # every term of the inner sum is 0 or 1, so counting agreeing
         # coordinates gives pair_weight's bits; gathered in slices of at
@@ -187,7 +189,7 @@ def _knn_edges(values: np.ndarray, k: int) -> np.ndarray:
         vs.append(top[keep])
         ws.append(tw[keep])
     u, v, w = (np.concatenate(x) for x in (us, vs, ws))
-    at = _last_of_each_pair(u, v, n)
+    at = last_of_each_pair(u, v, n)
     return np.column_stack((np.minimum(u, v)[at], np.maximum(u, v)[at], w[at]))
 
 

@@ -64,6 +64,23 @@ def test_convert_knn_mode(tmp_path, capsys):
     assert out.exists()
 
 
+@pytest.mark.parametrize("mode", ["edges", "knn:2", "full"])
+def test_convert_empty_cites_file(tmp_path, capsys, mode):
+    cites = tmp_path / "empty.cites"
+    cites.write_text("", encoding="utf-8")
+    out = tmp_path / "toy.msg1"
+    rc = main([
+        "convert",
+        "--content", str(DATA / "toy.content"),
+        "--cites", str(cites),
+        "--mode", mode,
+        "--out", str(out),
+    ])
+    assert rc == 0
+    assert "edges=0" in capsys.readouterr().out
+    assert out.read_text(encoding="utf-8").startswith("MSG1\n6 ")
+
+
 def test_convert_bad_mode_is_input_error(tmp_path, capsys):
     rc = main([
         "convert",

@@ -52,6 +52,18 @@ def test_dataset_stats_counts():
     assert raw.cite_pairs.tolist() == [[0, 1], [0, 2], [3, 4], [3, 5], [4, 5]]
 
 
+@pytest.mark.parametrize("cites", ["", "\n\n", "paper_a paper_zz\n", "paper_a paper_a\npaper_b paper_b\n"])
+def test_no_citation_pairs_convert_to_empty_edges(tmp_path, cites):
+    # an empty cites file, only unknown ids, or only self-citations
+    path = tmp_path / "toy.cites"
+    path.write_text(cites, encoding="utf-8")
+    raw = load_content_cites(DATA / "toy.content", path)
+    assert raw.cite_pairs.shape == (0, 2)
+    assert dataset_stats(raw) == (6, 0, 4)
+    assert to_sim_graph(raw).m == 0
+    assert to_sim_graph(raw, mode="knn", k=2).m > 0
+
+
 def test_to_sim_graph_weights_match_pair_weight():
     raw = load_content_cites(DATA / "toy.content", DATA / "toy.cites")
     g = to_sim_graph(raw)

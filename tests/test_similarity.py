@@ -125,6 +125,19 @@ def test_edges_mode_count_bound_and_dedup():
         build_similarity_graph(attrs, mode="edges")
 
 
+def test_no_pairs_give_an_empty_graph():
+    attrs = _attrs([[1, 0], [0, 1], [1, 0]])
+    for edges in ([], [(1, 1), (2, 2)], np.zeros((0, 2), dtype=np.int64)):
+        g = build_similarity_graph(attrs, mode="edges", edges=edges)
+        assert (g.n, g.m) == (3, 0)
+    real = _attrs([[0.5, 0.0], [0.25, 1.0]])
+    assert build_similarity_graph(real, mode="edges", edges=[]).m == 0
+    # every pair disagrees in full, so no pair has a positive weight
+    apart = _attrs([[1, 0], [0, 1]])
+    assert build_similarity_graph(apart, mode="knn", k=1).m == 0
+    assert build_similarity_graph(apart, mode="full").m == 0
+
+
 def test_full_mode_small_triangle():
     attrs = _attrs([[1, 0], [1, 1], [1, 0]])
     g = build_similarity_graph(attrs, mode="full")
