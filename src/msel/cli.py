@@ -229,7 +229,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
                 except ValueError as e:
                     raise ParseError(f"bad number: {e}", path=args.inp, line=reader.line_num) from None
                 series.setdefault(row["algo"], []).append(point)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot open: {e}", path=args.inp) from None
     if not series:
         raise ParseError("CSV has no data rows", path=args.inp)
@@ -286,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# bad input (files, formats, parameters) exits 2, any other package error 3
+# bad input (files, formats, parameters) exits 2, any other package error 3;
+# a file an augment event names that cannot be read or parsed is bad input
+# too, although the schedule step that reads it reports it
 _INPUT_ERRORS = (ParseError, ParameterError, DataError, CapacityError, PreconditionError, InvalidNodeError)
 
 
@@ -296,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except MselError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2 if isinstance(e, _INPUT_ERRORS) else 3
+        return 2 if isinstance(e, _INPUT_ERRORS) or isinstance(e.__cause__, ParseError) else 3
 
 
 if __name__ == "__main__":

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
-from operator import lt
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -79,12 +78,10 @@ def load_content_cites(content_path: str | Path, cites_path: str | Path) -> RawD
     content_path = Path(content_path)
     cites_path = Path(cites_path)
 
-    with _opened(content_path) as fh:
-        lines = fh.read().split("\n")
+    lines = read_text(content_path).split("\n")
     ids, features, labels = _content_columns(lines) or _content_by_line(lines, content_path)
 
-    with _opened(cites_path) as fh:
-        lines = fh.read().split("\n")
+    lines = read_text(cites_path).split("\n")
     fields = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
     bad = np.flatnonzero((fields != 0) & (fields != 2))
     if bad.size:
@@ -193,11 +190,14 @@ def dataset_stats(ds: RawDataset) -> tuple[int, int, int]:
     return ds.n, len(ds.cite_pairs), ds.dim
 
 
-def _opened(path: Path):
+def read_text(path: Path, failure: str = "cannot open") -> str:
+    """The text of the UTF-8 file at ``path``. A file that cannot be read or
+    is not UTF-8 raises ParseError naming it, its message opened by
+    ``failure``."""
     try:
-        return open(path, "r", encoding="utf-8")
-    except OSError as e:
-        raise ParseError(f"cannot open: {e}", path=str(path)) from None
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"{failure}: {e}", path=str(path)) from None
 
 
 def _fmt_weight(w: float) -> str:
@@ -225,15 +225,17 @@ def write_msg1(g: SimGraph, path: str | Path) -> None:
 def read_msg1(path: str | Path) -> SimGraph:
     """Parse an MSG1 file, enforcing the header, counts, ordering, and range.
 
-    A bad file raises ParseError naming its first bad line, as a line by
-    line reader would find it; a repeated edge names the line that repeats
+    The header is read line by line. An edge block with no `#` and at least
+    one non-blank line is then parsed with one ``np.loadtxt`` call and
+    checked on arrays. Every other block, and one that fails there (a fault,
+    or a number only ``int`` or ``float`` spells, such as ``1_0``), is read
+    again one line at a time. So a bad file raises that reader's ParseError,
+    naming its first bad line; a repeated edge names the line that repeats
     it.
     """
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as e:
-        raise ParseError(f"cannot open: {e}", path=str(path)) from None
+    text = read_text(path)
+    lines = text.splitlines()
 
     n = m = -1
     stage = 0
@@ -262,90 +264,86 @@ def read_msg1(path: str | Path) -> SimGraph:
     if stage == 1:
         raise ParseError("missing `N M` header", path=str(path))
 
-    edges, numbers = _edge_block(lines, lineno, n, m, path)
+    # `#` is no line break, so the edge block holds one iff the file holds
+    # more than the header lines; loadtxt warns on a block of blank lines
+    block_hashes = text.count("#") - "".join(lines[:lineno]).count("#")
+    del lines[:lineno]
+    if not block_hashes and any(map(str.strip, lines)):
+        edges = _edge_arrays(lines, n, m)
+        if edges is not None:
+            try:
+                return SimGraph(n, edges)
+            except MselError:
+                pass  # a repeated edge, whose line the line reader names
+    return _edge_lines(lines, lineno, n, m, path)
+
+
+_EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+
+
+def _edge_arrays(body: list[str], n: int, m: int) -> np.ndarray | None:
+    """The edges on lines ``body`` as an (m, 3) array of u, v, w parsed in
+    one call, or None unless they are exactly m edges ``0 <= u < v < n``
+    with weights in (0, 1].
+
+    ``np.loadtxt`` splits on the whitespace ``str.split`` splits on, parses a
+    float as ``float`` does and an int64 more strictly than ``int`` (no
+    ``1.0``, ``1_0``, non-ASCII digits or overflow), so whatever it accepts
+    reads as the line by line reader would read it.
+    """
     try:
-        return SimGraph(n, edges)
-    except MselError as e:
+        rows = np.loadtxt(body, dtype=_EDGE_ROW, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    u, v, w = rows["u"], rows["v"], rows["w"]
+    if len(rows) != m or not ((0 <= u) & (u < v) & (v < n) & (w > 0.0) & (w <= 1.0)).all():
+        return None
+    return np.column_stack((u, v, w))
+
+
+def _edge_lines(body: list[str], start: int, n: int, m: int, path: Path) -> SimGraph:
+    """The graph of edge lines ``body``, the first of which is line
+    ``start + 1``, checked one line at a time: three fields, numbers, at most
+    m edges, ``0 <= u < v < n``, a weight in (0, 1], m edges in all, no edge
+    twice. The first check failing on the first line failing any raises."""
+    edges, numbers = [], []
+    for lineno, raw in enumerate(body, start=start + 1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 3:
+            raise ParseError("edge line needs `u v w`", path=str(path), line=lineno)
+        try:
+            u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as e:
+            raise ParseError(f"bad edge: {e}", path=str(path), line=lineno) from e
+        if len(edges) == m:
+            raise ParseError(f"more than {m} edge lines", path=str(path), line=lineno)
+        if not 0 <= u < v < n:
+            raise ParseError(f"edge ({u}, {v}) violates 0 <= u < v < {n}", path=str(path), line=lineno)
+        if not 0.0 < w <= 1.0:
+            raise ParseError(f"weight {w!r} outside (0, 1]", path=str(path), line=lineno)
+        edges.append((u, v, w))
+        numbers.append(lineno)
+    if len(edges) != m:
+        raise ParseError(f"header promised {m} edges, found {len(edges)}", path=str(path))
+    e = np.array(edges, dtype=np.float64).reshape(-1, 3)
+    try:
+        return SimGraph(n, e)
+    except MselError as err:
         # a repeated edge is the one fault not caught above; the graph names
         # the smallest pair repeated, and its second line is the one to blame
-        key = edges[:, 0].astype(np.int64) * n + edges[:, 1].astype(np.int64)
+        key = e[:, 0].astype(np.int64) * n + e[:, 1].astype(np.int64)
         order = np.argsort(key, kind="stable")
         again = order[np.flatnonzero(np.diff(key[order]) == 0)[0] + 1]
-        raise ParseError(str(e), path=str(path), line=int(numbers[again])) from e
-
-
-# edge lines tokenised at a time, which bounds the tokens held at once
-_CHUNK = 8192
-
-
-def _edge_block(lines: list[str], start: int, n: int, m: int, path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """The edges on ``lines[start:]`` as an (m, 3) array of u, v, w, and the
-    line number of each.
-
-    Each chunk of lines is tokenised and its columns converted at once, and
-    no per-line object outlives its line, so a large file does not set off
-    the garbage collector. Of the checks a line by line reader makes in turn
-    (three fields, numbers, at most m edges, ``0 <= u < v < n``, a weight in
-    (0, 1]), the error raised is the first check failing on the first line
-    failing any.
-    """
-    blocks, numbers = [], []
-    seen = 0
-    for lo in range(start, len(lines), _CHUNK):
-        chunk = lines[lo:lo + _CHUNK]
-        fields = np.fromiter(map(len, map(str.split, chunk)), np.int64, len(chunk))
-        comment = np.fromiter(map(str.startswith, map(str.lstrip, chunk), repeat("#")), bool, len(chunk))
-        at = np.flatnonzero((fields > 0) & ~comment)
-        # (edge line index in the chunk, check order, message) of each failure
-        errors = []
-        short = np.flatnonzero(fields[at] != 3)
-        size = int(short[0]) if short.size else len(at)
-        if short.size:
-            errors.append((size, 0, "edge line needs `u v w`"))
-        # every line kept has three fields, so the tokens fall in threes
-        toks = " ".join(map(chunk.__getitem__, at[:size].tolist())).split()
-        cols = []
-        for c, conv in enumerate((int, int, float)):
-            vals: list = []
-            try:
-                vals.extend(map(conv, toks[c:3 * size:3]))
-            except ValueError as e:
-                # the converted values stop short of the first bad token
-                size = len(vals)
-                errors.append((size, 1, f"bad edge: {e}"))
-            cols.append(vals)
-        us, vs, ws = (col[:size] for col in cols)
-        if m - seen < size:
-            errors.append((m - seen, 2, f"more than {m} edge lines"))
-        if us and not (min(us) >= 0 and max(vs) < n and all(map(lt, us, vs))):
-            k = next(k for k, (u, v) in enumerate(zip(us, vs)) if not 0 <= u < v < n)
-            errors.append((k, 3, f"edge ({us[k]}, {vs[k]}) violates 0 <= u < v < {n}"))
-        w = np.array(ws, dtype=np.float64)
-        bad = np.flatnonzero(~((w > 0.0) & (w <= 1.0)))
-        if bad.size:
-            k = int(bad[0])
-            errors.append((k, 4, f"weight {ws[k]!r} outside (0, 1]"))
-        if errors:
-            k, _, message = min(errors)
-            raise ParseError(message, path=str(path), line=lo + int(at[k]) + 1)
-        blocks.append(np.column_stack((us, vs, w)))
-        numbers.append(at + lo + 1)
-        seen += size
-    if seen != m:
-        raise ParseError(f"header promised {m} edges, found {seen}", path=str(path))
-    if not blocks:
-        return np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
-    return np.concatenate(blocks), np.concatenate(numbers)
+        raise ParseError(str(err), path=str(path), line=numbers[again]) from err
 
 
 def parse_bridges(path: str | Path) -> list[tuple[int, int, float]]:
     """Read a bridge list: `u v w` per line, u in the base graph's id space and
     v in the incoming graph's local id space. `#` comments and blanks allowed."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise ParseError(f"cannot open: {e}", path=str(path)) from None
+    text = read_text(path)
     out: list[tuple[int, int, float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -41,6 +41,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .dataio import read_text
 from .errors import (
     MselError,
     ParameterError,
@@ -640,10 +641,7 @@ def parse_schedule(path: str | Path) -> tuple[ConstraintPair, list[ScheduleEvent
     skipped. Relative event paths resolve against the schedule's directory.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise ParseError(f"cannot read schedule: {e}", path=str(path)) from e
+    text = read_text(path, "cannot read schedule")
 
     init: ConstraintPair | None = None
     events: list[ScheduleEvent] = []

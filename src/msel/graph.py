@@ -41,7 +41,7 @@ class SimGraph:
             raise ParameterError(f"labels length {len(labels)} != node count {n}")
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
-        e = np.array(edges, dtype=np.float64)
+        e = np.asarray(edges, dtype=np.float64)  # only read, so an array is not copied
         if e.size == 0:
             e = e.reshape(0, 3)
         if e.ndim != 2 or e.shape[1] != 3:

@@ -180,6 +180,28 @@ def test_run_missing_graph_is_input_error(tmp_path, delta_schedule, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("bad", ["content", "graph", "schedule", "bridges", "csv"])
+def test_undecodable_file_is_input_error(tmp_path, capsys, cluster_graph, delta_schedule, bad):
+    # a file that is not UTF-8 is bad input wherever it is read, a bridges
+    # file read by an augment step included
+    path = tmp_path / f"bad.{bad}"
+    path.write_bytes(b"0 1 0.5\xff\n")
+    sched = tmp_path / "augment.sched"
+    sched.write_text(f"init p=2 s=0.05\naugment {cluster_graph.name} bridges {path.name}\n", encoding="utf-8")
+    out = str(tmp_path / "out")
+    argv = {
+        "content": ["convert", "--content", str(path), "--cites", str(DATA / "toy.cites"), "--out", out],
+        "graph": ["run", "--graph", str(path), "--schedule", str(delta_schedule), "--out", out],
+        "schedule": ["run", "--graph", str(cluster_graph), "--schedule", str(path), "--out", out],
+        "bridges": ["run", "--graph", str(cluster_graph), "--schedule", str(sched), "--out", out],
+        "csv": ["plot", "--in", str(path), "--out", out],
+    }[bad]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert "can't decode byte 0xff" in err
+
+
 def test_run_failing_schedule_is_schedule_error(tmp_path, cluster_graph, capsys):
     sched = tmp_path / "bad.sched"
     sched.write_text("init p=2 s=0.05\np -= 100\n", encoding="utf-8")

@@ -18,7 +18,9 @@ from msel import (
     to_sim_graph,
     write_msg1,
 )
+from msel import dataio
 from msel.dataio import _fmt_weight
+from msel.synth import planted_community_graph, random_graph
 
 from helpers import gnp_graph
 
@@ -319,23 +321,28 @@ BAD_EDGE_LINES = [
 ]
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 2])
+# the bad line is line 6 whether the `#` line sits in the edge block (None),
+# which sends the block straight to the line reader, or in the header (line 1
+# or 2), which lets np.loadtxt see the block and refuse it
+BAD_LINE_FILES = {
+    None: "MSG1\n3 2\n\n0 2 0.5\n# the next line is bad\n{bad}\n",
+    1: "# made by hand\nMSG1\n3 2\n0 2 0.5\n\n{bad}\n",
+    2: "MSG1\n# made by hand\n3 2\n0 2 0.5\n\n{bad}\n",
+}
+
+
+@pytest.mark.parametrize("header_comment", [None, 1, 2])
 @pytest.mark.parametrize("bad, message", BAD_EDGE_LINES)
-def test_read_names_the_bad_line(tmp_path, monkeypatch, bad, message, chunk):
-    if chunk is not None:
-        # the edge block is read in chunks of lines; the line named must
-        # not depend on where a chunk ends
-        monkeypatch.setattr("msel.dataio._CHUNK", chunk)
+def test_read_names_the_bad_line(tmp_path, bad, message, header_comment):
     p = tmp_path / "e.msg1"
-    p.write_text(f"MSG1\n3 2\n\n0 2 0.5\n# the next line is bad\n{bad}\n", encoding="utf-8")
+    p.write_text(BAD_LINE_FILES[header_comment].format(bad=bad), encoding="utf-8")
     with pytest.raises(ParseError) as err:
         read_msg1(p)
     assert err.value.line == 6
     assert str(err.value) == f"{p}:6: {message}"
 
 
-def test_read_names_the_first_of_several_bad_lines(tmp_path, monkeypatch):
-    monkeypatch.setattr("msel.dataio._CHUNK", 2)
+def test_read_names_the_first_of_several_bad_lines(tmp_path):
     p = tmp_path / "e.msg1"
     cases = [
         # a bad weight before a short line, a bad id before a bad weight,
@@ -351,6 +358,100 @@ def test_read_names_the_first_of_several_bad_lines(tmp_path, monkeypatch):
         with pytest.raises(ParseError) as err:
             read_msg1(p)
         assert (err.value.line, str(err.value)) == (line, f"{p}:{line}: {message}")
+
+
+def _read_both_ways(tmp_path, monkeypatch, text):
+    """Read ``text`` as an MSG1 file as the reader does and once more with
+    the array path refusing every block, and check both give the same CSR
+    bits or the same error and line. The array parse on its own must accept
+    no block the line reader rejects or reads otherwise, but for a repeated
+    edge, which the graph rejects."""
+    p = tmp_path / "t.msg1"
+    p.write_text(text, encoding="utf-8", newline="")
+    got = _outcome(read_msg1, p)
+    with monkeypatch.context() as mp:
+        mp.setattr(dataio, "_edge_arrays", lambda body, n, m: None)
+        ref = _outcome(read_msg1, p)
+    assert got == ref, text
+    lines = text.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.split() and line.split()[0].isdigit())
+    n, m = map(int, lines[header].split())
+    body = lines[header + 1:]
+    fast = dataio._edge_arrays(body, n, m) if any(map(str.strip, body)) else None
+    if fast is not None:
+        try:
+            assert _csr(SimGraph(n, fast)) == ref, text
+        except MselError:
+            assert "duplicate edge" in ref[0], text
+    return ref
+
+
+def _outcome(read, path):
+    try:
+        return _csr(read(path))
+    except ParseError as e:
+        return str(e), e.line
+
+
+def _csr(g):
+    return g.n, g.m, g.indptr.tolist(), g.indices.tolist(), g.weights.view(np.int64).tolist()
+
+
+def test_array_path_matches_line_reader(tmp_path, monkeypatch):
+    ok = "MSG1\n12 2\n0 1 0.5\n{0}\n"
+    cases = [
+        ("MSG1\n3 2\n0 1 0.5 # c\n1 2 0.5\n", (3, "edge line needs `u v w`")),
+        (ok.format("1.0 2 0.5"), (4, "bad edge: invalid literal for int() with base 10: '1.0'")),
+        (ok.format("1_0 2 0.5"), (4, "edge (10, 2) violates 0 <= u < v < 12")),
+        (ok.format("1_0 11 0.5"), None),
+        (ok.format("+1 2 0.5"), None),
+        (ok.format("99999999999999999999 2 0.5"), (4, "edge (99999999999999999999, 2) violates 0 <= u < v < 12")),
+        (ok.format("1 99999999999999999999 0.5"), (4, "edge (1, 99999999999999999999) violates 0 <= u < v < 12")),
+        (ok.format("1\xa02\xa00.5"), None),
+        (ok.format("1 2 \u0660.5"), None),
+        (ok.format("1 2 nan"), (4, "weight nan outside (0, 1]")),
+        (ok.format("1 2 1e0"), None),
+        ("MSG1\r\n3 2\r\n0 1 0.5\r\n1 2 0.25\r\n", None),
+        ("MSG1\n3 2\n\n0 1 0.5\n  \n# c\n\t# d\n1 2 0.25\n\n", None),
+        ("MSG1\n3 2\n0 1 0.5\n1 2 0.5\n0 1 0.25\n", (5, "more than 2 edge lines")),
+        ("MSG1\n3 3\n0 2 0.5\n1 2 0.5\n0 2 0.25\n", (5, "duplicate edge (0,2)")),
+        ("MSG1\n3 3\n0 1 0.5\n1 2 0.5\n", (None, "header promised 3 edges, found 2")),
+        ("MSG1\n3 2\n0 1 0.5\n1 2 0.5\n0 2 0.5\n", (5, "more than 2 edge lines")),
+        ("MSG1\n3 0\n", None),
+        ("MSG1\n3 0\n\n \n", None),
+        ("MSG1\n3 1\n\n \n", (None, "header promised 1 edges, found 0")),
+        ("MSG1\n3 0\n0 1 0.5\n", (3, "more than 0 edge lines")),
+    ]
+    for text, expect in cases:
+        got = _read_both_ways(tmp_path, monkeypatch, text)
+        if expect is None:
+            assert got[1] == int(text.split()[2]), text
+        else:
+            line, message = expect
+            where = f"{tmp_path / 't.msg1'}:" + (f"{line}: " if line else "")
+            assert got == (where + message, line), text
+
+
+def test_array_path_reads_written_graphs(tmp_path, monkeypatch):
+    # a written file never needs the line reader
+    def refuse(*args):
+        raise AssertionError("line reader used")
+
+    monkeypatch.setattr(dataio, "_edge_lines", refuse)
+    graphs = [random_graph(400, 3000, seed=5), planted_community_graph(600, 2000, seed=6, community=30)]
+    for k, g in enumerate(graphs):
+        path = tmp_path / f"g{k}.msg1"
+        write_msg1(g, path)
+        assert _csr(read_msg1(path)) == _csr(g)
+    toy = to_sim_graph(load_content_cites(DATA / "toy.content", DATA / "toy.cites"))
+    assert _csr(read_msg1(DATA / "golden.msg1")) == _csr(toy)
+
+
+@pytest.mark.parametrize("token", ["1.0", "1_0", "99999999999999999999", "-99999999999999999999"])
+def test_loadtxt_rejects_what_int_would_read_otherwise(token):
+    # numpy before 1.23 parsed int columns through float and truncated them
+    with pytest.raises(ValueError):
+        np.loadtxt([f"{token} 2 0.5"], dtype=dataio._EDGE_ROW, comments=None, ndmin=1)
 
 
 def test_read_empty_file(tmp_path):
