@@ -23,7 +23,6 @@ from .dcsel import (
     apply_similarity_delta,
     apply_size_delta,
     augment_graph,
-    expand_greedy,
     init_session,
     parse_schedule,
     run_schedule,
@@ -96,7 +95,6 @@ __all__ = [
     "degree_peel",
     "disjoint_union",
     "exact_msp",
-    "expand_greedy",
     "incident_weight",
     "init_session",
     "is_feasible",

@@ -77,11 +77,6 @@ def _solver(algo: str) -> Callable[[SimGraph, ConstraintPair, int], Solution]:
         raise ParameterError(f"unknown algorithm {algo!r}; choose from {', '.join(ALGORITHMS)}") from None
 
 
-def solve_once(algo: str, g: SimGraph, c: ConstraintPair, seed: int) -> Solution:
-    """One from-scratch solve with the named algorithm."""
-    return _solver(algo)(g, c, seed)
-
-
 def replay(
     algo: str,
     g: SimGraph,
@@ -203,7 +198,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         return 0
     print(f"OPT = {' '.join(str(u) for u in sorted(res.opt_set))}")
     print(f"alpha(OPT) = {res.opt_alpha:.6f}")
-    sol = solve_once(args.algo, g, c, args.seed)
+    sol = _solver(args.algo)(g, c, args.seed)
     ratio = ratio_check(g, c, sol)
     print(f"alpha({args.algo}) = {sol.alpha:.6f}")
     print(f"ratio = {ratio:.6f}")

@@ -10,7 +10,7 @@ line (`id f1 ... fd label`, whitespace separated) and a cites file with one
 
 with `#` comment lines allowed, UTF-8, LF endings. Weights are written with
 at least six significant digits so reading a written file reproduces every
-weight bit for bit. Node labels are not carried by MSG1.
+weight bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, MselError, ParseError
-from .graph import SimGraph
+from .graph import MAX_NODES, SimGraph
 from .similarity import (
     AttributeMatrix,
     build_similarity_graph,
@@ -177,11 +177,7 @@ def to_sim_graph(ds: RawDataset, mode: str = "edges", k: int | None = None) -> S
     leaves 0/1 columns' weights unchanged and brings unbounded columns into
     range.
     """
-    attrs = AttributeMatrix(
-        values=normalize_attributes(ds.features),
-        ids=tuple(range(ds.n)),
-        labels=ds.labels,
-    )
+    attrs = AttributeMatrix(values=normalize_attributes(ds.features), ids=tuple(range(ds.n)))
     return build_similarity_graph(attrs, mode=mode, edges=ds.cite_pairs, k=k)
 
 
@@ -257,6 +253,9 @@ def read_msg1(path: str | Path) -> SimGraph:
             raise ParseError(f"bad header: {e}", path=str(path), line=lineno) from e
         if n < 0 or m < 0:
             raise ParseError("negative counts", path=str(path), line=lineno)
+        if n > MAX_NODES:
+            raise ParseError(f"node count {n} exceeds the {MAX_NODES} node limit",
+                             path=str(path), line=lineno)
         stage = 2
         break
     if stage == 0:
@@ -301,22 +300,31 @@ def _edge_arrays(body: list[str], n: int, m: int) -> np.ndarray | None:
     return np.column_stack((u, v, w))
 
 
+def _uvw_lines(lines: list[str], start: int, path: Path, what: str):
+    """Yield ``(line number, u, v, w)`` for each line of ``lines`` that is not
+    blank or a `#` comment, the first being line ``start``. A line without
+    three fields, or whose fields do not parse as int, int, float, raises a
+    ParseError that names it a bad ``what``."""
+    for lineno, raw in enumerate(lines, start=start):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 3:
+            raise ParseError(f"{what} line needs `u v w`", path=str(path), line=lineno)
+        try:
+            u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as e:
+            raise ParseError(f"bad {what}: {e}", path=str(path), line=lineno) from e
+        yield lineno, u, v, w
+
+
 def _edge_lines(body: list[str], start: int, n: int, m: int, path: Path) -> SimGraph:
     """The graph of edge lines ``body``, the first of which is line
     ``start + 1``, checked one line at a time: three fields, numbers, at most
     m edges, ``0 <= u < v < n``, a weight in (0, 1], m edges in all, no edge
     twice. The first check failing on the first line failing any raises."""
     edges, numbers = [], []
-    for lineno, raw in enumerate(body, start=start + 1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if len(parts) != 3:
-            raise ParseError("edge line needs `u v w`", path=str(path), line=lineno)
-        try:
-            u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as e:
-            raise ParseError(f"bad edge: {e}", path=str(path), line=lineno) from e
+    for lineno, u, v, w in _uvw_lines(body, start + 1, path, "edge"):
         if len(edges) == m:
             raise ParseError(f"more than {m} edge lines", path=str(path), line=lineno)
         if not 0 <= u < v < n:
@@ -343,19 +351,8 @@ def parse_bridges(path: str | Path) -> list[tuple[int, int, float]]:
     """Read a bridge list: `u v w` per line, u in the base graph's id space and
     v in the incoming graph's local id space. `#` comments and blanks allowed."""
     path = Path(path)
-    text = read_text(path)
     out: list[tuple[int, int, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError("bridge line needs `u v w`", path=str(path), line=lineno)
-        try:
-            u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as e:
-            raise ParseError(f"bad bridge: {e}", path=str(path), line=lineno) from e
+    for lineno, u, v, w in _uvw_lines(read_text(path).splitlines(), 1, path, "bridge"):
         if u < 0 or v < 0:
             raise ParseError("negative node id", path=str(path), line=lineno)
         if not (0.0 < w <= 1.0):

@@ -31,7 +31,6 @@ degrees of the nodes that change; only peels touch the whole graph.
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
 import time
@@ -253,32 +252,6 @@ class _Group:
             return cand
         return None
 
-    def absorb(self) -> None:
-        """Add outside nodes while the best one's weight into the group beats α.
-
-        Each accepted node strictly raises the average, so the loop terminates.
-        Candidates are outside nodes with an edge into the group; ties break to
-        the lowest id.
-        """
-        if not self.members:
-            return
-        g, mask, inw = self.graph, self.mask, self.inw
-        heap = [(-iw, u) for u, iw in enumerate(inw) if iw > 0.0 and not mask[u]]
-        heapq.heapify(heap)
-        size = len(self.members)
-        while heap:
-            niw, u = heapq.heappop(heap)
-            iw = -niw
-            if mask[u] or iw != inw[u]:
-                continue
-            if iw * size <= self.weight:
-                break
-            self.add(u)
-            size += 1
-            for t in g.row(u)[0]:
-                if not mask[t]:
-                    heapq.heappush(heap, (-inw[t], t))
-
     def extend_graph(self, g: SimGraph, bridges: list[tuple[int, int, float]]) -> None:
         """Move onto ``g = disjoint_union(self.graph, extra, bridges)``; the
         added nodes start outside, so only bridge ends change weight."""
@@ -478,19 +451,6 @@ def _repair(sess: Session, grp: _Group, whole: bool = False) -> _Group:
     _, k, run = max(picks, key=lambda e: e[0])
     cand = grp.challenger(run.trace.members_at(k), c)
     return grp if cand is None else cand
-
-
-def _grow(sess: Session) -> _Group:
-    grp = _group_of(sess)
-    grp.absorb()
-    return grp
-
-
-def expand_greedy(sess: Session, label: str = "expand") -> Solution:
-    """Grow the current group by the absorb rule and record the outcome."""
-    if not sess.current:
-        raise PreconditionError("expansion needs a nonempty current solution")
-    return _step(sess, label, _grow)
 
 
 def next_constraints(c: ConstraintPair, ev: ScheduleEvent) -> ConstraintPair:

@@ -12,9 +12,17 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidNodeError, ParameterError, PreconditionError
+from .errors import CapacityError, InvalidNodeError, ParameterError, PreconditionError
 
 Edge = tuple[int, int, float]
+
+# ids are stored as int32, so a graph holds at most 2**31 nodes
+MAX_NODES = 2**31
+
+
+def _check_node_count(n: int) -> None:
+    if n > MAX_NODES:
+        raise CapacityError(f"node count {n} exceeds the {MAX_NODES} node limit")
 
 
 class SimGraph:
@@ -28,17 +36,15 @@ class SimGraph:
     every traversal is deterministic. The arrays are read-only.
     """
 
-    __slots__ = ("n", "m", "labels", "indptr", "indices", "weights")
+    __slots__ = ("n", "m", "indptr", "indices", "weights")
 
-    def __init__(self, n: int, edges: Iterable[Edge] | np.ndarray,
-                 labels: Sequence[str] | None = None):
+    def __init__(self, n: int, edges: Iterable[Edge] | np.ndarray):
         """``edges`` holds (u, v, w) triples in any order, as an iterable or
         an (m, 3) array. A bad edge raises for the first one in input
         order, a duplicate for the smallest (u, v) repeated."""
         if n < 0:
             raise ParameterError(f"node count must be nonnegative, got {n}")
-        if labels is not None and len(labels) != n:
-            raise ParameterError(f"labels length {len(labels)} != node count {n}")
+        _check_node_count(n)
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
         e = np.asarray(edges, dtype=np.float64)  # only read, so an array is not copied
@@ -69,14 +75,13 @@ class SimGraph:
             raise ParameterError(f"duplicate edge ({rows[dup[0]]},{cols[dup[0]]})")
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        self._set(n, len(e), labels, indptr, cols.astype(np.int32), np.concatenate((w, w))[order])
+        self._set(n, len(e), indptr, cols.astype(np.int32), np.concatenate((w, w))[order])
 
-    def _set(self, n, m, labels, indptr, indices, weights) -> None:
+    def _set(self, n, m, indptr, indices, weights) -> None:
         """Take validated, sorted arrays as the graph's, read-only."""
         for a in (indptr, indices, weights):
             a.flags.writeable = False
         self.n, self.m = n, m
-        self.labels = tuple(labels) if labels is not None else None
         self.indptr, self.indices, self.weights = indptr, indices, weights
 
     def row(self, u: int) -> tuple[list[int], list[float]]:
@@ -259,6 +264,7 @@ def disjoint_union(g1: SimGraph, g2: SimGraph, bridges: Iterable[Edge] = ()) -> 
     array copying, and neither input is ever mutated.
     """
     offset, n = g1.n, g1.n + g2.n
+    _check_node_count(n)
     ends: list[tuple[int, int]] = []
     weights: list[float] = []
     for u, v, w in bridges:
@@ -289,12 +295,7 @@ def disjoint_union(g1: SimGraph, g2: SimGraph, bridges: Iterable[Edge] = ()) -> 
     indices = np.insert(np.concatenate((g1.indices, g2.indices + np.int32(offset))), at, cols)
     wts = np.insert(np.concatenate((g1.weights, g2.weights)), at, np.array(weights * 2)[order])
     indptr = base + np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    labels = None
-    if g1.labels is not None or g2.labels is not None:
-        l1 = g1.labels if g1.labels is not None else ("",) * g1.n
-        l2 = g2.labels if g2.labels is not None else ("",) * g2.n
-        labels = l1 + l2
     # the arrays are validated and sorted already, so wrap them as they are
     g = SimGraph.__new__(SimGraph)
-    g._set(n, g1.m + g2.m + len(ends), labels, indptr, indices, wts)
+    g._set(n, g1.m + g2.m + len(ends), indptr, indices, wts)
     return g

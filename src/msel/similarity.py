@@ -31,7 +31,6 @@ class AttributeMatrix:
 
     values: np.ndarray
     ids: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.values.ndim != 2:
@@ -40,18 +39,10 @@ class AttributeMatrix:
             raise DataError(
                 f"{len(self.ids)} ids for {self.values.shape[0]} attribute rows"
             )
-        if self.labels is not None and len(self.labels) != self.values.shape[0]:
-            raise DataError(
-                f"{len(self.labels)} labels for {self.values.shape[0]} attribute rows"
-            )
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
 
 def normalize_attributes(raw: np.ndarray) -> np.ndarray:
@@ -222,25 +213,24 @@ def build_similarity_graph(
     ``_KERNEL_FLOATS`` floats, whatever the node count.
     """
     n = attrs.n
-    labels = list(attrs.labels) if attrs.labels is not None else None
 
     if mode == "edges":
         if edges is None:
             raise ParameterError('mode="edges" requires an edge list')
-        return SimGraph(n, _edge_weights(attrs.values, edges), labels=labels)
+        return SimGraph(n, _edge_weights(attrs.values, edges))
 
     if mode == "knn":
         if k is None or k < 1:
             raise ParameterError('mode="knn" requires k >= 1')
         if k >= n:
             raise ParameterError(f"k={k} must be below the node count {n}")
-        return SimGraph(n, _knn_edges(attrs.values, k), labels=labels)
+        return SimGraph(n, _knn_edges(attrs.values, k))
 
     if mode == "full":
         if n > FULL_MODE_MAX_NODES:
             raise CapacityError(
                 f"full mode on {n} nodes exceeds the {FULL_MODE_MAX_NODES} node guard"
             )
-        return SimGraph(n, _full_edges(attrs.values), labels=labels)
+        return SimGraph(n, _full_edges(attrs.values))
 
     raise ParameterError(f"unknown mode {mode!r}; expected edges, knn, or full")

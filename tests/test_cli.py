@@ -202,6 +202,17 @@ def test_undecodable_file_is_input_error(tmp_path, capsys, cluster_graph, delta_
     assert "can't decode byte 0xff" in err
 
 
+@pytest.mark.parametrize("n", ["100000000000000000000", "10000000000000"])
+def test_run_oversized_header_is_input_error(tmp_path, capsys, delta_schedule, n):
+    # any other exception would escape main and end the process with a traceback
+    graph = tmp_path / "big.msg1"
+    graph.write_text(f"MSG1\n{n} 0\n", encoding="utf-8")
+    argv = ["run", "--graph", str(graph), "--schedule", str(delta_schedule), "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {graph}:2: node count {n} exceeds the 2147483648 node limit\n"
+
+
 def test_run_failing_schedule_is_schedule_error(tmp_path, cluster_graph, capsys):
     sched = tmp_path / "bad.sched"
     sched.write_text("init p=2 s=0.05\np -= 100\n", encoding="utf-8")

@@ -270,11 +270,22 @@ def test_read_rejects_bad_magic(tmp_path):
 
 
 def test_read_rejects_bad_header(tmp_path):
-    for header in ["1", "a b", "-1 0", "1 -2"]:
-        p = tmp_path / "h.msg1"
+    cases = [
+        ("1", "header needs `N M`"),
+        ("a b", "bad header: invalid literal for int() with base 10: 'a'"),
+        ("-1 0", "negative counts"),
+        ("1 -2", "negative counts"),
+        # counts above the int32 id range are refused before any array is made
+        ("100000000000000000000 0", "node count 100000000000000000000 exceeds the 2147483648 node limit"),
+        ("10000000000000 0", "node count 10000000000000 exceeds the 2147483648 node limit"),
+        ("2147483649 0", "node count 2147483649 exceeds the 2147483648 node limit"),
+    ]
+    p = tmp_path / "h.msg1"
+    for header, message in cases:
         p.write_text(f"MSG1\n{header}\n", encoding="utf-8")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             read_msg1(p)
+        assert str(err.value) == f"{p}:2: {message}", header
 
 
 def test_read_rejects_wrong_edge_count(tmp_path):
@@ -485,11 +496,23 @@ def test_parse_bridges_golden(tmp_path):
 
 
 def test_parse_bridges_errors(tmp_path):
-    for text in ["0 1\n", "0 1 2 3\n", "a 1 0.5\n", "0 1 0.0\n", "0 1 1.5\n", "-1 0 0.5\n"]:
-        p = tmp_path / "b.txt"
+    cases = [
+        ("0 1\n", 1, "bridge line needs `u v w`"),
+        ("# c\n0 1 2 3\n", 2, "bridge line needs `u v w`"),
+        ("0 1 0.5\n\na 1 0.5\n", 3, "bad bridge: invalid literal for int() with base 10: 'a'"),
+        ("0 1 x\n", 1, "bad bridge: could not convert string to float: 'x'"),
+        ("0 1 0.0\n", 1, "weight 0.0 outside (0, 1]"),
+        ("0 1 1.5\n", 1, "weight 1.5 outside (0, 1]"),
+        ("-1 0 0.5\n", 1, "negative node id"),
+        ("0 -1 1.5\n", 1, "negative node id"),  # ids are checked before the weight
+    ]
+    p = tmp_path / "b.txt"
+    for text, line, msg in cases:
         p.write_text(text, encoding="utf-8")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             parse_bridges(p)
+        assert err.value.line == line, text
+        assert str(err.value) == f"{p}:{line}: {msg}", text
 
 
 def test_missing_files_give_clear_errors(tmp_path):

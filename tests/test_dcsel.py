@@ -6,12 +6,10 @@ from msel import (
     ConstraintPair,
     InvalidNodeError,
     ParameterError,
-    PeelProfile,
     PeelStats,
     PreconditionError,
     ScheduleError,
     ScheduleEvent,
-    Session,
     SimGraph,
     Solution,
     apply_similarity_delta,
@@ -19,7 +17,6 @@ from msel import (
     augment_graph,
     avg_similarity,
     exact_msp,
-    expand_greedy,
     init_session,
     is_feasible,
     modified_sgsel,
@@ -278,48 +275,12 @@ def test_size_decrease_recovers_from_infeasible_incumbent():
     assert sol.members == frozenset({0, 1})
 
 
-# ---------------------------------------------------------------- expansion
-
-
-def test_expand_greedy_absorbs_strong_neighbor():
-    g = SimGraph(3, [(0, 1, 0.2), (0, 2, 0.3), (1, 2, 0.3)])
-    sess = Session(
-        graph=g,
-        constraints=ConstraintPair(s=0.1, p=1),
-        current=Solution.from_members(g, {0, 1}),
-        profile=PeelProfile(),
-    )
-    sol = expand_greedy(sess)
-    assert sol.members == frozenset({0, 1, 2})
-    assert_close(sol.alpha, 0.8 / 3)
-    assert sess.history[-1].event == "expand"
-
-
-def test_expand_greedy_boundary_node_stays_out():
-    # node 2's pull equals the current average exactly, so it is not taken
-    g = SimGraph(3, [(0, 1, 0.2), (0, 2, 0.1)])
-    sess = Session(
-        graph=g,
-        constraints=ConstraintPair(s=0.05, p=1),
-        current=Solution.from_members(g, {0, 1}),
-        profile=PeelProfile(),
-    )
-    sol = expand_greedy(sess)
-    assert sol.members == frozenset({0, 1})
-
-
 def test_session_rejects_members_outside_the_graph(two_triangles):
     sess = init_session(two_triangles, ConstraintPair(s=0.05, p=1))
     for bad in (6, -1):
         sess.current = Solution(frozenset({0, 1, bad}), 0.9, 0.3)
         with pytest.raises(InvalidNodeError):
             apply_size_delta(sess, 1)
-
-
-def test_expand_greedy_needs_a_group(two_triangles):
-    sess = init_session(two_triangles, ConstraintPair(s=0.95, p=1))
-    with pytest.raises(PreconditionError):
-        expand_greedy(sess)
 
 
 # ---------------------------------------------------------------- augmentation

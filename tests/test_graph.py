@@ -5,6 +5,7 @@ import pytest
 
 from msel import (
     AttributeMatrix,
+    CapacityError,
     ConstraintPair,
     InvalidNodeError,
     ParameterError,
@@ -133,8 +134,17 @@ def test_graph_rejects_bad_edges():
         SimGraph(2, [(0, 2, 0.5)])
     with pytest.raises(ParameterError):
         SimGraph(3, [(0, 1, 0.5), (1, 0, 0.5)])
-    with pytest.raises(ParameterError):
-        SimGraph(2, [(0, 1, 0.5)], labels=("a",))
+
+
+def test_graph_node_count_bound():
+    # ids are stored as int32: a larger count is refused before any array
+    # is made, so these allocate nothing
+    with pytest.raises(CapacityError):
+        SimGraph(2**31 + 1, [])
+    big = SimGraph.__new__(SimGraph)
+    big.n = 2**31
+    with pytest.raises(CapacityError):
+        disjoint_union(big, SimGraph(1, []))
 
 
 def test_graph_accessors(triangle):
@@ -224,7 +234,7 @@ def test_max_incident_weight_after_a_bridged_union(two_triangles):
 
 
 def test_disjoint_union_layout(two_triangles):
-    extra = SimGraph(2, [(0, 1, 0.5)], labels=("x", "y"))
+    extra = SimGraph(2, [(0, 1, 0.5)])
     base_adj = [list(two_triangles.neighbors(u)) for u in range(two_triangles.n)]
     extra_adj = [list(extra.neighbors(u)) for u in range(extra.n)]
     bridges = [(2, 0, 0.25), (0, 1, 0.75), (2, 1, 1.0)]
@@ -233,8 +243,6 @@ def test_disjoint_union_layout(two_triangles):
     assert merged.m == two_triangles.m + extra.m + len(bridges)
     assert merged.weight(6, 7) == 0.5
     assert merged.weight(2, 6) == 0.25
-    # base labels default to empty strings when only one side has labels
-    assert merged.labels == ("", "", "", "", "", "", "x", "y")
     # the merged graph shares adjacency with its inputs but never edits them
     assert [list(two_triangles.neighbors(u)) for u in range(two_triangles.n)] == base_adj
     assert [list(extra.neighbors(u)) for u in range(extra.n)] == extra_adj

@@ -89,9 +89,9 @@ def test_pair_weight_agreement_monotonicity():
         assert pair_weight(x, y2) >= pair_weight(x, y) - 1e-12
 
 
-def _attrs(rows, labels=None):
+def _attrs(rows):
     values = np.array(rows, dtype=np.float64)
-    return AttributeMatrix(values, tuple(range(len(rows))), labels)
+    return AttributeMatrix(values, tuple(range(len(rows))))
 
 
 def test_attribute_matrix_validation():
@@ -99,8 +99,6 @@ def test_attribute_matrix_validation():
         AttributeMatrix(np.zeros(3), (0, 1, 2))
     with pytest.raises(DataError):
         AttributeMatrix(np.zeros((2, 2)), (0,))
-    with pytest.raises(DataError):
-        AttributeMatrix(np.zeros((2, 2)), (0, 1), labels=("a",))
 
 
 def test_edges_mode_identical_nodes():
@@ -292,9 +290,3 @@ def test_edges_mode_memory_is_bounded():
         tracemalloc.stop()
     assert g.m > 90_000
     assert peak <= 32 * 2**20
-
-
-def test_labels_carried_through():
-    attrs = _attrs([[1, 0], [1, 0]], labels=("a", "b"))
-    g = build_similarity_graph(attrs, mode="edges", edges=[(0, 1)])
-    assert g.labels == ("a", "b")
