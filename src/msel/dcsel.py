@@ -23,6 +23,15 @@ and its last anchored run, so such a pick, or an anchored peel that would
 repeat the kept one, costs no peel; the kept runs save work only and
 change no result.
 
+Nor does an anchored peel run when it cannot win (the outclass check): the
+incumbent A is feasible and, with deg(u) an outside node's weighted degree
+and inw(u) its weight into A, M = max (deg(u) + inw(u)) / 2 is below
+alpha(A) by more than 1e-9 alpha(A) (|A| + 1). Every outside group then has
+alpha at most M and every superset of A a mediant of alpha(A) and M, so A
+stands. The skipped peel counts no work and folds no records (every set it
+would record but A lies below alpha(A)); a later event that needs it runs
+it then.
+
 The session keeps the incumbent's membership mask, each node's weight into
 the group and the group's support at the current similarity floor up to
 date as members come and go. Bookkeeping for an event therefore costs the
@@ -87,17 +96,19 @@ class ScheduleEvent:
             raise ParameterError("bridges only accompany augment events")
 
     def text(self) -> str:
-        """Canonical one-token-spacing form, used as the history label."""
+        """Canonical one-token-spacing form, used as the history label. A
+        real value is written in its shortest round-trip form, so two
+        different schedules never get the same label."""
         if self.kind == "size_set":
             return f"p={self.value}"
         if self.kind == "size_delta":
             v = self.value
             return f"p+={v}" if v >= 0 else f"p-={-v}"
         if self.kind == "similarity_set":
-            return f"s={self.value:g}"
+            return f"s={self.value!r}"
         if self.kind == "similarity_delta":
             v = self.value
-            return f"s+={v:g}" if v >= 0 else f"s-={-v:g}"
+            return f"s+={v!r}" if v >= 0 else f"s-={-v!r}"
         return f"augment {Path(self.value).name}"
 
 
@@ -251,6 +262,28 @@ class _Group:
         if cand.feasible(c) and (cand.alpha > self.alpha or not self.feasible(c)):
             return cand
         return None
+
+    def outclassed(self) -> bool:
+        """True when no set of outside nodes, alone or joined to the group,
+        can reach the group's alpha (Charikar's degree bound, APPROX 2000).
+
+        With ``deg(u)`` the weighted degree of an outside node u, let M be
+        the largest ``(deg(u) + inw(u)) / 2``. An outside set S has alpha(S)
+        at most the largest weighted degree inside S over 2, which is at
+        most M, and W(group + S) is at most W + |S| M, so neither beats the
+        group's alpha when M is below it. The margin makes the closest such
+        set, the group plus one node, lie clear of rounding error; the
+        group's weight must be settled."""
+        g = self.graph
+        outside = np.flatnonzero(np.frombuffer(self.mask, np.uint8) == 0)
+        if not outside.size:
+            return True
+        src, pos = g.gather(outside)
+        deg = np.bincount(src, weights=g.weights[pos], minlength=g.n)[outside]
+        inw = np.fromiter(map(self.inw.__getitem__, outside.tolist()), np.float64, outside.size)
+        bound = float((deg + inw).max()) / 2.0
+        alpha = self.alpha
+        return alpha - bound > 1e-9 * alpha * (len(self.members) + 1)
 
     def extend_graph(self, g: SimGraph, bridges: list[tuple[int, int, float]]) -> None:
         """Move onto ``g = disjoint_union(self.graph, extra, bridges)``; the
@@ -439,11 +472,19 @@ def _repair(sess: Session, grp: _Group, whole: bool = False) -> _Group:
     and s are still those of the last one, otherwise the better of the best
     superset of ``grp`` and the best group outside it, from one anchored
     peel around ``grp``. The two picks are ranked by their runs' alphas,
-    and the winner replaces ``grp`` only if it beats it (``challenger``)."""
+    and the winner replaces ``grp`` only if it beats it (``challenger``).
+
+    A feasible ``grp`` that no outside node is heavy enough to improve on
+    (``_Group.outclassed``) stands without the anchored peel: every group
+    that peel could propose has a lower alpha. The skipped peel counts no
+    work, folds no records into the profile (every set it would record but
+    ``grp`` has a lower alpha) and leaves the kept anchored run as it was."""
     c = sess.constraints
     grp.settle()
     at = sess._whole_at
     whole = whole or (at is not None and at[0] is sess.graph and at[1] == c.s)
+    if not whole and grp.feasible(c) and grp.outclassed():
+        return grp
     runs = _peel(sess, c, None if whole else grp)
     picks = [(run.alphas[k], k, run) for run in runs if (k := run.best_size(c.p))]
     if not picks:
@@ -527,7 +568,8 @@ def apply_similarity_delta(sess: Session, ds: float, label: str | None = None) -
     without any edge above the new floor are stripped, which reads only the
     edges of members with no edge above it into the group; a feasible
     stripped group is kept, any other is repaired by one anchored peel
-    around it. A lowered floor is searched by one anchored peel.
+    around it. A lowered floor is searched by one anchored peel, unless the
+    outclass check shows that peel cannot beat the group.
     """
     ev = ScheduleEvent("similarity_delta", float(ds))
     label = ev.text() if label is None else label
@@ -555,7 +597,8 @@ def augment_graph(
 
     The adopted result is the best candidate of one anchored peel around
     current: its best feasible superset, the best feasible group outside it,
-    or current unchanged. With an empty extra graph and no bridges nothing
+    or current unchanged; the peel is skipped when the outclass check shows
+    it cannot beat current. With an empty extra graph and no bridges nothing
     changes.
     """
     return _step(sess, label, _merge, extra, list(bridges) if bridges else [])

@@ -27,6 +27,7 @@ from msel import (
     write_msg1,
 )
 
+from msel import dcsel
 from msel.cli import replay
 
 from helpers import assert_close, gnp_graph
@@ -55,6 +56,11 @@ def test_schedule_event_text():
     assert ScheduleEvent("similarity_delta", 0.05).text() == "s+=0.05"
     assert ScheduleEvent("similarity_delta", -0.05).text() == "s-=0.05"
     assert ScheduleEvent("similarity_set", 0.3).text() == "s=0.3"
+    # reals in their shortest round-trip form, so labels tell values apart
+    assert ScheduleEvent("similarity_set", 0.123456789).text() == "s=0.123456789"
+    assert ScheduleEvent("similarity_delta", 0.123456789).text() == "s+=0.123456789"
+    assert ScheduleEvent("similarity_set", 1e-07).text() == "s=1e-07"
+    assert ScheduleEvent("similarity_delta", -1e-07).text() == "s-=1e-07"
     assert ScheduleEvent("augment", "/tmp/somewhere/extra.msg1").text() == "augment extra.msg1"
 
 
@@ -538,10 +544,11 @@ def _random_event(rng, sess):
         run_schedule(sess, [ScheduleEvent("similarity_set", round(rng.uniform(0.05, 0.9), 2))])
 
 
-def _random_session_walk(rng, n_events=4, forget_runs=False):
+def _random_session_walk(rng, n_events=4, forget_runs=False, oracle=True):
     """One random instance plus a short schedule of deltas, set events and
-    bridged augments, oracle-checked after every event. With ``forget_runs``
-    the session drops its kept peel runs before each event."""
+    bridged augments, checked against a recomputation and the oracle after
+    every event unless ``oracle`` is False. With ``forget_runs`` the session
+    drops its kept peel runs before each event."""
     g = gnp_graph(rng, rng.randint(4, 11))
     p = rng.randint(1, 3)
     s = rng.uniform(0.1, 0.4)
@@ -550,6 +557,8 @@ def _random_session_walk(rng, n_events=4, forget_runs=False):
         if forget_runs:
             sess._runs.clear()
         _random_event(rng, sess)
+        if not oracle:
+            continue
         _assert_bookkeeping(sess)
         res = exact_msp(sess.graph, sess.constraints)
         rec = sess.history[-1]
@@ -608,6 +617,88 @@ def test_kept_peel_runs_change_no_result():
         assert outcome(kept) == outcome(fresh)
         saved += fresh.event_removals - kept.event_removals
     assert saved > 0
+
+
+def _with_and_without_outclass(monkeypatch, play):
+    """Run ``play()`` with the outclass check and again with it off. Returns
+    for each run its steps, as (event, repr(alpha), size, feasible, members),
+    and what ``play`` returned, then the number of peels the check skipped."""
+    outclassed, record = dcsel._Group.outclassed, dcsel._record
+    skips = 0
+
+    def counted(grp):
+        nonlocal skips
+        hit = outclassed(grp)
+        skips += hit
+        return hit
+
+    runs = []
+    for check in (counted, lambda grp: False):
+        steps = []
+
+        def capture(sess, event, t0):
+            rec = record(sess, event, t0)
+            steps.append((rec.event, repr(rec.alpha), rec.size, rec.feasible, sess.current.members))
+            return rec
+
+        with monkeypatch.context() as m:
+            m.setattr(dcsel._Group, "outclassed", check)
+            m.setattr(dcsel, "_record", capture)
+            runs.append((steps, play()))
+    return runs[0], runs[1], skips
+
+
+def test_outclassed_incumbent_skips_the_anchored_peel(monkeypatch):
+    # the 40-node community (alpha 16.6) outweighs every outside node's
+    # degree bound, so a lowered floor cannot bring in a better group
+    g = planted_community_graph(3000, 9000, seed=1, community=40)
+    for ev in (ScheduleEvent("similarity_delta", -0.05), ScheduleEvent("similarity_set", 0.15)):
+        def play():
+            sess = init_session(g, ConstraintPair(s=0.2, p=2))
+            run_schedule(sess, [ev])
+            return sess
+
+        (on, sess), (off, peeled), skips = _with_and_without_outclass(monkeypatch, play)
+        assert skips == 1
+        assert sess.event_removals == 0 < peeled.event_removals
+        assert on == off
+
+
+def test_outclass_check_lets_a_denser_merge_peel():
+    # a merged 60-node community of alpha 25 beats the incumbent's 16.6
+    g = planted_community_graph(3000, 9000, seed=1, community=40)
+    sess = init_session(g, ConstraintPair(s=0.2, p=2))
+    extra = planted_community_graph(200, 2000, seed=2, community=60)
+    augment_graph(sess, extra, [(0, 0, 0.9)])
+    assert sess.event_removals > 0
+    assert sess.current.members == set(range(3000, 3060))
+
+
+def test_outclass_check_changes_no_result(monkeypatch):
+    # random walks, then mid-size schedules whose lowered floors and merges
+    # the check answers, each played with the check and without it
+    events = [ScheduleEvent(k, v) for k, v in (
+        ("similarity_delta", -0.05), ("size_set", 60), ("similarity_set", 0.1),
+        ("size_delta", -40), ("similarity_delta", 0.25), ("similarity_set", 0.15),
+        ("size_set", 5), ("similarity_delta", -0.05), ("size_delta", 30))]
+
+    def play():
+        rng = random.Random(13)
+        for _ in range(150):
+            _random_session_walk(rng, n_events=8, oracle=False)
+        for seed in range(3):
+            g = planted_community_graph(1500, 4500, seed=seed, community=30)
+            extra = planted_community_graph(300, 900, seed=seed + 3, community=20 + 10 * seed)
+            bridges = [(rng.randrange(g.n), rng.randrange(extra.n), rng.uniform(0.05, 1.0))
+                       for _ in range(5)]
+            sess = init_session(g, ConstraintPair(s=0.2, p=2))
+            run_schedule(sess, events)
+            augment_graph(sess, extra, bridges)
+            run_schedule(sess, events)
+
+    (on, _), (off, _), skips = _with_and_without_outclass(monkeypatch, play)
+    assert skips > 0
+    assert on == off
 
 
 def test_random_augments_track_the_oracle():
