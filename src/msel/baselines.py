@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import heapq
 import random
-from operator import truediv
 
 import numpy as np
 
 from .graph import ConstraintPair, SimGraph, Solution
-from .peel import PeelRun, PeelTrace, _running_sum, modified_sgsel
+from .peel import PeelRun, _running_sum, modified_sgsel
 
 
 def sgsel(g: SimGraph, c: ConstraintPair) -> Solution:
@@ -125,8 +124,8 @@ def _metric_peel(g, c, key_fn, static_keys: bool = False) -> Solution:
         if size == 0:
             break
 
-    run = PeelRun(PeelTrace(tuple(order)), [0.0, *map(truediv, totals[1:], range(1, n + 1))], supported)
+    run = PeelRun.of(tuple(order), totals[1:], supported)
     k = run.best_size(c.p)
     if not k:
         return Solution.empty()
-    return Solution(run.trace.members_at(k), totals[k], run.alphas[k])
+    return Solution(run.trace.members_at(k), totals[k], float(run.alphas[k]))

@@ -520,13 +520,20 @@ def _retarget(sess: Session, c_new: ConstraintPair) -> _Group | None:
     if c_new.p < c_old.p:
         # An infeasible incumbent never sets the bar: any feasible group beats it.
         floor = grp.alpha if grp.feasible(c_new) else -1.0
-        ranked = sorted(
-            (e for e in sess.profile.items() if e[0] > c_new.p and e[1] > floor),
-            key=lambda e: (-e[1], e[0]),
-        )
-        for size, _, trace in ranked:
-            if (cand := grp.challenger(trace.members_at(size), c_new)) is not None:
+        # challenger rejects a set some member of which has no edge above s
+        # to another member; a trace's support at every size is one array
+        # pass, made only once a set from that trace other than the
+        # incumbent's own has lost
+        support: dict[int, np.ndarray] = {}
+        for size, trace in sess.profile.ranked(c_new.p, floor):
+            ok = support.get(id(trace))
+            if ok is not None and not ok[size]:
+                continue
+            members = trace.members_at(size)
+            if (cand := grp.challenger(members, c_new)) is not None:
                 return cand
+            if ok is None and members != grp.members:
+                support[id(trace)] = trace.supported(sess.graph, c_new.s)
         return None
     if c_new.p > c_old.p:
         if sess.current and c_new.p < sess.current.size:
@@ -551,10 +558,11 @@ def apply_size_delta(sess: Session, dp: int, label: str | None = None) -> Soluti
 
     Decreases consult the profile: a feasible group strictly better than the
     incumbent is adopted (or the best feasible one, if the incumbent is not
-    itself feasible). Increases that the current group already satisfies are
-    free; otherwise one anchored peel around the group proposes the best of
-    the group, its best feasible superset and the best feasible group
-    outside it.
+    itself feasible). Recorded sets without support at the current s are
+    skipped once a set of the same removal order has lost. Increases that
+    the current group already satisfies are free; otherwise one anchored
+    peel around the group proposes the best of the group, its best
+    feasible superset and the best feasible group outside it.
     """
     ev = ScheduleEvent("size_delta", int(dp))
     label = ev.text() if label is None else label

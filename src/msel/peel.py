@@ -11,13 +11,22 @@ the size floor p: the best feasible set for any p is picked afterwards.
 A peel may pin an anchor group: its members stay alive and are never
 removed, so the one removal order records both the anchor plus the outside
 nodes still alive and those outside nodes alone, at every size.
+
+The loop keeps its candidates in a lazy-deletion heap: a node whose
+incident weight drops is pushed again, and the entries it leaves behind go
+stale. Once the stale entries popped since the last clean-up exceed a
+quarter of the heap, the heap is rebuilt from its valid entries alone.
+Every removal is still the least (incident weight, id) among the valid
+entries, so the removal order does not depend on when that happens. A
+run's per-size values and a profile's per-size entries are numpy arrays
+indexed by size, so picking a size or merging a run into a profile is a
+few array operations, not a loop over the sizes.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import truediv
 from typing import Collection, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
@@ -47,21 +56,50 @@ class PeelTrace:
             raise ParameterError(f"trace holds {len(self.order)} nodes, asked for {k}")
         return frozenset(self.order[len(self.order) - k:])
 
+    def supported(self, g: SimGraph, s: float) -> np.ndarray:
+        """For every size k, True when each member of the set of size k has
+        an edge above ``s`` in ``g`` to another member. A member stays
+        supported while the last to go of its neighbours above ``s`` in the
+        trace is still present, so one pass over the members' edges answers
+        every size."""
+        n = len(self.order)
+        order = np.array(self.order, dtype=np.int64)
+        pos = np.full(g.n, -1, dtype=np.int64)
+        pos[order] = np.arange(n)
+        src, at = g.gather(order)
+        dst = g.indices[at]
+        strong = (g.weights[at] > s) & (pos[dst] >= 0)
+        last = np.full(n, -1, dtype=np.int64)
+        np.maximum.at(last, pos[src[strong]], pos[dst[strong]])
+        # the member at position i is present from size n - i up and
+        # supported from size n - last[i] up; the set of size k holds the
+        # last k positions
+        ok = np.ones(n + 1, dtype=bool)
+        ok[1:] = np.maximum.accumulate((n - last)[::-1]) <= np.arange(1, n + 1)
+        return ok
+
 
 class PeelProfile:
     """Best objective value and best subgraph recorded per subgraph size.
 
     An entry is (alpha, trace), and the set of size k is always the last k
-    nodes of ``trace.order``. ``alpha_at(k)`` is -1.0 for sizes never
-    reached, matching the convention that an unrecorded size holds the
-    empty set. ``add_run`` merges every size of a peel run. ``run`` and
-    ``outside`` are the runs of the last peel ``modified_sgsel`` merged into
-    the profile: ``outside`` is None unless that peel pinned an anchor, and
-    both are None in a profile no peel went into.
+    nodes of ``trace.order``. The entries live in two arrays indexed by
+    size: the best alpha (-1.0 where nothing is recorded) and an index into
+    a list of the traces in use (-1 where nothing is recorded); both grow
+    when a size past their end is recorded. ``alpha_at(k)`` is -1.0 for
+    sizes never reached, matching the convention that an unrecorded size
+    holds the empty set. ``add_run`` merges every size of a peel run with
+    one array compare, and the first entry recorded for a size keeps it on
+    an exact tie. ``run`` and ``outside`` are the runs of the last peel
+    ``modified_sgsel`` merged into the profile: ``outside`` is None unless
+    that peel pinned an anchor, and both are None in a profile no peel went
+    into. Every alpha the profile hands out is a builtin float.
     """
 
     def __init__(self):
-        self._best: dict[int, tuple[float, PeelTrace]] = {}
+        self._alpha = np.empty(0)
+        self._which = np.empty(0, dtype=np.int64)
+        self._traces: list[PeelTrace] = []
         self.run: PeelRun | None = None
         self.outside: PeelRun | None = None
 
@@ -69,39 +107,82 @@ class PeelProfile:
         """The distinct runs of the last peel merged in."""
         return tuple(r for r in (self.run, self.outside) if r is not None)
 
+    def _reserve(self, size: int) -> None:
+        """Make room for sizes up to ``size``."""
+        cap = len(self._alpha)
+        if size >= cap:
+            grow = max(size + 1, 2 * cap) - cap
+            self._alpha = np.concatenate((self._alpha, np.full(grow, -1.0)))
+            self._which = np.concatenate((self._which, np.full(grow, -1, dtype=np.int64)))
+
+    def _drop_unused_traces(self) -> None:
+        """Forget the traces no size points to any more; a trace ``record``
+        displaced waits for the next ``add_run``."""
+        which = self._which
+        held = which >= 0
+        used = np.bincount(which[held], minlength=len(self._traces)) > 0
+        if not used.all():
+            self._traces = [t for t, u in zip(self._traces, used.tolist()) if u]
+            which[held] = (np.cumsum(used) - 1)[which[held]]
+
     def add_run(self, run: PeelRun) -> None:
         """Merge every size ``run`` recorded, as ``record`` would."""
-        best = self._best
-        trace, alphas = run.trace, run.alphas
-        for k in run.sizes():
-            cur = best.get(k)
-            if cur is None or alphas[k] > cur[0]:
-                best[k] = (alphas[k], trace)
+        lo, hi = run.first, len(run.trace.order) + 1
+        if lo >= hi:
+            return
+        self._reserve(hi - 1)
+        alphas = run.alphas[lo:hi]
+        cur, which = self._alpha[lo:hi], self._which[lo:hi]
+        better = (which < 0) | (alphas > cur)
+        if better.any():
+            cur[better] = alphas[better]
+            which[better] = len(self._traces)
+            self._traces.append(run.trace)
+            self._drop_unused_traces()
 
     def record(self, size: int, alpha: float, trace: PeelTrace) -> None:
         """Keep (alpha, trace) for ``size`` if alpha beats the stored value."""
-        cur = self._best.get(size)
-        if cur is None or alpha > cur[0]:
-            self._best[size] = (alpha, trace)
+        self._reserve(size)
+        if self._which[size] < 0 or alpha > self._alpha[size]:
+            self._alpha[size] = alpha
+            self._which[size] = len(self._traces)
+            self._traces.append(trace)
+
+    def _held(self, size: int) -> bool:
+        return 0 <= size < len(self._which) and self._which[size] >= 0
 
     def alpha_at(self, size: int) -> float:
-        cur = self._best.get(size)
-        return cur[0] if cur is not None else -1.0
+        return float(self._alpha[size]) if self._held(size) else -1.0
 
     def members_at(self, size: int) -> frozenset[int]:
-        cur = self._best.get(size)
-        return cur[1].members_at(size) if cur is not None else frozenset()
+        if not self._held(size):
+            return frozenset()
+        return self._traces[self._which[size]].members_at(size)
 
     def sizes(self) -> list[int]:
-        return sorted(self._best)
+        return np.flatnonzero(self._which >= 0).tolist()
 
     def items(self) -> Iterator[tuple[int, float, PeelTrace]]:
         """(size, alpha, trace) for every recorded size."""
-        for size in self.sizes():
-            yield size, *self._best[size]
+        sizes = np.flatnonzero(self._which >= 0)
+        traces = self._traces
+        for size, alpha, i in zip(sizes.tolist(), self._alpha[sizes].tolist(),
+                                  self._which[sizes].tolist()):
+            yield size, alpha, traces[i]
+
+    def ranked(self, p: int, floor: float) -> Iterator[tuple[int, PeelTrace]]:
+        """(size, trace) for every recorded size above ``p`` whose alpha
+        exceeds ``floor``, the highest alpha first and the smaller size
+        first on an exact tie."""
+        sizes = np.flatnonzero(self._which >= 0)
+        sizes = sizes[(sizes > p) & (self._alpha[sizes] > floor)]
+        sizes = sizes[np.lexsort((sizes, -self._alpha[sizes]))]
+        traces = self._traces
+        for size, i in zip(sizes.tolist(), self._which[sizes].tolist()):
+            yield size, traces[i]
 
     def __len__(self) -> int:
-        return len(self._best)
+        return int(np.count_nonzero(self._which >= 0))
 
 
 def _setup(g: SimGraph, s: float, alive: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -147,18 +228,27 @@ class PeelRun:
     """Everything one peel computes that does not depend on p.
 
     The set alive at size k is the last k nodes of ``trace.order``;
-    ``alphas[k]`` is its average similarity and ``supported[k]`` is 1 when
-    each of its members has an edge above s to another member. Sizes below
-    ``first`` are never reached (index 0 always, and every size below the
-    anchor's of an anchored peel's union run). A run depends only on the
-    graph, s, the start set and the anchor, so one run answers the peel's
-    question for every p.
+    ``alphas[k]`` (a float64 array) is its average similarity and
+    ``supported[k]`` (a uint8 array) is 1 when each of its members has an
+    edge above s to another member. Sizes below ``first`` are never reached
+    (index 0 always, and every size below the anchor's of an anchored
+    peel's union run). A run depends only on the graph, s, the start set
+    and the anchor, so one run answers the peel's question for every p.
     """
 
     trace: PeelTrace
-    alphas: list[float]
-    supported: bytearray
+    alphas: np.ndarray
+    supported: np.ndarray
     first: int = 1
+
+    @classmethod
+    def of(cls, order: tuple[int, ...], totals: Sequence[float], supported: bytes, first: int = 1) -> PeelRun:
+        """The run whose set at size ``first + i`` weighs ``totals[i]`` and
+        has support flag ``supported[first + i]``. Each alpha is one IEEE
+        division, so it has the bits ``totals[i] / (first + i)`` has."""
+        alphas = np.zeros(len(order) + 1)
+        np.divide(np.array(totals, dtype=np.float64), np.arange(first, len(order) + 1), out=alphas[first:])
+        return cls(PeelTrace(order), alphas, np.frombuffer(bytes(supported), np.uint8), first)
 
     def sizes(self) -> range:
         """Every size the run recorded."""
@@ -167,12 +257,14 @@ class PeelRun:
     def best_size(self, p: int) -> int:
         """Size of the best supported set above ``p`` nodes, 0 if none; the
         largest one wins an exact tie."""
-        alphas, supported = self.alphas, self.supported
-        best_alpha, best = -1.0, 0
-        for k in range(len(self.trace.order), max(p, self.first - 1), -1):
-            if supported[k] and alphas[k] > best_alpha:
-                best_alpha, best = alphas[k], k
-        return best
+        n = len(self.trace.order)
+        lo = max(p, self.first - 1) + 1
+        if lo > n:
+            return 0
+        # largest size first, so argmax's first maximum is the largest size
+        masked = np.where(self.supported[lo:] != 0, self.alphas[lo:], -1.0)[::-1]
+        i = int(masked.argmax())
+        return n - i if masked[i] > -1.0 else 0
 
     def best(self, p: int) -> frozenset[int]:
         """The set ``modified_sgsel`` returns for size floor ``p``."""
@@ -301,12 +393,22 @@ def modified_sgsel(
 
     pops = 0
     pushes = 0
+    stale = 0
     heappop = heapq.heappop
     heappush = heapq.heappush
     while heap:
         iw, v = heappop(heap)
         pops += 1
         if not alive[v] or iw != incident[v]:
+            # a stale entry; once more have been popped than a quarter of
+            # the heap holds, drop every stale entry at once. The removals
+            # do not change: each is the least (key, id) among the valid
+            # entries, however the heap holds them.
+            stale += 1
+            if 4 * stale > len(heap):
+                heap = [e for e in heap if alive[e[1]] and e[0] == incident[e[1]]]
+                heapq.heapify(heap)
+                stale = 0
             continue
         alive[v] = 0
         order.append(v)
@@ -345,18 +447,9 @@ def modified_sgsel(
         stats.removals += len(order)
 
     outside_order = tuple(order)
-    outside = PeelRun(
-        PeelTrace(outside_order),
-        [0.0, *map(truediv, out_totals[1:], range(1, m + 1))],
-        out_supported,
-    )
+    outside = PeelRun.of(outside_order, out_totals[1:], out_supported)
     if na:
-        run = PeelRun(
-            PeelTrace(outside_order + tuple(sorted(pins))),
-            [0.0] * na + list(map(truediv, totals, range(na, n_alive + 1))),
-            bytearray(na) + supported,
-            na,
-        )
+        run = PeelRun.of(outside_order + tuple(sorted(pins)), totals, bytes(na) + supported, na)
     else:
         run, outside = outside, None
     profile = PeelProfile() if into is None else into
@@ -367,4 +460,4 @@ def modified_sgsel(
     k = run.best_size(c.p)
     if not k:
         return Solution.empty(), profile
-    return Solution(run.trace.members_at(k), totals[k - na], run.alphas[k]), profile
+    return Solution(run.trace.members_at(k), totals[k - na], float(run.alphas[k])), profile

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from msel import (
@@ -619,11 +620,30 @@ def test_kept_peel_runs_change_no_result():
     assert saved > 0
 
 
+def _played_steps(monkeypatch, play, *patches):
+    """Run ``play()`` with each ``(owner, name, value)`` of ``patches`` set.
+    Returns its steps, as (event, repr(alpha), size, feasible, members), and
+    what ``play`` returned."""
+    record = dcsel._record
+    steps = []
+
+    def capture(sess, event, t0):
+        rec = record(sess, event, t0)
+        steps.append((rec.event, repr(rec.alpha), rec.size, rec.feasible, sess.current.members))
+        return rec
+
+    with monkeypatch.context() as m:
+        m.setattr(dcsel, "_record", capture)
+        for owner, name, value in patches:
+            m.setattr(owner, name, value)
+        return steps, play()
+
+
 def _with_and_without_outclass(monkeypatch, play):
     """Run ``play()`` with the outclass check and again with it off. Returns
-    for each run its steps, as (event, repr(alpha), size, feasible, members),
-    and what ``play`` returned, then the number of peels the check skipped."""
-    outclassed, record = dcsel._Group.outclassed, dcsel._record
+    for each run its ``_played_steps``, then the number of peels the check
+    skipped."""
+    outclassed = dcsel._Group.outclassed
     skips = 0
 
     def counted(grp):
@@ -632,20 +652,9 @@ def _with_and_without_outclass(monkeypatch, play):
         skips += hit
         return hit
 
-    runs = []
-    for check in (counted, lambda grp: False):
-        steps = []
-
-        def capture(sess, event, t0):
-            rec = record(sess, event, t0)
-            steps.append((rec.event, repr(rec.alpha), rec.size, rec.feasible, sess.current.members))
-            return rec
-
-        with monkeypatch.context() as m:
-            m.setattr(dcsel._Group, "outclassed", check)
-            m.setattr(dcsel, "_record", capture)
-            runs.append((steps, play()))
-    return runs[0], runs[1], skips
+    on = _played_steps(monkeypatch, play, (dcsel._Group, "outclassed", counted))
+    off = _played_steps(monkeypatch, play, (dcsel._Group, "outclassed", lambda grp: False))
+    return on, off, skips
 
 
 def test_outclassed_incumbent_skips_the_anchored_peel(monkeypatch):
@@ -774,3 +783,59 @@ def test_challenger_beats_the_group_only_when_feasible_and_better():
     weak = _Group(g, {6, 7, 8})
     assert weak.challenger(frozenset({0, 1, 2}), loose).members == {0, 1, 2}
     assert weak.members == {6, 7, 8}
+
+
+def _counting_challenger(calls):
+    """``_Group.challenger`` that appends every candidate to ``calls``."""
+    challenger = dcsel._Group.challenger
+
+    def counted(grp, members, c):
+        calls.append(members)
+        return challenger(grp, members, c)
+
+    return counted
+
+
+def test_size_decrease_skips_unsupported_profile_entries(monkeypatch):
+    # at s = 0.95 almost every set the init peel recorded (at s = 0.05) has
+    # a member without a strong edge; the scan used to hand all 2,935 of
+    # them above the new floor to challenger, copying the group each time
+    g = planted_community_graph(3000, 9000, seed=1, community=28)
+    sess = init_session(g, ConstraintPair(s=0.05, p=2))
+    run_schedule(sess, [ScheduleEvent("similarity_set", 0.95), ScheduleEvent("size_set", 200)])
+    calls = []
+    monkeypatch.setattr(dcsel._Group, "challenger", _counting_challenger(calls))
+    apply_size_delta(sess, -150)
+    rec = sess.history[-1]
+    assert (rec.size, rec.feasible, repr(rec.alpha)) == (28, False, "11.447025516517574")
+    # only the first set from each trace reaches challenger unchecked
+    traces = {id(t) for _, _, t in sess.profile.items()}
+    strict = ConstraintPair(s=0.95, p=0)
+    assert len(calls) <= len(traces)
+    assert sum(not is_feasible(m, g, strict) for m in calls) <= len(traces)
+
+
+def test_support_skip_changes_no_result(monkeypatch):
+    # the same walks and schedules with every recorded set taken as
+    # supported, so that every candidate reaches challenger
+    events = [ScheduleEvent(k, v) for k, v in (
+        ("similarity_set", 0.9), ("size_set", 120), ("size_delta", -100),
+        ("similarity_set", 0.3), ("size_set", 60), ("size_delta", -55),
+        ("similarity_delta", 0.4), ("size_delta", 30), ("size_delta", -28))]
+
+    def play():
+        rng = random.Random(14)
+        for _ in range(150):
+            _random_session_walk(rng, n_events=8, oracle=False)
+        g = planted_community_graph(500, 1500, seed=0, community=20)
+        run_schedule(init_session(g, ConstraintPair(s=0.05, p=2)), events)
+
+    def all_supported(trace, g, s):
+        return np.ones(len(trace.order) + 1, dtype=bool)
+
+    skipping, everything = [], []
+    on = _played_steps(monkeypatch, play, (dcsel._Group, "challenger", _counting_challenger(skipping)))
+    off = _played_steps(monkeypatch, play, (dcsel._Group, "challenger", _counting_challenger(everything)),
+                        (dcsel.PeelTrace, "supported", all_supported))
+    assert on == off
+    assert len(skipping) < len(everything)

@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 from types import SimpleNamespace
@@ -16,11 +17,19 @@ from msel import (
     incident_weight,
     is_feasible,
     modified_sgsel,
+    planted_community_graph,
     total_weight,
 )
 
-from msel.dcsel import _Group
-from msel.peel import _setup
+from msel.baselines import average_peel, degree_peel, random_peel
+from msel.dcsel import (
+    ScheduleEvent,
+    _Group,
+    augment_graph,
+    init_session,
+    run_schedule,
+)
+from msel.peel import PeelProfile, PeelRun, _setup
 
 from helpers import assert_close, gnp_graph
 
@@ -304,3 +313,198 @@ def test_group_fill_matches_adding_members_one_by_one():
             assert grp.mask[u] == (u in grp.members)
         assert grp.settled
         assert grp.weight == math.fsum(grp.inw[u] for u in grp.members) / 2.0
+
+
+def _reference_peel(g, s, anchor=None):
+    """The peel written plainly: prefilter, then remove the outside node
+    with the least (incident weight, id) found by a scan, subtracting its
+    edges from its neighbours' weights in row order. Returns the removal
+    order and, per size, (total, supported) for the union with the anchor
+    and for the outside nodes alone, with each starting total summed as
+    ``modified_sgsel`` sums it."""
+    pinned = frozenset(anchor.members) if anchor is not None else frozenset()
+    live = _naive_prefilter(g, s, set(range(g.n)) - pinned, pinned)
+    free = sorted(live)
+    incident = {u: incident_weight(u, live | pinned, g) for u in free}
+    anc = anchor.inw if anchor is not None else [0.0] * g.n
+    total = 0.0
+    for u in free:
+        total += incident[u] + anc[u]
+    total = total / 2.0 + (anchor.weight if anchor is not None else 0.0)
+    if pinned:
+        # the outside total is added in the order of the heap the loop
+        # starts from
+        heap = [(incident[u], u) for u in free]
+        heapq.heapify(heap)
+        out_total = 0.0
+        for iw, u in heap:
+            out_total += iw - anc[u]
+        out_total /= 2.0
+    else:
+        out_total = total
+
+    strong = {u: {t for t, w in g.neighbors(u) if w > s} for u in live | pinned}
+
+    def supported(members):
+        return all(not strong[u].isdisjoint(members) for u in members)
+
+    union, alone = {}, {}
+    order = []
+    while True:
+        union[len(live)] = (total, supported(live | pinned))
+        alone[len(live)] = (out_total, supported(live))
+        if not live:
+            break
+        iw, v = min((incident[u], u) for u in live)
+        live.discard(v)
+        order.append(v)
+        total -= iw
+        out_total -= iw - anc[v]
+        for t, w in g.neighbors(v):
+            if t in live:
+                incident[t] -= w
+    return order, union, alone
+
+
+def _assert_run_matches(run, order, per_size, offset):
+    assert run.trace.order[:len(order)] == tuple(order)
+    for k in run.sizes():
+        total, ok = per_size[k - offset]
+        assert repr(float(run.alphas[k])) == repr(total / k)
+        assert run.supported[k] == ok
+
+
+def test_peel_matches_a_reference_peel_bit_for_bit():
+    rng = random.Random(1401)
+    for i in range(60):
+        g = gnp_graph(rng, rng.randint(2, 24), prob=rng.choice([0.15, 0.4, 0.8]))
+        s = rng.choice([0.1, 0.3, 0.6])
+        anchor = None
+        if i % 2:
+            anchor = _Group(g, rng.sample(range(g.n), rng.randint(1, g.n // 2 or 1)))
+        _, profile = modified_sgsel(g, ConstraintPair(s=s, p=1), anchor=anchor)
+        order, union, alone = _reference_peel(g, s, anchor)
+        na = len(anchor.members) if anchor is not None else 0
+        _assert_run_matches(profile.run, order, union, na)
+        if anchor is not None:
+            _assert_run_matches(profile.outside, order, alone, 0)
+
+
+def test_compacting_heap_keeps_the_removal_order():
+    # stale entries pile up on this graph: without compaction its peel pops
+    # 5,950 entries for 1,717 removals
+    g = planted_community_graph(2000, 6000, seed=3, community=40)
+    stats = PeelStats()
+    _, profile = modified_sgsel(g, ConstraintPair(s=0.2, p=1), stats=stats)
+    order, union, _ = _reference_peel(g, 0.2)
+    _assert_run_matches(profile.run, order, union, 0)
+    assert stats.removals == len(order) == 1717
+    assert stats.pops <= 2 * stats.removals
+    assert stats.pops <= stats.pushes
+
+
+def test_profile_ties_keep_the_first_entry_and_sizes_grow():
+    first, second = PeelTrace((5, 1, 2)), PeelTrace((7, 8, 9))
+    profile = PeelProfile()
+    profile.record(2, 0.5, first)
+    profile.record(2, 0.5, second)
+    assert profile.members_at(2) == frozenset({1, 2})
+    profile.add_run(PeelRun.of((7, 8, 9), [0.2, 1.0, 0.9], b"\x00\x01\x01\x01"))
+    # size 2 ties at 0.5 and stays; size 1 is new, size 3 is new
+    assert profile.members_at(2) == frozenset({1, 2})
+    assert profile.sizes() == [1, 2, 3]
+    assert profile.alpha_at(3) == 0.3
+    profile.add_run(PeelRun.of((9, 8, 7), [0.2, 1.2, 0.9], b"\x00\x01\x01\x01"))
+    assert profile.members_at(2) == frozenset({8, 7})
+    assert profile.alpha_at(2) == 0.6
+    # a size far past everything recorded so far
+    profile.record(40, 2.0, PeelTrace(tuple(range(40))))
+    assert profile.sizes() == [1, 2, 3, 40] and len(profile) == 4
+    assert profile.members_at(40) == frozenset(range(40))
+    for size in (-1, 0, 4, 39, 41, 10_000):
+        assert profile.alpha_at(size) == -1.0
+        assert profile.members_at(size) == frozenset()
+
+
+def test_session_profile_grows_past_the_first_graph():
+    g = SimGraph(4, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5), (2, 3, 0.2)])
+    sess = init_session(g, ConstraintPair(s=0.1, p=1))
+    n = 6
+    extra = SimGraph(n, [(u, v, 0.9) for u in range(n) for v in range(u + 1, n)])
+    augment_graph(sess, extra, [(3, 0, 0.9)])
+    assert max(sess.profile.sizes()) > g.n
+    for size, alpha, _ in sess.profile.items():
+        members = sess.profile.members_at(size)
+        assert len(members) == size
+        assert_close(alpha, avg_similarity(members, sess.graph))
+
+
+def test_profile_ranked_is_the_sorted_order():
+    rng = random.Random(1402)
+    for _ in range(40):
+        g = gnp_graph(rng, rng.randint(2, 18), prob=rng.choice([0.3, 0.7]))
+        profile = PeelProfile()
+        for _ in range(rng.randint(1, 4)):
+            s = rng.choice([0.1, 0.4])
+            within = rng.sample(range(g.n), rng.randint(1, g.n))
+            modified_sgsel(g, ConstraintPair(s=s, p=0), within=within, into=profile)
+            size = rng.randint(1, g.n)
+            # equal alphas across sizes exercise the tie order
+            profile.record(size, rng.choice([0.25, 0.5, profile.alpha_at(size)]), PeelTrace(tuple(range(size))))
+        for p in range(-1, g.n + 1):
+            for floor in (-1.0, 0.25, rng.uniform(0.0, 1.0)):
+                old = sorted((e for e in profile.items() if e[0] > p and e[1] > floor),
+                             key=lambda e: (-e[1], e[0]))
+                assert list(profile.ranked(p, floor)) == [(k, t) for k, _, t in old]
+
+
+def test_run_best_size_rules():
+    # sizes 1..5 with alphas 0.25, 0.5, 0.5, 0.375, 0.5; size 5 is unsupported
+    run = PeelRun.of((4, 3, 2, 1, 0), [0.25, 1.0, 1.5, 1.5, 2.5], b"\x01\x01\x01\x01\x01\x00")
+    assert run.best_size(0) == 3  # ties between 2 and 3 go to the larger
+    assert run.best_size(2) == 3
+    assert run.best_size(3) == 4
+    assert run.best_size(4) == 0  # only size 5 is left, and it is unsupported
+    assert run.best_size(5) == run.best_size(50) == 0
+    assert run.best(0) == frozenset({0, 1, 2})
+    # a union run records nothing below its anchor's size
+    union = PeelRun.of((9, 8, 7, 6), [3.0, 3.0], b"\x00\x00\x00\x01\x01", first=3)
+    assert list(union.sizes()) == [3, 4]
+    assert union.best_size(0) == 3
+    assert union.best_size(3) == 4
+    assert union.best_size(4) == 0
+    assert PeelRun.of((), [], b"\x01").best_size(0) == 0
+
+
+def test_trace_support_matches_feasibility_at_every_size():
+    rng = random.Random(1403)
+    for _ in range(40):
+        g = gnp_graph(rng, rng.randint(1, 16), prob=rng.choice([0.2, 0.5]))
+        order = rng.sample(range(g.n), rng.randint(0, g.n))
+        s = rng.choice([0.1, 0.5, 0.8])
+        ok = PeelTrace(tuple(order)).supported(g, s)
+        assert len(ok) == len(order) + 1
+        for k in range(1, len(order) + 1):
+            members = frozenset(order[len(order) - k:])
+            assert ok[k] == is_feasible(members, g, ConstraintPair(s=s, p=0))
+
+
+def test_alphas_leave_the_package_as_builtin_floats():
+    rng = random.Random(1404)
+    g = gnp_graph(rng, 30, prob=0.3)
+    c = ConstraintPair(s=0.2, p=2)
+    sol, profile = modified_sgsel(g, c)
+    assert type(sol.alpha) is float
+    assert all(type(a) is float for _, a, _ in profile.items())
+    assert all(type(profile.alpha_at(k)) is float for k in range(-1, g.n + 2))
+    for solve in (degree_peel, average_peel):
+        assert type(solve(g, c).alpha) is float
+    assert type(random_peel(g, c, seed=1).alpha) is float
+    sess = init_session(g, c)
+    run_schedule(sess, [
+        ScheduleEvent("size_delta", 3), ScheduleEvent("size_delta", -4),
+        ScheduleEvent("similarity_delta", 0.2), ScheduleEvent("similarity_delta", -0.3),
+        ScheduleEvent("size_set", 3), ScheduleEvent("similarity_set", 0.25),
+    ])
+    assert all(type(r.alpha) is float for r in sess.history)
+    assert type(sess.current.alpha) is float
