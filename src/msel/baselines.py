@@ -15,7 +15,7 @@ import random
 import numpy as np
 
 from .graph import ConstraintPair, SimGraph, Solution
-from .peel import PeelRun, _running_sum, modified_sgsel
+from .peel import PeelRun, PeelTrace, _running_sum, modified_sgsel
 
 
 def sgsel(g: SimGraph, c: ConstraintPair) -> Solution:
@@ -69,8 +69,9 @@ def average_peel(g: SimGraph, c: ConstraintPair) -> Solution:
 
 def _metric_peel(g, c, key_fn, static_keys: bool = False) -> Solution:
     """Remove argmin key_fn(u, deg, incident) nodes one by one from the whole
-    graph, recording each size's total weight and support, and return the
-    set ``PeelRun.best_size`` picks, as the main peel does.
+    graph, recording each size's total weight, take every size's support
+    from the removal order (``PeelTrace.supported``) and return the set
+    ``PeelRun.best_size`` picks, as the main peel does.
 
     The initial untouched state is a candidate too. Keys are recomputed for a
     node whenever one of its neighbors is removed, unless ``static_keys``.
@@ -84,18 +85,15 @@ def _metric_peel(g, c, key_fn, static_keys: bool = False) -> Solution:
     total = _running_sum(incident_at) / 2.0
     incident = incident_at.tolist()
     deg = np.diff(g.indptr).tolist()
-    scnt = np.bincount(rows[g.weights > c.s], minlength=n).tolist()
 
     key = [key_fn(u, deg[u], incident[u]) for u in range(n)]
     heap = [(key[u], u) for u in range(n)]
     heapq.heapify(heap)
 
-    unsupported = sum(1 for u in range(n) if scnt[u] == 0)
     size = n
-    # the weight alive and whether all are supported, indexed by size
+    # the weight alive, indexed by size
     totals = [0.0] * (n + 1)
-    supported = bytearray(n + 1)
-    totals[n], supported[n] = total, unsupported == 0
+    totals[n] = total
     order: list[int] = []
 
     while heap:
@@ -106,25 +104,20 @@ def _metric_peel(g, c, key_fn, static_keys: bool = False) -> Solution:
         order.append(v)
         total -= incident[v]
         size -= 1
-        if scnt[v] == 0:
-            unsupported -= 1
         for t, w in zip(*g.row(v)):
             if not alive[t]:
                 continue
             incident[t] -= w
             deg[t] -= 1
-            if w > c.s:
-                scnt[t] -= 1
-                if scnt[t] == 0:
-                    unsupported += 1
             if not static_keys:
                 key[t] = key_fn(t, deg[t], incident[t])
                 heapq.heappush(heap, (key[t], t))
-        totals[size], supported[size] = total, unsupported == 0
+        totals[size] = total
         if size == 0:
             break
 
-    run = PeelRun.of(tuple(order), totals[1:], supported)
+    trace = PeelTrace(tuple(order))
+    run = PeelRun.of(trace.order, totals[1:], trace.supported(g, c.s).tobytes())
     k = run.best_size(c.p)
     if not k:
         return Solution.empty()

@@ -12,20 +12,26 @@ A peel may pin an anchor group: its members stay alive and are never
 removed, so the one removal order records both the anchor plus the outside
 nodes still alive and those outside nodes alone, at every size.
 
-The loop keeps its candidates in a lazy-deletion heap: a node whose
-incident weight drops is pushed again, and the entries it leaves behind go
-stale. Once the stale entries popped since the last clean-up exceed a
-quarter of the heap, the heap is rebuilt from its valid entries alone.
-Every removal is still the least (incident weight, id) among the valid
-entries, so the removal order does not depend on when that happens. A
-run's per-size values and a profile's per-size entries are numpy arrays
-indexed by size, so picking a size or merging a run into a profile is a
-few array operations, not a loop over the sizes.
+The loop keeps its candidates in a threshold front: a heap with an entry
+for every removable node whose incident weight is at most a bound, plus
+stale entries a drop in weight left behind. When no valid entry is left,
+the bound rises to the ``_FRONT``-th least incident weight still alive and
+the front is rebuilt from the nodes at or below it; a node whose weight
+drops is pushed only when its new weight is at or below the bound. Every
+node at or below the bound has a valid entry and the bound only rises, so
+each removal is the least (incident weight, id) among all alive removable
+nodes, whatever the front holds. The weights alive and the support flags
+of every size are worked out after the loop from the removal order, in a
+few array passes. A run's per-size values and a profile's per-size entries
+are numpy arrays indexed by size, so picking a size or merging a run into a
+profile is a few array operations, not a loop over the sizes.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from array import array
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Protocol, Sequence
 
@@ -34,10 +40,16 @@ import numpy as np
 from .errors import ParameterError
 from .graph import ConstraintPair, SimGraph, Solution
 
+# How many of the least-weight outside nodes a peel's front takes in at a
+# refill; 32 to 256 measured alike, 1024 slower.
+_FRONT = 128
+
 
 @dataclass
 class PeelStats:
-    """Operation counters, filled in by peels that are handed an instance."""
+    """Operation counters, filled in by peels that are handed an instance:
+    entries put on a peel's front (refills included), entries taken off
+    it, and nodes removed."""
 
     pushes: int = 0
     pops: int = 0
@@ -62,21 +74,7 @@ class PeelTrace:
         supported while the last to go of its neighbours above ``s`` in the
         trace is still present, so one pass over the members' edges answers
         every size."""
-        n = len(self.order)
-        order = np.array(self.order, dtype=np.int64)
-        pos = np.full(g.n, -1, dtype=np.int64)
-        pos[order] = np.arange(n)
-        src, at = g.gather(order)
-        dst = g.indices[at]
-        strong = (g.weights[at] > s) & (pos[dst] >= 0)
-        last = np.full(n, -1, dtype=np.int64)
-        np.maximum.at(last, pos[src[strong]], pos[dst[strong]])
-        # the member at position i is present from size n - i up and
-        # supported from size n - last[i] up; the set of size k holds the
-        # last k positions
-        ok = np.ones(n + 1, dtype=bool)
-        ok[1:] = np.maximum.accumulate((n - last)[::-1]) <= np.arange(1, n + 1)
-        return ok
+        return _supported_by_order(_last_strong(g, np.array(self.order, dtype=np.int64), s)[0])
 
 
 class PeelProfile:
@@ -185,35 +183,60 @@ class PeelProfile:
         return int(np.count_nonzero(self._which >= 0))
 
 
-def _setup(g: SimGraph, s: float, alive: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Prefilter the start set of a peel and count what its loop starts from.
+def _setup(g: SimGraph, s: float, alive: np.ndarray) -> np.ndarray:
+    """Prefilter the start set of a peel and weigh what its loop starts from.
 
     ``alive`` marks each node 1 when the peel may remove it, 2 when it is
     pinned and 0 when it is not in the start set. The similarity prefilter
     sets to 0 every node marked 1 without an edge above ``s`` to an alive
     node; only the rows of the nodes marked 1 are read. Returns, for every
     node, its weight into the alive nodes, summed in neighbour-id order (for
-    surviving nodes marked 1), its count of edges above ``s`` to alive nodes
-    (for pinned nodes, from nodes marked 1 only), and its count of edges
-    above ``s`` to pinned nodes.
+    surviving nodes marked 1).
     """
     n = g.n
     nodes = np.flatnonzero(alive == 1)
     src, pos = g.gather(nodes)
     dst, w = g.indices[pos], g.weights[pos]
-    strong = w > s
-    cnt = np.bincount(src[strong & (alive[dst] != 0)], minlength=n)
+    cnt = np.bincount(src[(w > s) & (alive[dst] != 0)], minlength=n)
     # Edges are symmetric: when u has an edge above s to an alive t, t has
     # the same edge to u. So dropping the nodes without any such edge
-    # strands no other node; one round reaches the prefilter's fixpoint,
-    # and no survivor's count includes a dropped node.
+    # strands no other node; one round reaches the prefilter's fixpoint.
     alive[nodes[cnt[nodes] == 0]] = 0
     keep = (alive[src] != 0) & (alive[dst] != 0)
-    src, dst, w, strong = src[keep], dst[keep], w[keep], strong[keep]
-    pinned = strong & (alive[dst] == 2)
     # bincount adds each bin's weights in input order, that is row by row
-    incident = np.bincount(src, weights=w, minlength=n)
-    return incident, cnt + np.bincount(dst[pinned], minlength=n), np.bincount(src[pinned], minlength=n)
+    return np.bincount(src[keep], weights=w[keep], minlength=n)
+
+
+def _last_strong(g: SimGraph, order: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each position of a removal order, the position in it of the last
+    to go of the node's neighbours over an edge above ``s`` (-1 for none).
+    Also returns, for every edge above ``s`` of the order's nodes, the
+    position of its row and its other end. Only those nodes' rows are read."""
+    n = len(order)
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[order] = np.arange(n)
+    src, at = g.gather(order)
+    strong = g.weights[at] > s
+    row, dst = pos[src[strong]], g.indices[at[strong]]
+    to = pos[dst]
+    last = np.full(n, -1, dtype=np.int64)
+    np.maximum.at(last, row[to >= 0], to[to >= 0])
+    return last, row, dst
+
+
+def _supported_by_order(last: np.ndarray) -> np.ndarray:
+    """Support of every size of a removal order of n nodes, from ``last``:
+    for each position, the position of the last to go of the node's
+    neighbours over an edge above s (n for one that never goes, -1 for
+    none).
+    The set of size k holds the last k positions, and its member at
+    position i is supported while i's ``last`` is among them, so the set is
+    supported when the least ``last`` of positions n-k..n-1 is at least
+    n-k. Returns flags for sizes 0..n; the empty set counts as supported."""
+    n = len(last)
+    ok = np.ones(n + 1, dtype=bool)
+    ok[1:] = np.minimum.accumulate(last[::-1]) >= np.arange(n - 1, -1, -1)
+    return ok
 
 
 def _running_sum(x: np.ndarray) -> float:
@@ -338,120 +361,105 @@ def modified_sgsel(
     if pins:
         alive[pinned] = 2
 
-    incident_at, scnt_at, acnt_at = _setup(g, s, alive)
+    incident_at = _setup(g, s, alive)
     free = np.flatnonzero(alive == 1)  # the outside nodes the prefilter kept
-    m = len(free)
-    heap = list(zip(incident_at[free].tolist(), free.tolist()))
-    unsupported = 0
-    if not pins:
-        anc = [0.0] * n
-        total = _running_sum(incident_at[free])
+    m, na = len(free), len(pins)
+    if not na:
+        total = _running_sum(incident_at[free]) / 2.0
     else:
-        # per outside node, the weight and the edges above s into the
-        # anchor; an anchor node counts its edges above s to outside nodes,
-        # plus one for good if it has one to another anchor node, and its
-        # -1 never equals that count
-        anc, top = anchor.inw, anchor.top
-        anc_at = np.fromiter(map(anc.__getitem__, free.tolist()), np.float64, m)
-        total = _running_sum(incident_at[free] + anc_at)
-        top_above = np.fromiter(map(top.__getitem__, pinned.tolist()), np.float64, len(pinned)) > s
-        unsupported = int(np.count_nonzero(~top_above & (scnt_at[pinned] == 0)))
-        scnt_at[pinned] += top_above
-        acnt_at[pinned] = -1
-    # every edge was counted from both ends, the anchor's own edges excepted
-    total = total / 2.0 + (anchor.weight if pins else 0.0)
-    heapq.heapify(heap)
-    if stats is not None:
-        stats.pushes += len(heap)
+        # every edge was counted from both ends, the anchor's own edges
+        # excepted
+        anc_at = np.fromiter(map(anchor.inw.__getitem__, free.tolist()), np.float64, m)
+        total = _running_sum(incident_at[free] + anc_at) / 2.0 + anchor.weight
+        # the outside total is added in the order of a heap of every outside
+        # node's (incident weight, id), the order earlier versions' loop
+        # started from, to keep their bits
+        heap = list(zip(incident_at[free].tolist(), free.tolist()))
+        heapq.heapify(heap)
+        in_heap = np.searchsorted(free, np.fromiter((u for _, u in heap), np.int64, m))
+        out_total = _running_sum(incident_at[free][in_heap] - anc_at[in_heap]) / 2.0
 
-    na = len(pins)
-    n_alive = na + m
-    j = m
-    if na:
-        # left to right in heap order: builtin sum() is compensated from
-        # Python 3.12 on, which would make the bits depend on the interpreter
-        out_total = 0.0
-        for iw, u in heap:
-            out_total += iw - anc[u]
-        out_total /= 2.0
-        out_unsupported = int(np.count_nonzero(scnt_at[free] == acnt_at[free]))
-    else:
-        out_total, out_unsupported = total, 0
-    incident, scnt, acnt = incident_at.tolist(), scnt_at.tolist(), acnt_at.tolist()
-    alive = bytearray(alive)
+    # builtin floats and bytes for the loop, numpy views of the same memory
+    # for the refills and the passes after it
+    incident = array("d", incident_at.tobytes())
+    incident_at = np.frombuffer(incident, dtype=np.float64)
+    alive = bytearray(alive.tobytes())
+    alive_at = np.frombuffer(alive, dtype=np.uint8)
     ptr, indices, weights = g.indptr.tolist(), g.indices, g.weights
     order: list[int] = []
-    # the weights alive and whether all are supported, indexed by the number
-    # of outside nodes alive, for the union and for the outside nodes alone
-    totals = [0.0] * (m + 1)
-    out_totals = [0.0] * (m + 1)
-    supported = bytearray(m + 1)
-    out_supported = bytearray(m + 1)
-    if n_alive:
-        totals[m], supported[m] = total, unsupported == 0
-        out_totals[m], out_supported[m] = out_total, out_unsupported == 0
-
-    pops = 0
-    pushes = 0
-    stale = 0
-    heappop = heapq.heappop
-    heappush = heapq.heappush
-    while heap:
-        iw, v = heappop(heap)
+    # The front holds an entry for every alive outside node whose incident
+    # weight is at most bound, plus stale entries; bound only rises, so the
+    # least valid entry is the least (incident weight, id) of all alive
+    # outside nodes. An empty front is refilled with the _FRONT least.
+    front: list[tuple[float, int]] = []
+    bound = -math.inf
+    rest = free  # the outside nodes alive at the last refill
+    pops = pushes = 0
+    heappop, heappush = heapq.heappop, heapq.heappush
+    left = m
+    while left:
+        if not front:
+            rest = rest[alive_at[rest] != 0]
+            keys = incident_at[rest]
+            if len(rest) > _FRONT:
+                bound = float(np.partition(keys, _FRONT - 1)[_FRONT - 1])
+                near = keys <= bound
+                front = list(zip(keys[near].tolist(), rest[near].tolist()))
+            else:
+                bound = math.inf
+                front = list(zip(keys.tolist(), rest.tolist()))
+            heapq.heapify(front)
+            pushes += len(front)
+        iw, v = heappop(front)
         pops += 1
         if not alive[v] or iw != incident[v]:
-            # a stale entry; once more have been popped than a quarter of
-            # the heap holds, drop every stale entry at once. The removals
-            # do not change: each is the least (key, id) among the valid
-            # entries, however the heap holds them.
-            stale += 1
-            if 4 * stale > len(heap):
-                heap = [e for e in heap if alive[e[1]] and e[0] == incident[e[1]]]
-                heapq.heapify(heap)
-                stale = 0
-            continue
+            continue  # stale
         alive[v] = 0
         order.append(v)
-        total -= iw
-        out_total -= iw - anc[v]
-        j -= 1
-        sv = scnt[v]
-        if sv == 0:
-            unsupported -= 1
-        if sv == acnt[v]:
-            out_unsupported -= 1
+        left -= 1
         lo, hi = ptr[v], ptr[v + 1]
         for t, w in zip(indices[lo:hi].tolist(), weights[lo:hi].tolist()):
-            a = alive[t]
-            if a:
-                if a == 1:
-                    nw = incident[t] - w
-                    incident[t] = nw
-                    heappush(heap, (nw, t))
+            if alive[t] == 1:
+                nw = incident[t] - w
+                incident[t] = nw
+                if nw <= bound:
+                    heappush(front, (nw, t))
                     pushes += 1
-                if w > s:
-                    st = scnt[t] - 1
-                    scnt[t] = st
-                    if st == 0:
-                        unsupported += 1
-                    if st == acnt[t]:
-                        out_unsupported += 1
-        totals[j], supported[j] = total, unsupported == 0
-        out_totals[j], out_supported[j] = out_total, out_unsupported == 0
-        if j == 0:
-            break
 
     if stats is not None:
         stats.pops += pops
         stats.pushes += pushes
-        stats.removals += len(order)
+        stats.removals += m
 
+    # A removed node's incident weight is left as it was when it went, so
+    # the weight alive after each removal is a running difference; a - b
+    # and a + -b round alike. Entry i is the weight with m - i nodes alive.
+    at = np.array(order, dtype=np.int64)
+    gone = incident_at[at]
+    totals = np.cumsum(np.concatenate(([total], -gone)))[::-1]
+
+    # support after the loop, from the edges above s of the outside nodes
+    last, row, dst = _last_strong(g, at, s)
     outside_order = tuple(order)
-    outside = PeelRun.of(outside_order, out_totals[1:], out_supported)
+    out_ok = _supported_by_order(last).tobytes()
     if na:
-        run = PeelRun.of(outside_order + tuple(sorted(pins)), totals, bytes(na) + supported, na)
+        out_totals = np.cumsum(np.concatenate(([out_total], -(gone - anc_at[np.searchsorted(free, at)]))))[::-1]
+        outside = PeelRun.of(outside_order, out_totals[1:], out_ok)
+        # an outside node with an edge above s into the anchor is supported
+        # for good; an anchor node is when its strongest edge into the
+        # anchor is above s, and otherwise while its last outside neighbour
+        # above s is alive
+        into_anchor = alive_at[dst] == 2
+        last[row[into_anchor]] = m
+        ok = _supported_by_order(last)
+        pin_last = np.full(n, -1, dtype=np.int64)
+        np.maximum.at(pin_last, dst[into_anchor], row[into_anchor])
+        top = np.fromiter(map(anchor.top.__getitem__, pinned.tolist()), np.float64, na)
+        pin_last[pinned[top > s]] = m
+        ok[:m - int(pin_last[pinned].min())] = False
+        run = PeelRun.of(outside_order + tuple(sorted(pins)), totals, bytes(na) + ok.tobytes(), na)
     else:
-        run, outside = outside, None
+        run, outside = PeelRun.of(outside_order, totals[1:], out_ok), None
     profile = PeelProfile() if into is None else into
     profile.run, profile.outside = run, outside
     for r in profile.runs():
@@ -460,4 +468,4 @@ def modified_sgsel(
     k = run.best_size(c.p)
     if not k:
         return Solution.empty(), profile
-    return Solution(run.trace.members_at(k), totals[k - na], float(run.alphas[k])), profile
+    return Solution(run.trace.members_at(k), float(totals[k - na]), float(run.alphas[k])), profile

@@ -42,3 +42,17 @@ def gnp_graph(rng, n, prob=0.5, w_lo=0.05, w_hi=1.0):
             if rng.random() < prob:
                 edges.append((u, v, rng.uniform(w_lo, w_hi)))
     return SimGraph(n, edges)
+
+
+TIED_WEIGHTS = (0.25, 0.5, 0.75, 1.0)
+
+
+def tied_graph(rng, n, prob=0.5):
+    """Erdos-Renyi style graph whose weights are drawn from TIED_WEIGHTS, so
+    that many incident weights tie exactly and the id breaks the tie."""
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < prob:
+                edges.append((u, v, rng.choice(TIED_WEIGHTS)))
+    return SimGraph(n, edges)

@@ -1,6 +1,8 @@
+import hashlib
 import heapq
 import math
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +20,7 @@ from msel import (
     is_feasible,
     modified_sgsel,
     planted_community_graph,
+    random_graph,
     total_weight,
 )
 
@@ -29,9 +32,12 @@ from msel.dcsel import (
     init_session,
     run_schedule,
 )
+import msel.peel
 from msel.peel import PeelProfile, PeelRun, _setup
 
-from helpers import assert_close, gnp_graph
+from helpers import assert_close, gnp_graph, tied_graph
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_uniform_clique_keeps_everything():
@@ -282,7 +288,7 @@ def test_setup_kernels_match_a_naive_prefilter_and_incident_weights():
         free = {u for u, a in enumerate(marks) if a == 1}
         pinned = {u for u, a in enumerate(marks) if a == 2}
         alive = np.array(marks, dtype=np.uint8)
-        incident, scnt, acnt = _setup(g, s, alive)
+        incident = _setup(g, s, alive)
         live = _naive_prefilter(g, s, free, pinned)
         assert set(np.flatnonzero(alive == 1).tolist()) == live
         assert set(np.flatnonzero(alive == 2).tolist()) == pinned
@@ -290,10 +296,6 @@ def test_setup_kernels_match_a_naive_prefilter_and_incident_weights():
         for u in live:
             # the same terms in the same order: equal bits, not just close
             assert incident[u] == incident_weight(u, members, g)
-            assert scnt[u] == sum(1 for t, w in g.neighbors(u) if w > s and t in members)
-            assert acnt[u] == sum(1 for t, w in g.neighbors(u) if w > s and t in pinned)
-        for u in pinned:
-            assert scnt[u] == sum(1 for t, w in g.neighbors(u) if w > s and t in live)
 
 
 def test_group_fill_matches_adding_members_one_by_one():
@@ -374,25 +376,36 @@ def _assert_run_matches(run, order, per_size, offset):
         assert run.supported[k] == ok
 
 
-def test_peel_matches_a_reference_peel_bit_for_bit():
+@pytest.mark.parametrize("front", [1, 2, msel.peel._FRONT])
+def test_peel_matches_a_reference_peel_bit_for_bit(front, monkeypatch):
+    # small fronts refill after every few removals; graphs larger than the
+    # default front refill it too, and tied weights leave the id to break
+    # most ties
+    monkeypatch.setattr(msel.peel, "_FRONT", front)
     rng = random.Random(1401)
-    for i in range(60):
-        g = gnp_graph(rng, rng.randint(2, 24), prob=rng.choice([0.15, 0.4, 0.8]))
+    for i in range(66):
+        if i < 60:
+            g = gnp_graph(rng, rng.randint(2, 24), prob=rng.choice([0.15, 0.4, 0.8]))
+        else:
+            g = tied_graph(rng, rng.randint(150, 260), prob=rng.choice([0.03, 0.08]))
         s = rng.choice([0.1, 0.3, 0.6])
         anchor = None
         if i % 2:
-            anchor = _Group(g, rng.sample(range(g.n), rng.randint(1, g.n // 2 or 1)))
+            anchor = _Group(g, rng.sample(range(g.n), rng.randint(1, min(g.n // 2, 40) or 1)))
         _, profile = modified_sgsel(g, ConstraintPair(s=s, p=1), anchor=anchor)
         order, union, alone = _reference_peel(g, s, anchor)
+        assert len(order) > front or g.n < 100
         na = len(anchor.members) if anchor is not None else 0
         _assert_run_matches(profile.run, order, union, na)
         if anchor is not None:
             _assert_run_matches(profile.outside, order, alone, 0)
 
 
-def test_compacting_heap_keeps_the_removal_order():
-    # stale entries pile up on this graph: without compaction its peel pops
-    # 5,950 entries for 1,717 removals
+def test_threshold_front_keeps_the_removal_order():
+    # stale entries pile up on this graph: a heap that holds every node
+    # and pushes every decrement takes 6,923 entries for 1,717 removals,
+    # and pops 5,950 unless it drops the stale ones; the front takes only
+    # the nodes and decrements at or below its bound
     g = planted_community_graph(2000, 6000, seed=3, community=40)
     stats = PeelStats()
     _, profile = modified_sgsel(g, ConstraintPair(s=0.2, p=1), stats=stats)
@@ -401,6 +414,7 @@ def test_compacting_heap_keeps_the_removal_order():
     assert stats.removals == len(order) == 1717
     assert stats.pops <= 2 * stats.removals
     assert stats.pops <= stats.pushes
+    assert stats.pushes < 6923
 
 
 def test_profile_ties_keep_the_first_entry_and_sizes_grow():
@@ -508,3 +522,67 @@ def test_alphas_leave_the_package_as_builtin_floats():
     ])
     assert all(type(r.alpha) is float for r in sess.history)
     assert type(sess.current.alpha) is float
+
+
+def _golden_peels():
+    """(name, graph, constraints, within, anchor) for every peel that
+    data/peel.golden pins: unanchored, ``within`` and anchored peels on small
+    random graphs, peels on larger graphs whose weights tie exactly, and
+    whole and anchored peels of one 5,000-node graph."""
+    rng = random.Random(1501)
+    for i in range(8):
+        g = gnp_graph(rng, rng.randint(2, 40), prob=rng.choice([0.15, 0.4, 0.8]))
+        yield f"plain-{i}", g, ConstraintPair(s=rng.choice([0.1, 0.3, 0.6]), p=1), None, None
+    for i in range(4):
+        g = gnp_graph(rng, rng.randint(5, 40), prob=rng.choice([0.2, 0.5]))
+        within = rng.sample(range(g.n), rng.randint(1, g.n))
+        yield f"within-{i}", g, ConstraintPair(s=rng.choice([0.1, 0.3]), p=2), within, None
+    for i in range(8):
+        g = gnp_graph(rng, rng.randint(3, 40), prob=rng.choice([0.15, 0.4, 0.8]))
+        anchor = _Group(g, rng.sample(range(g.n), rng.randint(1, g.n // 2)))
+        yield f"anchored-{i}", g, ConstraintPair(s=rng.choice([0.1, 0.3, 0.6]), p=1), None, anchor
+    for i in range(6):
+        g = tied_graph(rng, rng.randint(150, 400), prob=rng.choice([0.02, 0.05, 0.1]))
+        c = ConstraintPair(s=rng.choice([0.25, 0.5, 0.75]), p=rng.randint(1, 20))
+        within = rng.sample(range(g.n), g.n * 3 // 4) if i % 3 == 1 else None
+        anchor = _Group(g, rng.sample(range(g.n), rng.randint(1, 30))) if i % 3 == 2 else None
+        yield f"tied-{i}", g, c, within, anchor
+    g = random_graph(5000, 50000, seed=4)
+    c = ConstraintPair(s=0.1, p=10)
+    yield "bulk5000", g, c, None, None
+    yield "bulk5000-anchored", g, c, None, _Group(g, range(0, 5000, 50))
+
+
+def _peel_digest(profile, sol):
+    """sha256 over a peel's removal order, the repr of every alpha and the
+    support flag of every size its runs record, its profile entries and its
+    Solution."""
+    h = hashlib.sha256()
+    traces = {}
+    for r in profile.runs():
+        traces.setdefault(id(r.trace), (len(traces), r.trace))
+        h.update(repr((r.trace.order, r.first, [repr(a) for a in r.alphas.tolist()],
+                       r.supported[r.first:].tobytes())).encode())
+    for size, alpha, trace in profile.items():
+        i, _ = traces.setdefault(id(trace), (len(traces), trace))
+        h.update(repr((size, repr(alpha), i)).encode())
+    h.update(repr((sorted(sol.members), repr(sol.total_weight), repr(sol.alpha))).encode())
+    return h.hexdigest()
+
+
+def _golden_peel_lines():
+    """One tab-separated line per peel of ``_golden_peels``: name, removals
+    and ``_peel_digest``."""
+    lines = []
+    for name, g, c, within, anchor in _golden_peels():
+        sol, profile = modified_sgsel(g, c, within=within, anchor=anchor)
+        removals = len(profile.runs()[-1].trace.order)
+        lines.append(f"{name}\t{removals}\t{_peel_digest(profile, sol)}")
+    return lines
+
+
+def test_peels_match_golden_digests():
+    # data/peel.golden holds the lines _golden_peel_lines returned when it
+    # was written; every removal, alpha bit and support flag must stay
+    want = (DATA / "peel.golden").read_text(encoding="utf-8").splitlines()
+    assert _golden_peel_lines() == want
