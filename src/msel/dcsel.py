@@ -280,8 +280,7 @@ class _Group:
             return True
         src, pos = g.gather(outside)
         deg = np.bincount(src, weights=g.weights[pos], minlength=g.n)[outside]
-        inw = np.fromiter(map(self.inw.__getitem__, outside.tolist()), np.float64, outside.size)
-        bound = float((deg + inw).max()) / 2.0
+        bound = float((deg + np.asarray(self.inw)[outside]).max()) / 2.0
         alpha = self.alpha
         return alpha - bound > 1e-9 * alpha * (len(self.members) + 1)
 

@@ -20,11 +20,16 @@ the front is rebuilt from the nodes at or below it; a node whose weight
 drops is pushed only when its new weight is at or below the bound. Every
 node at or below the bound has a valid entry and the bound only rises, so
 each removal is the least (incident weight, id) among all alive removable
-nodes, whatever the front holds. The weights alive and the support flags
-of every size are worked out after the loop from the removal order, in a
-few array passes. A run's per-size values and a profile's per-size entries
-are numpy arrays indexed by size, so picking a size or merging a run into a
-profile is a few array operations, not a loop over the sizes.
+nodes, whatever the front holds. The last ``_FRONT`` removals skip the
+heap: they run on a dense block of the edges among the nodes left, one
+numpy step per removal (an ``argmin`` over their weights, then one
+subtraction of the removed node's row), which makes the same subtractions
+in the same order, so every weight keeps its bits. The weights alive and
+the support flags of every size are worked out after the loop from the
+removal order, in a few array passes. A run's per-size values and a
+profile's per-size entries are numpy arrays indexed by size, so picking a
+size or merging a run into a profile is a few array operations, not a loop
+over the sizes.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ from .errors import ParameterError
 from .graph import ConstraintPair, SimGraph, Solution
 
 # How many of the least-weight outside nodes a peel's front takes in at a
-# refill; 32 to 256 measured alike, 1024 slower.
+# refill, and how many nodes its dense tail removes; 32 to 256 measured
+# alike for the front, 1024 slower.
 _FRONT = 128
 
 
@@ -49,7 +55,8 @@ _FRONT = 128
 class PeelStats:
     """Operation counters, filled in by peels that are handed an instance:
     entries put on a peel's front (refills included), entries taken off
-    it, and nodes removed."""
+    it, and nodes removed. Pushes and pops count the front only: a removal
+    in a peel's dense tail (its last ``_FRONT`` removals) is neither."""
 
     pushes: int = 0
     pops: int = 0
@@ -294,6 +301,35 @@ class PeelRun:
         return self.trace.members_at(self.best_size(p))
 
 
+def _peel_tail(g: SimGraph, rest: np.ndarray, incident_at: np.ndarray) -> list[int]:
+    """Remove every node of ``rest``, the alive outside nodes of a peel in
+    id order, in the order the loop would, and return them in that order.
+
+    The weights of the edges among them go into a dense block, one row per
+    node. Each step takes the least incident weight, the first on a tie and
+    so the lowest id, and subtracts the removed node's row from every
+    weight: a neighbour loses the edge's weight in the same subtraction the
+    loop makes, and anyone else loses +0.0, which keeps its bits. Each
+    node's weight at its removal is written back into ``incident_at``.
+    """
+    k = len(rest)
+    rows, pos = g.gather(rest)
+    dst = g.indices[pos]
+    j = np.minimum(np.searchsorted(rest, dst), k - 1)
+    inner = rest[j] == dst
+    block = np.zeros((k, k))
+    block[np.searchsorted(rest, rows[inner]), j[inner]] = g.weights[pos[inner]]
+    keys = incident_at[rest]
+    taken = []
+    for _ in range(k):
+        i = int(keys.argmin())
+        taken.append(i)
+        incident_at[rest[i]] = keys[i]
+        keys -= block[i]
+        keys[i] = math.inf
+    return rest[taken].tolist()
+
+
 class Anchor(Protocol):
     """A group a peel pins, with what the peel needs to know of it: W of
     the group, and for every node of the graph its weight into the group
@@ -353,7 +389,7 @@ def modified_sgsel(
     if within is None:
         alive[:] = 1
     else:
-        start = np.fromiter(within, np.int64)
+        start = within if isinstance(within, np.ndarray) else np.fromiter(within, np.int64)
         if start.size:
             g._check_node(int(start.min()))
             g._check_node(int(start.max()))
@@ -369,15 +405,20 @@ def modified_sgsel(
     else:
         # every edge was counted from both ends, the anchor's own edges
         # excepted
-        anc_at = np.fromiter(map(anchor.inw.__getitem__, free.tolist()), np.float64, m)
-        total = _running_sum(incident_at[free] + anc_at) / 2.0 + anchor.weight
+        anc = np.asarray(anchor.inw, dtype=np.float64)
+        keys, anc_at = incident_at[free], anc[free]
+        total = _running_sum(keys + anc_at) / 2.0 + anchor.weight
         # the outside total is added in the order of a heap of every outside
         # node's (incident weight, id), the order earlier versions' loop
-        # started from, to keep their bits
-        heap = list(zip(incident_at[free].tolist(), free.tolist()))
+        # started from, to keep their bits; heapify only compares entries,
+        # and each one's rank in (weight, id) order compares as it does
+        by_key = np.lexsort((free, keys))
+        rank = np.empty(m, dtype=np.int64)
+        rank[by_key] = np.arange(m)
+        heap = rank.tolist()
         heapq.heapify(heap)
-        in_heap = np.searchsorted(free, np.fromiter((u for _, u in heap), np.int64, m))
-        out_total = _running_sum(incident_at[free][in_heap] - anc_at[in_heap]) / 2.0
+        in_heap = by_key[heap]
+        out_total = _running_sum(keys[in_heap] - anc_at[in_heap]) / 2.0
 
     # builtin floats and bytes for the loop, numpy views of the same memory
     # for the refills and the passes after it
@@ -390,24 +431,21 @@ def modified_sgsel(
     # The front holds an entry for every alive outside node whose incident
     # weight is at most bound, plus stale entries; bound only rises, so the
     # least valid entry is the least (incident weight, id) of all alive
-    # outside nodes. An empty front is refilled with the _FRONT least.
+    # outside nodes. An empty front is refilled with the _FRONT least, and
+    # the last _FRONT nodes go in the dense tail.
     front: list[tuple[float, int]] = []
     bound = -math.inf
     rest = free  # the outside nodes alive at the last refill
     pops = pushes = 0
     heappop, heappush = heapq.heappop, heapq.heappush
     left = m
-    while left:
+    while left > _FRONT:
         if not front:
             rest = rest[alive_at[rest] != 0]
             keys = incident_at[rest]
-            if len(rest) > _FRONT:
-                bound = float(np.partition(keys, _FRONT - 1)[_FRONT - 1])
-                near = keys <= bound
-                front = list(zip(keys[near].tolist(), rest[near].tolist()))
-            else:
-                bound = math.inf
-                front = list(zip(keys.tolist(), rest.tolist()))
+            bound = float(np.partition(keys, _FRONT - 1)[_FRONT - 1])
+            near = keys <= bound
+            front = list(zip(keys[near].tolist(), rest[near].tolist()))
             heapq.heapify(front)
             pushes += len(front)
         iw, v = heappop(front)
@@ -425,6 +463,8 @@ def modified_sgsel(
                 if nw <= bound:
                     heappush(front, (nw, t))
                     pushes += 1
+    if left:
+        order += _peel_tail(g, rest[alive_at[rest] != 0], incident_at)
 
     if stats is not None:
         stats.pops += pops
@@ -443,7 +483,7 @@ def modified_sgsel(
     outside_order = tuple(order)
     out_ok = _supported_by_order(last).tobytes()
     if na:
-        out_totals = np.cumsum(np.concatenate(([out_total], -(gone - anc_at[np.searchsorted(free, at)]))))[::-1]
+        out_totals = np.cumsum(np.concatenate(([out_total], -(gone - anc[at]))))[::-1]
         outside = PeelRun.of(outside_order, out_totals[1:], out_ok)
         # an outside node with an edge above s into the anchor is supported
         # for good; an anchor node is when its strongest edge into the

@@ -56,3 +56,22 @@ def tied_graph(rng, n, prob=0.5):
             if rng.random() < prob:
                 edges.append((u, v, rng.choice(TIED_WEIGHTS)))
     return SimGraph(n, edges)
+
+
+def planted_clique_graph(rng, n, k, tied=False, degree=4):
+    """Sparse background graph on ``n`` nodes, about ``degree`` edges per
+    node, holding a clique on ``k`` nodes drawn at random. Clique edges
+    weigh more than background ones; with ``tied`` both draw from the two
+    upper or the two lower TIED_WEIGHTS, so incident weights tie exactly."""
+    clique = sorted(rng.sample(range(n), k))
+    inside = set(clique)
+    edges = []
+    for i, u in enumerate(clique):
+        for v in clique[i + 1:]:
+            edges.append((u, v, rng.choice(TIED_WEIGHTS[2:]) if tied else rng.uniform(0.5, 1.0)))
+    prob = degree / n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not (u in inside and v in inside) and rng.random() < prob:
+                edges.append((u, v, rng.choice(TIED_WEIGHTS[:2]) if tied else rng.uniform(0.05, 0.5)))
+    return SimGraph(n, edges)

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +11,14 @@ from msel import (
     degree_peel,
     is_feasible,
     modified_sgsel,
+    planted_community_graph,
     random_peel,
     sgsel,
 )
 
 from helpers import assert_close, gnp_graph
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_sgsel_finds_strong_triangle(two_triangles):
@@ -118,3 +122,30 @@ def test_ball_restarts_never_lose_to_single_peel():
 def test_baselines_reject_bad_constraints(two_triangles):
     with pytest.raises(ParameterError):
         sgsel(two_triangles, ConstraintPair(s=0.5, p=-1))
+
+
+def _golden_sgsel_lines():
+    """One tab-separated line per solve that data/sgsel.golden pins: input,
+    algorithm, sorted members and the repr of alpha. ``sgsel`` runs one
+    peel per node's distance-2 ball on these sparse graphs (a median ball
+    holds 83-96 nodes, so most ball peels run wholly in the dense tail)
+    next to one whole-graph peel; on all three a ball peel sums the
+    planted community to an alpha a few ulps above the whole-graph peel's,
+    so the line pins that ball peel's bits."""
+    lines = []
+    for seed, n, m, community, w_in, w_out, c in (
+        (1, 500, 2500, 30, (0.3, 0.7), (0.05, 0.6), ConstraintPair(s=0.3, p=8)),
+        (2, 400, 2400, 40, (0.2, 0.6), (0.1, 0.7), ConstraintPair(s=0.4, p=12)),
+        (5, 600, 3000, 25, (0.4, 0.8), (0.05, 0.8), ConstraintPair(s=0.5, p=4)),
+    ):
+        g = planted_community_graph(n, m, seed=seed, community=community, w_in=w_in, w_out=w_out)
+        for name, sol in (("sgsel", sgsel(g, c)), ("msgsel", modified_sgsel(g, c)[0])):
+            lines.append(f"planted-{seed}\t{name}\t{sorted(sol.members)}\t{sol.alpha!r}")
+    return lines
+
+
+def test_ball_peels_match_golden_solutions():
+    # data/sgsel.golden holds the lines _golden_sgsel_lines returned when it
+    # was written; every member and alpha bit must stay
+    want = (DATA / "sgsel.golden").read_text(encoding="utf-8").splitlines()
+    assert _golden_sgsel_lines() == want

@@ -35,7 +35,7 @@ from msel.dcsel import (
 import msel.peel
 from msel.peel import PeelProfile, PeelRun, _setup
 
-from helpers import assert_close, gnp_graph, tied_graph
+from helpers import assert_close, gnp_graph, planted_clique_graph, tied_graph
 
 DATA = Path(__file__).parent / "data"
 
@@ -215,9 +215,11 @@ def test_empty_graph():
 
 
 def test_operation_counters_are_linear():
-    # lazy deletion pushes at most one entry per edge beyond the initial heap
+    # lazy deletion pushes at most one entry per edge beyond the initial
+    # heap; the graph has more than _FRONT nodes, so the front makes all
+    # but the last _FRONT removals, which take no entry
     rng = random.Random(15)
-    g = gnp_graph(rng, 60, prob=0.2)
+    g = gnp_graph(rng, 400, prob=0.05)
     stats = PeelStats()
     modified_sgsel(g, ConstraintPair(s=0.1, p=1), stats=stats)
     assert stats.pushes <= g.n + g.m
@@ -317,7 +319,7 @@ def test_group_fill_matches_adding_members_one_by_one():
         assert grp.weight == math.fsum(grp.inw[u] for u in grp.members) / 2.0
 
 
-def _reference_peel(g, s, anchor=None):
+def _reference_peel(g, s, anchor=None, within=None):
     """The peel written plainly: prefilter, then remove the outside node
     with the least (incident weight, id) found by a scan, subtracting its
     edges from its neighbours' weights in row order. Returns the removal
@@ -325,7 +327,8 @@ def _reference_peel(g, s, anchor=None):
     and for the outside nodes alone, with each starting total summed as
     ``modified_sgsel`` sums it."""
     pinned = frozenset(anchor.members) if anchor is not None else frozenset()
-    live = _naive_prefilter(g, s, set(range(g.n)) - pinned, pinned)
+    start = set(range(g.n)) if within is None else set(within)
+    live = _naive_prefilter(g, s, start - pinned, pinned)
     free = sorted(live)
     incident = {u: incident_weight(u, live | pinned, g) for u in free}
     anc = anchor.inw if anchor is not None else [0.0] * g.n
@@ -380,20 +383,26 @@ def _assert_run_matches(run, order, per_size, offset):
 def test_peel_matches_a_reference_peel_bit_for_bit(front, monkeypatch):
     # small fronts refill after every few removals; graphs larger than the
     # default front refill it too, and tied weights leave the id to break
-    # most ties
+    # most ties; the last `front` removals of every peel run on the dense
+    # block of the edges among them, and a planted clique makes that block
+    # dense, with its nodes spread over the ids
     monkeypatch.setattr(msel.peel, "_FRONT", front)
     rng = random.Random(1401)
-    for i in range(66):
+    for i in range(72):
         if i < 60:
             g = gnp_graph(rng, rng.randint(2, 24), prob=rng.choice([0.15, 0.4, 0.8]))
-        else:
+        elif i < 66:
             g = tied_graph(rng, rng.randint(150, 260), prob=rng.choice([0.03, 0.08]))
-        s = rng.choice([0.1, 0.3, 0.6])
-        anchor = None
-        if i % 2:
+        else:
+            g = planted_clique_graph(rng, rng.randint(150, 400), rng.randint(30, 120), tied=i % 2 == 0)
+        s = rng.choice([0.1, 0.3, 0.6] if i < 66 else [0.1, 0.3])
+        anchor = within = None
+        if (i % 2 if i < 66 else i % 3 == 2):
             anchor = _Group(g, rng.sample(range(g.n), rng.randint(1, min(g.n // 2, 40) or 1)))
-        _, profile = modified_sgsel(g, ConstraintPair(s=s, p=1), anchor=anchor)
-        order, union, alone = _reference_peel(g, s, anchor)
+        if i >= 66 and i % 3 == 1:
+            within = rng.sample(range(g.n), g.n * 3 // 4)
+        _, profile = modified_sgsel(g, ConstraintPair(s=s, p=1), within=within, anchor=anchor)
+        order, union, alone = _reference_peel(g, s, anchor, within)
         assert len(order) > front or g.n < 100
         na = len(anchor.members) if anchor is not None else 0
         _assert_run_matches(profile.run, order, union, na)
@@ -405,7 +414,9 @@ def test_threshold_front_keeps_the_removal_order():
     # stale entries pile up on this graph: a heap that holds every node
     # and pushes every decrement takes 6,923 entries for 1,717 removals,
     # and pops 5,950 unless it drops the stale ones; the front takes only
-    # the nodes and decrements at or below its bound
+    # the nodes and decrements at or below its bound, and the last _FRONT
+    # removals, made on the dense block of the edges among those nodes,
+    # take none
     g = planted_community_graph(2000, 6000, seed=3, community=40)
     stats = PeelStats()
     _, profile = modified_sgsel(g, ConstraintPair(s=0.2, p=1), stats=stats)
@@ -415,6 +426,19 @@ def test_threshold_front_keeps_the_removal_order():
     assert stats.pops <= 2 * stats.removals
     assert stats.pops <= stats.pushes
     assert stats.pushes < 6923
+
+
+def test_dense_tail_peels_a_clique_without_the_heap():
+    # a peel of at most _FRONT outside nodes runs wholly on the block of
+    # the edges among them: no entry is pushed or popped, and ties on the
+    # tied weights still go to the lowest id
+    rng = random.Random(1601)
+    g = planted_clique_graph(rng, 100, 100, tied=True)
+    stats = PeelStats()
+    _, profile = modified_sgsel(g, ConstraintPair(s=0.1, p=1), stats=stats)
+    assert stats == PeelStats(pushes=0, pops=0, removals=100)
+    order, union, _ = _reference_peel(g, 0.1)
+    _assert_run_matches(profile.run, order, union, 0)
 
 
 def test_profile_ties_keep_the_first_entry_and_sizes_grow():
