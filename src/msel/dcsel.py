@@ -16,12 +16,10 @@ an infeasible group is repaired once more from a fresh peel of the whole
 graph, unless a peel proved that no group is feasible.
 
 A peel's removal order and per-size records depend on the graph, s, the
-nodes it starts from and the nodes it pins, never on p. While the graph and
-s are those of the session's last whole-graph peel, a repair takes that
-peel's pick instead of peeling. The session keeps its last whole-graph run
-and its last anchored run, so such a pick, or an anchored peel that would
-repeat the kept one, costs no peel; the kept runs save work only and
-change no result.
+nodes it starts from and the nodes it pins, never on p. The session keeps
+the run of its last whole-graph peel, and while the graph and s are still
+that run's, a repair takes the run's pick at no peel cost instead of
+peeling. Every anchored repair runs its peel.
 
 Nor does an anchored peel run when it cannot win (the outclass check): the
 incumbent A is feasible and, with deg(u) an outside node's weighted degree
@@ -128,15 +126,16 @@ class _Group:
     For each node u, member or not, ``inw[u]`` sums the weights of u's edges
     to members and ``top[u]`` is the largest of them (0.0 without any), so
     the group is supported at s exactly when every member's ``top`` exceeds
-    s. ``weight`` is W of the group, and ``settled`` says it is the exactly
-    rounded sum of the members' ``inw`` (after a fill or a settle, until a
-    member changes). Adding or removing a node costs its degree, which lets
-    an event pay for the nodes that change instead of rescanning the whole
-    group. ``solution`` is the Solution the group was last adopted as, and
-    None once a member changes.
+    s. Adding or removing a node costs its degree, which lets an event pay
+    for the nodes that change instead of rescanning the whole group.
+    ``weight`` is W of the group, the exactly rounded sum of the members'
+    ``inw`` halved, so a member set's alpha does not depend on the order in
+    which its members came and went; it is summed on the first read after a
+    member changes. ``solution`` is the Solution the group was last adopted
+    as, and None once a member changes.
     """
 
-    __slots__ = ("graph", "members", "mask", "inw", "top", "weight", "settled", "solution", "_low")
+    __slots__ = ("graph", "members", "mask", "inw", "top", "solution", "_weight", "_low")
 
     def __init__(self, g: SimGraph, members: Iterable[int] = ()):
         self.graph = g
@@ -158,9 +157,8 @@ class _Group:
         self.mask = bytearray(mask)
         self.inw = inw.tolist()
         self.top = top.tolist()
-        self.weight = math.fsum(inw[ids].tolist()) / 2.0
-        self.settled = True
         self.solution = None
+        self._weight: float | None = None
         self._low: float | None = None
 
     def copy(self) -> "_Group":
@@ -170,11 +168,16 @@ class _Group:
         new.mask = bytearray(self.mask)
         new.inw = self.inw.copy()
         new.top = self.top.copy()
-        new.weight = self.weight
-        new.settled = self.settled
         new.solution = self.solution
+        new._weight = self._weight
         new._low = self._low
         return new
+
+    @property
+    def weight(self) -> float:
+        if self._weight is None:
+            self._weight = math.fsum(map(self.inw.__getitem__, self.members)) / 2.0
+        return self._weight
 
     @property
     def alpha(self) -> float:
@@ -194,8 +197,7 @@ class _Group:
         mask, inw, top, low = self.mask, self.inw, self.top, self._low
         mask[u] = 1
         self.members.add(u)
-        self.weight += inw[u]
-        self.settled = False
+        self._weight = None
         for t, w in zip(*self.graph.row(u)):
             inw[t] += w
             if w > top[t]:
@@ -212,8 +214,7 @@ class _Group:
         mask, inw, top, low = self.mask, self.inw, self.top, self._low
         mask[u] = 0
         self.members.discard(u)
-        self.weight = self.weight - inw[u] if self.members else 0.0
-        self.settled = False
+        self._weight = None
         if top[u] == low:
             low = None
         for t, w in zip(*row(u)):
@@ -228,8 +229,8 @@ class _Group:
     def move_to(self, target: set[int] | frozenset[int]) -> None:
         """Make ``target`` the member set: node by node, or by refilling from
         scratch when more nodes change than ``target`` holds. The refill also
-        keeps ``weight`` a sum over the group's own edges rather than a long
-        chain of differences ending at a much smaller group."""
+        keeps each node's ``inw`` a sum over the group's own edges rather
+        than a long chain of differences ending at a much smaller group."""
         gone = self.members - target
         new = target - self.members
         if len(gone) + len(new) > len(target):
@@ -240,25 +241,15 @@ class _Group:
         for u in new:
             self.add(u)
 
-    def settle(self) -> None:
-        """Set ``weight`` to the exactly rounded sum of the members' ``inw``,
-        so a member set's alpha does not depend on the order in which its
-        members came and went. ``settled`` says it is that sum already."""
-        if not self.settled:
-            inw = self.inw
-            self.weight = math.fsum(map(inw.__getitem__, self.members)) / 2.0
-            self.settled = True
-
     def challenger(self, members: frozenset[int], c: ConstraintPair) -> "_Group | None":
-        """A settled copy of the group moved onto ``members``, if it beats
-        the group under ``c``, else None. A candidate beats the group when it
+        """A copy of the group moved onto ``members``, if it beats the group
+        under ``c``, else None. A candidate beats the group when it
         is feasible and has a higher alpha or the group is infeasible; the
         group wins exact ties, and its own member set never beats it."""
         if members == self.members:
             return None
         cand = self.copy()
         cand.move_to(members)
-        cand.settle()
         if cand.feasible(c) and (cand.alpha > self.alpha or not self.feasible(c)):
             return cand
         return None
@@ -272,8 +263,7 @@ class _Group:
         at most the largest weighted degree inside S over 2, which is at
         most M, and W(group + S) is at most W + |S| M, so neither beats the
         group's alpha when M is below it. The margin makes the closest such
-        set, the group plus one node, lie clear of rounding error; the
-        group's weight must be settled."""
+        set, the group plus one node, lie clear of rounding error."""
         g = self.graph
         outside = np.flatnonzero(np.frombuffer(self.mask, np.uint8) == 0)
         if not outside.size:
@@ -309,19 +299,12 @@ class Session:
     initial solve's removals live only in ``stats``. ``_group`` mirrors
     ``current``; it is rebuilt whenever ``graph`` or ``current`` is assigned
     from outside the event functions. ``_empty_at`` holds the graph and
-    constraints of the last peel that proved no group feasible, and
-    ``_whole_at`` the graph and s of the last whole-graph peel, whose pick a
-    repair takes while they still hold.
+    constraints of the last peel that proved no group feasible.
 
-    ``_runs`` keeps the last whole-graph peel (key True) and the last
-    anchored peel (key False) as ``(graph, s, anchor mask, runs)``: the mask
-    is None for a whole-graph peel, whose runs hold its one run, and the
-    bytes of the pinned group otherwise, whose runs are the union run and
-    then the outside run. A peel of the same graph, s and anchor is
-    answered from the kept one; dropping ``_runs`` costs peels but changes
-    no result. Only peels actually run count in ``stats`` and
-    ``event_removals``, and only they fold records into ``profile``: a kept
-    run's records are there already.
+    ``_whole`` keeps the last whole-graph peel as ``(graph, s, run)``. While
+    the graph and s still hold, a repair takes that run's pick instead of
+    peeling; the kept run costs no work and folds no records, which are in
+    ``profile`` already.
     """
 
     graph: SimGraph
@@ -333,9 +316,7 @@ class Session:
     event_removals: int = 0
     _group: _Group | None = field(default=None, repr=False, compare=False)
     _empty_at: tuple[SimGraph, ConstraintPair] | None = field(default=None, repr=False, compare=False)
-    _whole_at: tuple[SimGraph, float] | None = field(default=None, repr=False, compare=False)
-    _runs: dict[bool, tuple[SimGraph, float, bytes | None, tuple[PeelRun, ...]]] = field(
-        default_factory=dict, repr=False, compare=False)
+    _whole: tuple[SimGraph, float, PeelRun] | None = field(default=None, repr=False, compare=False)
 
 
 def _proven_empty(sess: Session) -> bool:
@@ -360,9 +341,8 @@ def _group_of(sess: Session) -> _Group:
 
 
 def _adopt(sess: Session, grp: _Group) -> None:
-    """Make ``grp`` the incumbent, with its weight settled."""
+    """Make ``grp`` the incumbent."""
     if grp.solution is None:
-        grp.settle()
         if grp.members:
             grp.solution = Solution(frozenset(grp.members), grp.weight, grp.alpha)
         else:
@@ -413,28 +393,26 @@ def _peel(sess: Session, c: ConstraintPair, anchor: _Group | None = None) -> tup
     """The run of a peel of the whole graph (``anchor`` None or empty), or
     the union and outside runs of one with ``anchor``'s members pinned.
 
-    The session's kept run of the same kind answers when its graph, s and
-    anchor match, at no peel cost; otherwise the peel runs, its work is
-    counted, its records go into the session profile and its runs replace
-    the kept ones. A whole-graph peel sets ``_whole_at``. A start set of at
-    most p nodes proves that no group is feasible.
+    The kept whole-graph run answers a whole-graph peel of its graph and s,
+    at no peel cost. Any other peel runs: its work is counted and its
+    records go into the session profile, and a whole-graph one becomes the
+    kept run. A start set of at most p nodes proves that no group is
+    feasible.
     """
     g = sess.graph
-    whole = anchor is None or not anchor.members
-    mask = None if whole else bytes(anchor.mask)
-    if whole:
-        sess._whole_at = (g, c.s)
-    kept = sess._runs.get(whole)
-    if kept is not None and kept[0] is g and kept[1] == c.s and kept[2] == mask:
-        runs = kept[3]
+    pinned = anchor is not None and bool(anchor.members)
+    kept = sess._whole
+    if not pinned and kept is not None and kept[0] is g and kept[1] == c.s:
+        runs = (kept[2],)
     else:
-        within = None if whole else np.flatnonzero(np.frombuffer(mask, np.uint8) == 0)
+        within = np.flatnonzero(np.frombuffer(anchor.mask, np.uint8) == 0) if pinned else None
         before = sess.stats.removals
         # the group's state carries all a peel needs to know of its anchor
         runs = modified_sgsel(g, c, within=within, stats=sess.stats,
-                              anchor=None if whole else anchor, into=sess.profile)[1].runs()
+                              anchor=anchor if pinned else None, into=sess.profile)[1].runs()
         sess.event_removals += sess.stats.removals - before
-        sess._runs[whole] = (g, c.s, mask, runs)
+        if not pinned:
+            sess._whole = (g, c.s, runs[0])
     if len(runs[0].trace.order) <= c.p:
         sess._empty_at = (g, c)
     return runs
@@ -467,21 +445,21 @@ def _step(sess: Session, label: str, repair: Callable[..., _Group | None], *args
 
 def _repair(sess: Session, grp: _Group, whole: bool = False) -> _Group:
     """Propose the better of ``grp`` and the best feasible group one peel
-    finds: the pick of a whole-graph peel when ``whole`` is set or the graph
-    and s are still those of the last one, otherwise the better of the best
-    superset of ``grp`` and the best group outside it, from one anchored
-    peel around ``grp``. The two picks are ranked by their runs' alphas,
-    and the winner replaces ``grp`` only if it beats it (``challenger``).
+    finds: the pick of a whole-graph peel when ``whole`` is set or the
+    session's kept whole-graph run is of this graph and s, otherwise the
+    better of the best superset of ``grp`` and the best group outside it,
+    from one anchored peel around ``grp``. The two picks are ranked by their
+    runs' alphas, and the winner replaces ``grp`` only if it beats it
+    (``challenger``).
 
     A feasible ``grp`` that no outside node is heavy enough to improve on
     (``_Group.outclassed``) stands without the anchored peel: every group
     that peel could propose has a lower alpha. The skipped peel counts no
-    work, folds no records into the profile (every set it would record but
-    ``grp`` has a lower alpha) and leaves the kept anchored run as it was."""
+    work and folds no records into the profile (every set it would record
+    but ``grp`` has a lower alpha)."""
     c = sess.constraints
-    grp.settle()
-    at = sess._whole_at
-    whole = whole or (at is not None and at[0] is sess.graph and at[1] == c.s)
+    kept = sess._whole
+    whole = whole or (kept is not None and kept[0] is sess.graph and kept[1] == c.s)
     if not whole and grp.feasible(c) and grp.outclassed():
         return grp
     runs = _peel(sess, c, None if whole else grp)
@@ -552,7 +530,7 @@ def _retarget(sess: Session, c_new: ConstraintPair) -> _Group | None:
     return None
 
 
-def apply_size_delta(sess: Session, dp: int, label: str | None = None) -> Solution:
+def apply_size_delta(sess: Session, dp: int) -> Solution:
     """Move the size floor by ``dp`` and repair the solution.
 
     Decreases consult the profile: a feasible group strictly better than the
@@ -564,11 +542,10 @@ def apply_size_delta(sess: Session, dp: int, label: str | None = None) -> Soluti
     feasible superset and the best feasible group outside it.
     """
     ev = ScheduleEvent("size_delta", int(dp))
-    label = ev.text() if label is None else label
-    return _step(sess, label, _retarget, next_constraints(sess.constraints, ev))
+    return _step(sess, ev.text(), _retarget, next_constraints(sess.constraints, ev))
 
 
-def apply_similarity_delta(sess: Session, ds: float, label: str | None = None) -> Solution:
+def apply_similarity_delta(sess: Session, ds: float) -> Solution:
     """Move the similarity floor by ``ds`` and repair the solution.
 
     A raise the group still satisfies keeps it. Otherwise the members
@@ -579,8 +556,7 @@ def apply_similarity_delta(sess: Session, ds: float, label: str | None = None) -
     outclass check shows that peel cannot beat the group.
     """
     ev = ScheduleEvent("similarity_delta", float(ds))
-    label = ev.text() if label is None else label
-    return _step(sess, label, _retarget, next_constraints(sess.constraints, ev))
+    return _step(sess, ev.text(), _retarget, next_constraints(sess.constraints, ev))
 
 
 def _merge(sess: Session, extra: SimGraph, bridges: list[tuple[int, int, float]]) -> _Group | None:
@@ -646,7 +622,7 @@ def parse_schedule(path: str | Path) -> tuple[ConstraintPair, list[ScheduleEvent
     """Read a schedule file: an init line, then one constraint event per line.
 
     Grammar: `init p=<int> s=<real>` first, then `p += <int>`, `p -= <int>`,
-    `p = <int>`, the same three forms for `s` with reals, or
+    `p = <int>`, the same three forms for `s` with finite reals, or
     `augment <path> [bridges <path>]`. Blank lines and `#` comments are
     skipped. Relative event paths resolve against the schedule's directory.
     """
@@ -686,6 +662,8 @@ def parse_schedule(path: str | Path) -> tuple[ConstraintPair, list[ScheduleEvent
                     kind = "size_set" if op == "=" else "size_delta"
                 else:
                     num = float(val)
+                    if not math.isfinite(num):
+                        raise ValueError(val)
                     kind = "similarity_set" if op == "=" else "similarity_delta"
             except ValueError as e:
                 raise ParseError(f"bad number {val!r}", path=str(path), line=lineno) from e

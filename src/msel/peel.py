@@ -88,10 +88,10 @@ class PeelProfile:
     """Best objective value and best subgraph recorded per subgraph size.
 
     An entry is (alpha, trace), and the set of size k is always the last k
-    nodes of ``trace.order``. The entries live in two arrays indexed by
-    size: the best alpha (-1.0 where nothing is recorded) and an index into
-    a list of the traces in use (-1 where nothing is recorded); both grow
-    when a size past their end is recorded. ``alpha_at(k)`` is -1.0 for
+    nodes of ``trace.order``. The entries live in three arrays indexed by
+    size: the best alpha, the trace (an object array) and whether the size
+    holds an entry; all three grow when a size past their end is recorded.
+    A trace lives while some size holds it. ``alpha_at(k)`` is -1.0 for
     sizes never reached, matching the convention that an unrecorded size
     holds the empty set. ``add_run`` merges every size of a peel run with
     one array compare, and the first entry recorded for a size keeps it on
@@ -103,8 +103,8 @@ class PeelProfile:
 
     def __init__(self):
         self._alpha = np.empty(0)
-        self._which = np.empty(0, dtype=np.int64)
-        self._traces: list[PeelTrace] = []
+        self._trace = np.empty(0, dtype=object)
+        self._held = np.empty(0, dtype=bool)
         self.run: PeelRun | None = None
         self.outside: PeelRun | None = None
 
@@ -118,17 +118,8 @@ class PeelProfile:
         if size >= cap:
             grow = max(size + 1, 2 * cap) - cap
             self._alpha = np.concatenate((self._alpha, np.full(grow, -1.0)))
-            self._which = np.concatenate((self._which, np.full(grow, -1, dtype=np.int64)))
-
-    def _drop_unused_traces(self) -> None:
-        """Forget the traces no size points to any more; a trace ``record``
-        displaced waits for the next ``add_run``."""
-        which = self._which
-        held = which >= 0
-        used = np.bincount(which[held], minlength=len(self._traces)) > 0
-        if not used.all():
-            self._traces = [t for t, u in zip(self._traces, used.tolist()) if u]
-            which[held] = (np.cumsum(used) - 1)[which[held]]
+            self._trace = np.concatenate((self._trace, np.empty(grow, dtype=object)))
+            self._held = np.concatenate((self._held, np.zeros(grow, dtype=bool)))
 
     def add_run(self, run: PeelRun) -> None:
         """Merge every size ``run`` recorded, as ``record`` would."""
@@ -137,57 +128,50 @@ class PeelProfile:
             return
         self._reserve(hi - 1)
         alphas = run.alphas[lo:hi]
-        cur, which = self._alpha[lo:hi], self._which[lo:hi]
-        better = (which < 0) | (alphas > cur)
-        if better.any():
-            cur[better] = alphas[better]
-            which[better] = len(self._traces)
-            self._traces.append(run.trace)
-            self._drop_unused_traces()
+        cur, held = self._alpha[lo:hi], self._held[lo:hi]
+        better = ~held | (alphas > cur)
+        cur[better] = alphas[better]
+        held[better] = True
+        self._trace[lo:hi][better] = run.trace
 
     def record(self, size: int, alpha: float, trace: PeelTrace) -> None:
         """Keep (alpha, trace) for ``size`` if alpha beats the stored value."""
         self._reserve(size)
-        if self._which[size] < 0 or alpha > self._alpha[size]:
+        if not self._held[size] or alpha > self._alpha[size]:
             self._alpha[size] = alpha
-            self._which[size] = len(self._traces)
-            self._traces.append(trace)
+            self._trace[size] = trace
+            self._held[size] = True
 
-    def _held(self, size: int) -> bool:
-        return 0 <= size < len(self._which) and self._which[size] >= 0
+    def _has(self, size: int) -> bool:
+        return 0 <= size < len(self._held) and bool(self._held[size])
 
     def alpha_at(self, size: int) -> float:
-        return float(self._alpha[size]) if self._held(size) else -1.0
+        return float(self._alpha[size]) if self._has(size) else -1.0
 
     def members_at(self, size: int) -> frozenset[int]:
-        if not self._held(size):
+        if not self._has(size):
             return frozenset()
-        return self._traces[self._which[size]].members_at(size)
+        return self._trace[size].members_at(size)
 
     def sizes(self) -> list[int]:
-        return np.flatnonzero(self._which >= 0).tolist()
+        return np.flatnonzero(self._held).tolist()
 
     def items(self) -> Iterator[tuple[int, float, PeelTrace]]:
         """(size, alpha, trace) for every recorded size."""
-        sizes = np.flatnonzero(self._which >= 0)
-        traces = self._traces
-        for size, alpha, i in zip(sizes.tolist(), self._alpha[sizes].tolist(),
-                                  self._which[sizes].tolist()):
-            yield size, alpha, traces[i]
+        sizes = np.flatnonzero(self._held)
+        return zip(sizes.tolist(), self._alpha[sizes].tolist(), self._trace[sizes].tolist())
 
     def ranked(self, p: int, floor: float) -> Iterator[tuple[int, PeelTrace]]:
         """(size, trace) for every recorded size above ``p`` whose alpha
         exceeds ``floor``, the highest alpha first and the smaller size
         first on an exact tie."""
-        sizes = np.flatnonzero(self._which >= 0)
+        sizes = np.flatnonzero(self._held)
         sizes = sizes[(sizes > p) & (self._alpha[sizes] > floor)]
         sizes = sizes[np.lexsort((sizes, -self._alpha[sizes]))]
-        traces = self._traces
-        for size, i in zip(sizes.tolist(), self._which[sizes].tolist()):
-            yield size, traces[i]
+        return zip(sizes.tolist(), self._trace[sizes].tolist())
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self._which >= 0))
+        return int(np.count_nonzero(self._held))
 
 
 def _setup(g: SimGraph, s: float, alive: np.ndarray) -> np.ndarray:

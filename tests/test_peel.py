@@ -2,6 +2,7 @@ import hashlib
 import heapq
 import math
 import random
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -315,8 +316,34 @@ def test_group_fill_matches_adding_members_one_by_one():
             assert_close(grp.inw[u], incident_weight(u, grp.members, g))
             assert grp.top[u] == max((w for t, w in g.neighbors(u) if t in grp.members), default=0.0) == top
             assert grp.mask[u] == (u in grp.members)
-        assert grp.settled
         assert grp.weight == math.fsum(grp.inw[u] for u in grp.members) / 2.0
+
+
+def test_group_weight_is_the_exact_sum_after_any_changes():
+    # weight is read at random points only, so some reads follow several
+    # changes; a copy changes apart from the group it came from
+    rng = random.Random(811)
+    for _ in range(60):
+        g = gnp_graph(rng, rng.randint(1, 16), prob=rng.choice([0.2, 0.5, 0.9]))
+        groups = [_Group(g, {u for u in range(g.n) if rng.random() < 0.5})]
+        for _ in range(30):
+            grp = rng.choice(groups)
+            roll = rng.random()
+            outside = [u for u in range(g.n) if u not in grp.members]
+            if roll < 0.35 and outside:
+                grp.add(rng.choice(outside))
+            elif roll < 0.7 and grp.members:
+                grp.remove(rng.choice(sorted(grp.members)))
+            elif roll < 0.9:
+                grp.move_to({u for u in range(g.n) if rng.random() < rng.random()})
+            else:
+                groups.append(grp.copy())
+            for other in groups:
+                if rng.random() < 0.5:
+                    assert other.weight == math.fsum(other.inw[u] for u in other.members) / 2.0
+        for grp in groups:
+            assert grp.weight == math.fsum(grp.inw[u] for u in grp.members) / 2.0
+            assert grp.alpha == (grp.weight / len(grp.members) if grp.members else 0.0)
 
 
 def _reference_peel(g, s, anchor=None, within=None):
@@ -462,6 +489,28 @@ def test_profile_ties_keep_the_first_entry_and_sizes_grow():
     for size in (-1, 0, 4, 39, 41, 10_000):
         assert profile.alpha_at(size) == -1.0
         assert profile.members_at(size) == frozenset()
+
+
+def test_profile_frees_a_trace_once_no_size_holds_it():
+    profile = PeelProfile()
+    run = PeelRun.of((3, 2, 1, 0), [0.1, 0.2, 0.3, 0.4], b"\x01" * 5)
+    gone = weakref.ref(run.trace)
+    profile.add_run(run)
+    kept = PeelRun.of((0, 1, 2, 3), [1.0, 2.0, 3.0, 4.0], b"\x01" * 5)
+    profile.add_run(kept)
+    del run
+    # the second run beat the first at every size, so nothing holds it
+    assert gone() is None
+    assert [t for _, _, t in profile.items()] == [kept.trace] * 4
+    # a trace that still holds one size lives on
+    partial = PeelTrace((9, 8, 7, 6))
+    held = weakref.ref(partial)
+    profile.record(4, 2.0, partial)
+    del partial
+    assert held() is not None and profile.members_at(4) == frozenset({6, 7, 8, 9})
+    # and one that record displaces goes at once
+    profile.record(4, 3.0, PeelTrace((5, 4, 3, 2)))
+    assert held() is None
 
 
 def test_session_profile_grows_past_the_first_graph():
