@@ -30,6 +30,18 @@ stands. The skipped peel counts no work and folds no records (every set it
 would record but A lies below alpha(A)); a later event that needs it runs
 it then.
 
+An anchored peel that does run around a feasible A is cored at tau =
+alpha(A) (``modified_sgsel``'s ``floor``). A min-incident-weight peel
+removes the weighted tau-core last, each node before it leaving with a
+weight below tau, so the peel drops those nodes in numpy rounds and peels
+only the core C. Every larger set the full peel would record then has alpha
+below a bound B, a mediant of the run's largest set and tau; each cored run
+is kept only when B is below tau (no such set can replace A) or its pick is
+above B (the full run's pick is its own), and otherwise the full peel runs.
+A cored peel is a partial run: the session keeps its B and a copy of A, and
+a later size decrease whose floor is not above B runs the full peel into
+the profile first. Whole-graph peels are never cored.
+
 The session keeps the incumbent's membership mask, each node's weight into
 the group and the group's support at the current similarity floor up to
 date as members come and go. Bookkeeping for an event therefore costs the
@@ -305,6 +317,11 @@ class Session:
     the graph and s still hold, a repair takes that run's pick instead of
     peeling; the kept run costs no work and folds no records, which are in
     ``profile`` already.
+
+    ``_partial`` keeps each cored peel as ``(bound, s, anchor)``: the bound
+    on the alpha of every size its runs skipped, and a copy of the group it
+    pinned, whose graph and outside nodes are the graph and start set to
+    run the full peel on (``_complete``).
     """
 
     graph: SimGraph
@@ -317,6 +334,7 @@ class Session:
     _group: _Group | None = field(default=None, repr=False, compare=False)
     _empty_at: tuple[SimGraph, ConstraintPair] | None = field(default=None, repr=False, compare=False)
     _whole: tuple[SimGraph, float, PeelRun] | None = field(default=None, repr=False, compare=False)
+    _partial: list[tuple[float, float, _Group]] = field(default_factory=list, repr=False, compare=False)
 
 
 def _proven_empty(sess: Session) -> bool:
@@ -325,7 +343,7 @@ def _proven_empty(sess: Session) -> bool:
     most p nodes, under constraints no tighter than the current ones. Every
     group feasible under tighter constraints survives a whole-graph
     prefilter, and every node that survives it is in an anchored peel's
-    start set too."""
+    start set too. A cored peel's start set counts the nodes it skipped."""
     e, c = sess._empty_at, sess.constraints
     return e is not None and e[0] is sess.graph and c.p >= e[1].p and c.s >= e[1].s
 
@@ -389,15 +407,17 @@ def _remember_current(sess: Session) -> None:
         sess.profile.record(sol.size, sol.alpha, PeelTrace(tuple(sorted(sol.members))))
 
 
-def _peel(sess: Session, c: ConstraintPair, anchor: _Group | None = None) -> tuple[PeelRun, ...]:
+def _peel(sess: Session, c: ConstraintPair, anchor: _Group | None = None,
+          floor: float | None = None) -> tuple[PeelRun, ...]:
     """The run of a peel of the whole graph (``anchor`` None or empty), or
-    the union and outside runs of one with ``anchor``'s members pinned.
+    the union and outside runs of one with ``anchor``'s members pinned,
+    cored at ``floor`` when the cut applies and certifies.
 
     The kept whole-graph run answers a whole-graph peel of its graph and s,
     at no peel cost. Any other peel runs: its work is counted and its
     records go into the session profile, and a whole-graph one becomes the
-    kept run. A start set of at most p nodes proves that no group is
-    feasible.
+    kept run, a cored one a partial run. A start set of at most p nodes
+    proves that no group is feasible.
     """
     g = sess.graph
     pinned = anchor is not None and bool(anchor.members)
@@ -405,17 +425,41 @@ def _peel(sess: Session, c: ConstraintPair, anchor: _Group | None = None) -> tup
     if not pinned and kept is not None and kept[0] is g and kept[1] == c.s:
         runs = (kept[2],)
     else:
-        within = np.flatnonzero(np.frombuffer(anchor.mask, np.uint8) == 0) if pinned else None
-        before = sess.stats.removals
-        # the group's state carries all a peel needs to know of its anchor
-        runs = modified_sgsel(g, c, within=within, stats=sess.stats,
-                              anchor=anchor if pinned else None, into=sess.profile)[1].runs()
-        sess.event_removals += sess.stats.removals - before
+        runs = _run_peel(sess, g, c, anchor if pinned else None, floor)
         if not pinned:
             sess._whole = (g, c.s, runs[0])
-    if len(runs[0].trace.order) <= c.p:
+        elif runs[0].skipped:
+            sess._partial.append((max(r.bound for r in runs), c.s, anchor.copy()))
+    if len(runs[0].trace.order) + runs[0].skipped <= c.p:
         sess._empty_at = (g, c)
     return runs
+
+
+def _run_peel(sess: Session, g: SimGraph, c: ConstraintPair, anchor: _Group | None,
+              floor: float | None = None) -> tuple[PeelRun, ...]:
+    """Peel ``g`` whole, or with ``anchor`` pinned and its outside nodes as
+    the start set, into the session profile, counting the work."""
+    within = None if anchor is None else np.flatnonzero(np.frombuffer(anchor.mask, np.uint8) == 0)
+    before = sess.stats.removals
+    # the group's state carries all a peel needs to know of its anchor
+    runs = modified_sgsel(g, c, within=within, stats=sess.stats, anchor=anchor,
+                          into=sess.profile, floor=floor)[1].runs()
+    sess.event_removals += sess.stats.removals - before
+    return runs
+
+
+def _complete(sess: Session, floor: float) -> None:
+    """Run the full peel of every partial run that may have skipped a set
+    with alpha above ``floor``, so that the profile holds what the full
+    peels would have recorded; the margin keeps rounding of the bound from
+    deciding."""
+    kept = []
+    for bound, s, anchor in sess._partial:
+        if bound * (1 + 1e-9) < floor:
+            kept.append((bound, s, anchor))
+        else:
+            _run_peel(sess, anchor.graph, ConstraintPair(s=s, p=0), anchor)
+    sess._partial = kept
 
 
 def _step(sess: Session, label: str, repair: Callable[..., _Group | None], *args) -> Solution:
@@ -456,13 +500,23 @@ def _repair(sess: Session, grp: _Group, whole: bool = False) -> _Group:
     (``_Group.outclassed``) stands without the anchored peel: every group
     that peel could propose has a lower alpha. The skipped peel counts no
     work and folds no records into the profile (every set it would record
-    but ``grp`` has a lower alpha)."""
+    but ``grp`` has a lower alpha).
+
+    Around a feasible ``grp`` the anchored peel is cored at tau = alpha of
+    ``grp`` (``modified_sgsel``'s ``floor``): only a group with a higher
+    alpha can replace ``grp``, and each of the certified cored runs proposes
+    what the full run would, or a group below tau. The sizes a cored run
+    skipped have alpha below its bound; a later size decrease whose floor
+    is not above that bound first runs the full peel (``_complete``)."""
     c = sess.constraints
     kept = sess._whole
     whole = whole or (kept is not None and kept[0] is sess.graph and kept[1] == c.s)
-    if not whole and grp.feasible(c) and grp.outclassed():
-        return grp
-    runs = _peel(sess, c, None if whole else grp)
+    floor = None
+    if not whole and grp.feasible(c):
+        if grp.outclassed():
+            return grp
+        floor = grp.alpha
+    runs = _peel(sess, c, None if whole else grp, floor)
     picks = [(run.alphas[k], k, run) for run in runs if (k := run.best_size(c.p))]
     if not picks:
         return grp
@@ -497,6 +551,7 @@ def _retarget(sess: Session, c_new: ConstraintPair) -> _Group | None:
     if c_new.p < c_old.p:
         # An infeasible incumbent never sets the bar: any feasible group beats it.
         floor = grp.alpha if grp.feasible(c_new) else -1.0
+        _complete(sess, floor)
         # challenger rejects a set some member of which has no edge above s
         # to another member; a trace's support at every size is one array
         # pass, made only once a set from that trace other than the
@@ -553,7 +608,9 @@ def apply_similarity_delta(sess: Session, ds: float) -> Solution:
     edges of members with no edge above it into the group; a feasible
     stripped group is kept, any other is repaired by one anchored peel
     around it. A lowered floor is searched by one anchored peel, unless the
-    outclass check shows that peel cannot beat the group.
+    outclass check shows that peel cannot beat the group. Around a feasible
+    group that peel is cored at the group's alpha, and keeps its partial
+    runs for later size decreases (see ``_repair``).
     """
     ev = ScheduleEvent("similarity_delta", float(ds))
     return _step(sess, ev.text(), _retarget, next_constraints(sess.constraints, ev))
@@ -581,8 +638,10 @@ def augment_graph(
     The adopted result is the best candidate of one anchored peel around
     current: its best feasible superset, the best feasible group outside it,
     or current unchanged; the peel is skipped when the outclass check shows
-    it cannot beat current. With an empty extra graph and no bridges nothing
-    changes.
+    it cannot beat current. Around a feasible current the peel is cored at
+    its alpha: only the merged nodes and the old ones heavy enough to beat
+    it are peeled, unless the cut cannot be certified (see ``_repair``).
+    With an empty extra graph and no bridges nothing changes.
     """
     return _step(sess, label, _merge, extra, list(bridges) if bridges else [])
 
@@ -625,6 +684,8 @@ def parse_schedule(path: str | Path) -> tuple[ConstraintPair, list[ScheduleEvent
     `p = <int>`, the same three forms for `s` with finite reals, or
     `augment <path> [bridges <path>]`. Blank lines and `#` comments are
     skipped. Relative event paths resolve against the schedule's directory.
+    A set event's value must be in range, as on the init line (s in (0,1),
+    p >= 0); a delta is range-checked when it runs.
     """
     path = Path(path)
     text = read_text(path, "cannot read schedule")
@@ -669,7 +730,15 @@ def parse_schedule(path: str | Path) -> tuple[ConstraintPair, list[ScheduleEvent
                 raise ParseError(f"bad number {val!r}", path=str(path), line=lineno) from e
             if op == "-=":
                 num = -num
-            events.append(ScheduleEvent(kind, num))
+            ev = ScheduleEvent(kind, num)
+            if op == "=":
+                # a set event's value is known here, a delta's result only
+                # once the events before it have run
+                try:
+                    next_constraints(init, ev)
+                except MselError as e:
+                    raise ParseError(str(e), path=str(path), line=lineno) from e
+            events.append(ev)
             continue
         raise ParseError(f"unrecognized directive {line!r}", path=str(path), line=lineno)
 

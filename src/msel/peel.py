@@ -37,7 +37,7 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Collection, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
@@ -248,12 +248,18 @@ class PeelRun:
     (index 0 always, and every size below the anchor's of an anchored
     peel's union run). A run depends only on the graph, s, the start set
     and the anchor, so one run answers the peel's question for every p.
+
+    A cored run (see ``modified_sgsel``'s ``floor``) stops short of the full
+    run: the full run would also record ``skipped`` larger sizes, each with
+    alpha below ``bound``. A full run skips none, and its bound is -inf.
     """
 
     trace: PeelTrace
     alphas: np.ndarray
     supported: np.ndarray
     first: int = 1
+    skipped: int = 0
+    bound: float = -math.inf
 
     @classmethod
     def of(cls, order: tuple[int, ...], totals: Sequence[float], supported: bytes, first: int = 1) -> PeelRun:
@@ -334,6 +340,7 @@ def modified_sgsel(
     stats: PeelStats | None = None,
     anchor: Anchor | None = None,
     into: PeelProfile | None = None,
+    floor: float | None = None,
 ) -> tuple[Solution, PeelProfile]:
     """Single global peel returning the best feasible set and the size profile.
 
@@ -359,6 +366,16 @@ def modified_sgsel(
     alone along the same removal order; without an anchor ``outside`` is
     None.
 
+    ``floor`` (a tau, with an anchor only) asks for the core cut: the peel
+    first drops the outside nodes whose weight stays below tau (``_core``)
+    and peels only the core C left. A peel removes every other outside node
+    before any node of C, each with a weight below tau, so the cored runs
+    record the same sets as the full runs at every size they reach, and
+    every larger size of the full runs has alpha below the run's ``bound``.
+    The cored runs are kept only when both are certified (``_certified``);
+    otherwise, and whenever the cut does not apply, the full peel runs. A
+    cored run's ``skipped`` is the number of outside nodes it dropped.
+
     The peel's records go into ``into`` when given, which is then the
     profile returned, so a caller that keeps one profile across peels
     builds no other.
@@ -370,6 +387,8 @@ def modified_sgsel(
         pinned = np.fromiter(pins, np.int64, len(pins))
         g._check_node(int(pinned.min()))
         g._check_node(int(pinned.max()))
+    else:
+        pinned = np.empty(0, dtype=np.int64)
     if within is None:
         alive[:] = 1
     else:
@@ -383,7 +402,102 @@ def modified_sgsel(
 
     incident_at = _setup(g, s, alive)
     free = np.flatnonzero(alive == 1)  # the outside nodes the prefilter kept
-    m, na = len(free), len(pins)
+    cored = None
+    if floor is not None and pins:
+        cored = _core(g, alive, incident_at, free, len(pins), c.p, floor)
+    if cored is not None:
+        inside, weight, core = cored
+        run, outside, totals = _peel_runs(g, s, inside, weight, core, anchor, pinned, stats)
+        skipped = len(free) - len(core)
+        run, outside = (_certified(r, floor, skipped, c.p) for r in (run, outside))
+    if cored is None or run is None or outside is None:
+        run, outside, totals = _peel_runs(g, s, alive, incident_at, free, anchor, pinned, stats)
+    profile = PeelProfile() if into is None else into
+    profile.run, profile.outside = run, outside
+    for r in profile.runs():
+        profile.add_run(r)
+
+    k = run.best_size(c.p)
+    if not k:
+        return Solution.empty(), profile
+    return Solution(run.trace.members_at(k), float(totals[k - len(pins)]), float(run.alphas[k])), profile
+
+
+def _core(
+    g: SimGraph, alive: np.ndarray, incident_at: np.ndarray, free: np.ndarray, na: int, p: int, tau: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The weighted tau-core of a prefiltered anchored start set: the outside
+    nodes left once those whose weight into the alive nodes is below tau are
+    dropped, round by round, until none drops. Returns the start marks with
+    the dropped nodes unmarked, every node's weight into the nodes left
+    (summed as ``_setup`` sums it, for the core's nodes) and the core in id
+    order; or None when the cut does not apply: nothing is dropped, the
+    anchor and the core hold at most ``p`` nodes, or the core keeps more
+    than half of ``free``. The size rule is checked first, before any
+    round, on the nodes at or above tau, since the core lies among them.
+    An empty core is None too: its outside run records no set, so its bound
+    is tau itself and it could never be certified."""
+    m = len(free)
+    low = incident_at[free] < tau
+    core = free[~low]
+    if not low.any() or na + len(core) <= p:
+        return None
+    inside = alive.copy()
+    inside[free[low]] = 0
+    src, pos = g.gather(core)
+    dst, w = g.indices[pos], g.weights[pos]
+    while True:
+        keep = (inside[src] != 0) & (inside[dst] != 0)
+        src, dst, w = src[keep], dst[keep], w[keep]
+        # bincount adds each bin's weights in input order, that is row by row
+        weight = np.bincount(src, weights=w, minlength=g.n)
+        low = weight[core] < tau
+        if not low.any():
+            break
+        inside[core[low]] = 0
+        core = core[~low]
+    if not len(core) or na + len(core) <= p or 2 * len(core) > m:
+        return None
+    return inside, weight, core
+
+
+def _certified(run: PeelRun, tau: float, skipped: int, p: int) -> PeelRun | None:
+    """``run``, a cored run, with its ``bound`` and ``skipped`` set, when it
+    is certified; else None.
+
+    Each of the ``skipped`` dropped nodes left the full peel with a weight
+    below tau, so the full run's set of size n0 + j weighs below W0 + j tau,
+    with W0 and n0 the weight and size of the run's largest set. That alpha
+    is a mediant of W0 / n0 and tau, so it is below B, the larger of its
+    values at j = 1 and j = skipped. The run is certified when B is below
+    tau (no such set can beat the anchor) or its pick for ``p`` exceeds B
+    (it is the full run's pick too), each by a relative margin of 1e-9."""
+    n0 = len(run.trace.order)
+    w0 = float(run.alphas[n0]) * n0
+    bound = max((w0 + tau) / (n0 + 1), (w0 + skipped * tau) / (n0 + skipped))
+    k = run.best_size(p)
+    if bound < tau * (1 - 1e-9) or (k and run.alphas[k] > bound * (1 + 1e-9)):
+        return replace(run, skipped=skipped, bound=bound)
+    return None
+
+
+def _peel_runs(
+    g: SimGraph,
+    s: float,
+    alive: np.ndarray,
+    incident_at: np.ndarray,
+    free: np.ndarray,
+    anchor: Anchor | None,
+    pinned: np.ndarray,
+    stats: PeelStats | None,
+) -> tuple[PeelRun, PeelRun | None, np.ndarray]:
+    """Peel the outside nodes ``free`` (those marked 1 in ``alive``, in id
+    order) from the weights ``incident_at`` into the nodes alive, with the
+    nodes marked 2, ``anchor``'s members ``pinned``, never removed. Returns
+    the run, the outside run (None without an anchor) and the weight alive
+    at each number of outside nodes alive. Neither input array is changed."""
+    n = g.n
+    m, na = len(free), len(pinned)
     if not na:
         total = _running_sum(incident_at[free]) / 2.0
     else:
@@ -466,30 +580,21 @@ def modified_sgsel(
     last, row, dst = _last_strong(g, at, s)
     outside_order = tuple(order)
     out_ok = _supported_by_order(last).tobytes()
-    if na:
-        out_totals = np.cumsum(np.concatenate(([out_total], -(gone - anc[at]))))[::-1]
-        outside = PeelRun.of(outside_order, out_totals[1:], out_ok)
-        # an outside node with an edge above s into the anchor is supported
-        # for good; an anchor node is when its strongest edge into the
-        # anchor is above s, and otherwise while its last outside neighbour
-        # above s is alive
-        into_anchor = alive_at[dst] == 2
-        last[row[into_anchor]] = m
-        ok = _supported_by_order(last)
-        pin_last = np.full(n, -1, dtype=np.int64)
-        np.maximum.at(pin_last, dst[into_anchor], row[into_anchor])
-        top = np.fromiter(map(anchor.top.__getitem__, pinned.tolist()), np.float64, na)
-        pin_last[pinned[top > s]] = m
-        ok[:m - int(pin_last[pinned].min())] = False
-        run = PeelRun.of(outside_order + tuple(sorted(pins)), totals, bytes(na) + ok.tobytes(), na)
-    else:
-        run, outside = PeelRun.of(outside_order, totals[1:], out_ok), None
-    profile = PeelProfile() if into is None else into
-    profile.run, profile.outside = run, outside
-    for r in profile.runs():
-        profile.add_run(r)
-
-    k = run.best_size(c.p)
-    if not k:
-        return Solution.empty(), profile
-    return Solution(run.trace.members_at(k), float(totals[k - na]), float(run.alphas[k])), profile
+    if not na:
+        return PeelRun.of(outside_order, totals[1:], out_ok), None, totals
+    out_totals = np.cumsum(np.concatenate(([out_total], -(gone - anc[at]))))[::-1]
+    outside = PeelRun.of(outside_order, out_totals[1:], out_ok)
+    # an outside node with an edge above s into the anchor is supported
+    # for good; an anchor node is when its strongest edge into the
+    # anchor is above s, and otherwise while its last outside neighbour
+    # above s is alive
+    into_anchor = alive_at[dst] == 2
+    last[row[into_anchor]] = m
+    ok = _supported_by_order(last)
+    pin_last = np.full(n, -1, dtype=np.int64)
+    np.maximum.at(pin_last, dst[into_anchor], row[into_anchor])
+    top = np.fromiter(map(anchor.top.__getitem__, pinned.tolist()), np.float64, na)
+    pin_last[pinned[top > s]] = m
+    ok[:m - int(pin_last[pinned].min())] = False
+    run = PeelRun.of(outside_order + tuple(sorted(anchor.members)), totals, bytes(na) + ok.tobytes(), na)
+    return run, outside, totals

@@ -211,6 +211,15 @@ def test_run_non_finite_schedule_value_is_input_error(tmp_path, capsys, cluster_
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_run_out_of_range_set_event_is_input_error(tmp_path, capsys, cluster_graph):
+    sched = tmp_path / "range.sched"
+    sched.write_text("init p=2 s=0.05\np += 1\ns = 1.5\n", encoding="utf-8")
+    argv = ["run", "--graph", str(cluster_graph), "--schedule", str(sched), "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {sched}:3: similarity threshold s=1.5 outside (0,1)\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("n", ["100000000000000000000", "10000000000000"])
 def test_run_oversized_header_is_input_error(tmp_path, capsys, delta_schedule, n):
     # any other exception would escape main and end the process with a traceback

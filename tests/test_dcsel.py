@@ -33,6 +33,7 @@ from msel import (
     write_msg1,
 )
 
+import msel.peel
 from msel import dcsel
 from msel.cli import replay
 
@@ -482,19 +483,44 @@ def test_parse_schedule_errors(tmp_path):
     from msel import ParseError
 
     cases = {
-        "empty.sched": ("", "no init"),
-        "noinit.sched": ("p += 1\n", "first directive"),
-        "badnum.sched": ("init p=1 s=0.3\np += x\n", "unrecognized"),
-        "badinit.sched": ("init p=-1 s=0.3\n", "init"),
-        "unknown.sched": ("init p=1 s=0.3\ns *= 2\n", "unrecognized"),
+        "empty.sched": ("", "schedule has no init line"),
+        "noinit.sched": ("p += 1\n", "noinit.sched:1: first directive must be"),
+        "badnum.sched": ("init p=1 s=0.3\np += x\n", "badnum.sched:2: bad number 'x'"),
+        "badinit.sched": ("init p=-1 s=0.3\n", "badinit.sched:1: first directive must be"),
+        "unknown.sched": ("init p=1 s=0.3\ns *= 2\n", "unknown.sched:2: unrecognized directive 's \\*= 2'"),
     }
-    for name, (text, _) in cases.items():
+    for name, (text, message) in cases.items():
         p = tmp_path / name
         p.write_text(text, encoding="utf-8")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=message):
             parse_schedule(p)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="cannot read schedule"):
         parse_schedule(tmp_path / "missing.sched")
+
+
+@pytest.mark.parametrize("event, message", [
+    ("s = 1.5", "similarity threshold s=1.5 outside \\(0,1\\)"),
+    ("s = 0", "similarity threshold s=0.0 outside \\(0,1\\)"),
+    ("s=-0.2", "similarity threshold s=-0.2 outside \\(0,1\\)"),
+    ("p = -1", "size threshold p=-1 must be a nonnegative integer"),
+])
+def test_parse_schedule_rejects_out_of_range_set_events(tmp_path, event, message):
+    # as on the init line, at parse time and naming the line
+    from msel import ParseError
+
+    path = tmp_path / "range.sched"
+    path.write_text(f"init p=1 s=0.3\np += 1\n{event}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"range\.sched:3: {message}") as err:
+        parse_schedule(path)
+    assert err.value.line == 3
+
+
+def test_parse_schedule_leaves_deltas_to_run_time(tmp_path):
+    # a delta's result depends on the events before it, so it parses
+    path = tmp_path / "delta.sched"
+    path.write_text("init p=1 s=0.3\ns += 1.5\np -= 5\ns = 0.9\np = 0\n", encoding="utf-8")
+    _, events = parse_schedule(path)
+    assert [ev.text() for ev in events] == ["s+=1.5", "p-=5", "s=0.9", "p=0"]
 
 
 @pytest.mark.parametrize("event", ["s += nan", "s -= inf", "s = inf", "s = -inf", "s += 1e400", "s=NaN"])
@@ -879,3 +905,79 @@ def test_bench_sessions_match_golden(tmp_path):
     # when it was written; every step must keep its members and alpha bits
     want = (DATA / "session.golden").read_text(encoding="utf-8").splitlines()
     assert _golden_session_lines(tmp_path) == want
+
+
+# ---------------------------------------------------------------- cored repairs
+
+
+def _two_communities(rng, n):
+    """A sparse background on ``n`` nodes with two cliques planted on its
+    first nodes, the second with weights spread lower. Returns the graph and
+    the number of clique nodes."""
+    k1, k2 = rng.randint(8, 20), rng.randint(8, 30)
+    edges = {}
+    for lo, base, k in ((0.6, 0, k1), (rng.uniform(0.2, 0.6), k1, k2)):
+        for u in range(base, base + k):
+            for v in range(u + 1, base + k):
+                edges[u, v] = rng.uniform(lo, 1.0)
+    while len(edges) < 3 * n + (k1 * k1 + k2 * k2) // 2:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.setdefault((u, v), rng.uniform(0.05, rng.choice([0.3, 0.6])))
+    return SimGraph(n, [(u, v, w) for (u, v), w in edges.items()]), k1 + k2
+
+
+def test_size_decrease_completes_a_cored_run(monkeypatch):
+    # s -= 0.19 is a cored repair around the 18-node incumbent; s = 0.29
+    # keeps it, and p = 114 takes the kept init run's pick at no peel, whose
+    # alpha is below the cored run's bound; p -= 38 must then run the full
+    # peel the cut skipped, whose sets the scan needs
+    rng = random.Random(227)
+    g, k = _two_communities(rng, rng.randint(300, 900))
+    s0 = round(rng.uniform(0.15, 0.5), 2)
+    events = [ScheduleEvent("similarity_delta", -round(rng.uniform(0.05, s0 - 0.06), 2)),
+              ScheduleEvent("similarity_set", s0), ScheduleEvent("size_set", big := rng.randint(k, 120)),
+              ScheduleEvent("size_delta", -rng.randint(5, big))]
+    p0 = rng.randint(1, 5)
+    assert [ev.text() for ev in events] == ["s-=0.19", "s=0.29", "p=114", "p-=38"]
+    trail = []
+
+    def play():
+        trail.clear()
+        sess = init_session(g, ConstraintPair(s=s0, p=p0))
+        for ev in events:
+            before = sess.event_removals
+            run_schedule(sess, [ev])
+            trail.append((len(sess._partial), sess.event_removals - before))
+
+    cut, _ = _played_steps(monkeypatch, play)
+    # one partial run, kept without a peel until p -= 38 completed it
+    assert [n for n, _ in trail] == [1, 1, 1, 0]
+    assert trail[1][1] == trail[2][1] == 0 < trail[3][1]
+    full, _ = _played_steps(monkeypatch, play, (msel.peel, "_core", lambda *args: None))
+    assert cut == full
+    # without the completion the scan settles for a worse group
+    skipped, _ = _played_steps(monkeypatch, play, (dcsel, "_complete", lambda sess, floor: None))
+    assert skipped[:-1] == cut[:-1] and skipped[-1][1] < cut[-1][1]
+
+
+def test_cored_runs_never_prove_the_session_empty(monkeypatch):
+    # anchored repairs around part of a 40-node community, under every size
+    # floor at which that part is feasible: a cored run's start set counts
+    # the nodes it skipped, so no floor below that start set proves that
+    # nothing is feasible
+    g = planted_community_graph(3000, 9000, seed=3, community=40)
+    sess = init_session(g, ConstraintPair(s=0.2, p=2))
+    cored = 0
+    for size in (20, 30, 36):
+        grp = dcsel._Group(g, range(size))
+        for p in range(0, size, 4):
+            sess.constraints = c = ConstraintPair(s=0.2, p=p)
+            assert grp.feasible(c)
+            runs = dcsel._peel(sess, c, grp, grp.alpha)
+            with monkeypatch.context() as m:
+                m.setattr(msel.peel, "_core", lambda *args: None)
+                full = dcsel._peel(sess, c, grp)
+            assert len(runs[0].trace.order) + runs[0].skipped == len(full[0].trace.order) > p
+            cored += bool(runs[0].skipped)
+            assert sess._empty_at is None and not dcsel._proven_empty(sess)
+    assert cored > 10

@@ -468,6 +468,57 @@ def test_dense_tail_peels_a_clique_without_the_heap():
     _assert_run_matches(profile.run, order, union, 0)
 
 
+def _feasible_group(rng, g, s):
+    """A random group drawn from the nodes of highest weighted degree, and a
+    size floor under which it is feasible at ``s``."""
+    by_degree = sorted(range(g.n), key=lambda u: (-sum(w for _, w in g.neighbors(u)), u))
+    while True:
+        pool = by_degree[:rng.randint(3, 60)]
+        grp = _Group(g, rng.sample(pool, rng.randint(2, len(pool))))
+        c = ConstraintPair(s=s, p=rng.randint(0, len(grp.members) - 1))
+        if grp.feasible(c):
+            return grp, c
+
+
+def test_cored_peel_records_what_the_full_peel_records():
+    # a peel floored at alpha of a feasible anchor either is the full peel,
+    # bit for bit, or returns its pick and its runs hold the full runs'
+    # sets at every size they reach, and every size they skip lies below
+    # their bound
+    rng = random.Random(1801)
+    cored = 0
+    for i in range(300):
+        n = rng.randint(40, 200)
+        g = planted_clique_graph(rng, n, rng.randint(6, min(40, n // 3)), tied=i % 3 == 0)
+        grp, c = _feasible_group(rng, g, rng.choice([0.1, 0.2, 0.4]))
+        within = [u for u in range(n) if u not in grp.members]
+        sol, profile = modified_sgsel(g, c, within=within, anchor=grp, floor=grp.alpha)
+        full_sol, full = modified_sgsel(g, c, within=within, anchor=grp)
+        if not profile.run.skipped:
+            assert sol == full_sol
+            for run, whole in zip(profile.runs(), full.runs()):
+                assert run.trace == whole.trace and run.skipped == 0
+                assert run.alphas.tobytes() == whole.alphas.tobytes()
+            continue
+        cored += 1
+        assert sol.members == full_sol.members
+        assert math.isclose(sol.alpha, full_sol.alpha, rel_tol=1e-12)
+        skipped = len(full.outside.trace.order) - len(profile.outside.trace.order)
+        assert len(grp.members) + len(profile.outside.trace.order) > c.p
+        assert 2 * len(profile.outside.trace.order) <= len(full.outside.trace.order)
+        for run, whole in zip(profile.runs(), full.runs()):
+            assert run.skipped == skipped
+            for k in run.sizes():
+                assert run.trace.members_at(k) == whole.trace.members_at(k)
+                assert run.supported[k] == whole.supported[k]
+                # an outside set that weighs 0 telescopes to a few ulps of
+                # the run's totals, so that is the absolute tolerance
+                assert math.isclose(run.alphas[k], whole.alphas[k], rel_tol=1e-12, abs_tol=1e-12 * grp.alpha)
+            top = len(run.trace.order)
+            assert (whole.alphas[top + 1:] < run.bound * (1 + 1e-12)).all()
+    assert 150 < cored < 250
+
+
 def test_profile_ties_keep_the_first_entry_and_sizes_grow():
     first, second = PeelTrace((5, 1, 2)), PeelTrace((7, 8, 9))
     profile = PeelProfile()
@@ -659,3 +710,47 @@ def test_peels_match_golden_digests():
     # was written; every removal, alpha bit and support flag must stay
     want = (DATA / "peel.golden").read_text(encoding="utf-8").splitlines()
     assert _golden_peel_lines() == want
+
+
+def _uncertified_cases():
+    """Two graphs around the anchor A = {0, 1, 2} at s = 0.35, where the
+    cut applies but a cored run cannot be certified: A's core C = 3..12,
+    pads 13.. that join C nodes by 0.4 and pairs after them with one edge
+    above s, both falling below alpha(A) in the first round. Yields the graph,
+    the best anchored set and the best outside set of the full peel."""
+    # C's 0.3 clique edges are below s, so no cored set beyond A alone is
+    # supported; the pads support C, and with them both runs' best sets lie
+    # above alpha(A) = 0.9: neither run can be certified
+    edges = [(0, 1, 0.9), (0, 2, 0.9), (1, 2, 0.9)]
+    edges += [(u, v, 0.3) for u in range(3, 13) for v in range(u + 1, 13)]
+    edges += [(13 + i, 3 + 2 * i + j, 0.4) for i in range(5) for j in range(2)]
+    edges += [(u, u + 1, 0.4) for u in range(18, 38, 2)]
+    yield SimGraph(38, edges), frozenset(range(18)), frozenset(range(3, 18))
+    # C has no edge of its own, so its alone run is certified (its bound is
+    # below alpha(A) = 0.6), but its 0.3 edges into A, below s, lift the
+    # union of A and C above alpha(A) unsupported: the cored union run picks
+    # A, under its bound, while the full one picks A, C and one pad per node
+    edges = [(0, 1, 0.6), (0, 2, 0.6), (1, 2, 0.6)]
+    edges += [(a, u, 0.3) for a in range(3) for u in range(3, 13)]
+    edges += [(u, u + 10, 0.4) for u in range(3, 13)]
+    edges += [(u, u + 1, 0.36) for u in range(23, 31, 2)]
+    yield SimGraph(31, edges), frozenset(range(23)), None
+
+
+def test_an_uncertified_cored_peel_runs_in_full():
+    c = ConstraintPair(s=0.35, p=1)
+    for g, best, alone in _uncertified_cases():
+        grp = _Group(g, {0, 1, 2})
+        alive = np.ones(g.n, dtype=np.uint8)
+        alive[:3] = 2
+        incident = _setup(g, c.s, alive)
+        core = msel.peel._core(g, alive, incident, np.flatnonzero(alive == 1), 3, c.p, grp.alpha)
+        assert core is not None and core[2].tolist() == list(range(3, 13))
+        within = range(3, g.n)
+        sol, profile = modified_sgsel(g, c, within=within, anchor=grp, floor=grp.alpha)
+        full_sol, full = modified_sgsel(g, c, within=within, anchor=grp)
+        assert sol == full_sol and sol.members == best
+        if alone is not None:
+            assert profile.outside.best(c.p) == alone
+        for run, whole in zip(profile.runs(), full.runs()):
+            assert run.skipped == 0 and run.trace == whole.trace
