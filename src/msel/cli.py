@@ -44,7 +44,7 @@ from .errors import (
     ScheduleError,
 )
 from .graph import ConstraintPair, SimGraph, Solution, disjoint_union, is_feasible
-from .oracle import exact_msp, ratio_check
+from .oracle import exact_msp
 from .peel import modified_sgsel
 from .plotting import render_alpha_svg
 
@@ -199,9 +199,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print(f"OPT = {' '.join(str(u) for u in sorted(res.opt_set))}")
     print(f"alpha(OPT) = {res.opt_alpha:.6f}")
     sol = _solver(args.algo)(g, c, args.seed)
-    ratio = ratio_check(g, c, sol)
     print(f"alpha({args.algo}) = {sol.alpha:.6f}")
-    print(f"ratio = {ratio:.6f}")
+    print(f"ratio = {res.ratio(sol):.6f}")
     return 0
 
 

@@ -407,6 +407,12 @@ def _remember_current(sess: Session) -> None:
         sess.profile.record(sol.size, sol.alpha, PeelTrace(tuple(sorted(sol.members))))
 
 
+def _kept_run(sess: Session, s: float) -> PeelRun | None:
+    """The kept whole-graph run, if it is of the session's graph and ``s``."""
+    kept = sess._whole
+    return kept[2] if kept is not None and kept[0] is sess.graph and kept[1] == s else None
+
+
 def _peel(sess: Session, c: ConstraintPair, anchor: _Group | None = None,
           floor: float | None = None) -> tuple[PeelRun, ...]:
     """The run of a peel of the whole graph (``anchor`` None or empty), or
@@ -421,9 +427,9 @@ def _peel(sess: Session, c: ConstraintPair, anchor: _Group | None = None,
     """
     g = sess.graph
     pinned = anchor is not None and bool(anchor.members)
-    kept = sess._whole
-    if not pinned and kept is not None and kept[0] is g and kept[1] == c.s:
-        runs = (kept[2],)
+    kept = None if pinned else _kept_run(sess, c.s)
+    if kept is not None:
+        runs = (kept,)
     else:
         runs = _run_peel(sess, g, c, anchor if pinned else None, floor)
         if not pinned:
@@ -509,8 +515,7 @@ def _repair(sess: Session, grp: _Group, whole: bool = False) -> _Group:
     skipped have alpha below its bound; a later size decrease whose floor
     is not above that bound first runs the full peel (``_complete``)."""
     c = sess.constraints
-    kept = sess._whole
-    whole = whole or (kept is not None and kept[0] is sess.graph and kept[1] == c.s)
+    whole = whole or _kept_run(sess, c.s) is not None
     floor = None
     if not whole and grp.feasible(c):
         if grp.outclassed():

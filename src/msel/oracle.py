@@ -1,14 +1,25 @@
 """Exhaustive exact solver for small instances, used to certify the heuristics.
 
-All 2^n subsets are scored with a bitmask dynamic program: the pairwise
-weight of a mask extends the mask without its lowest bit by that bit's
-incident weight into the rest, so no pair is ever rescanned. Feasibility of
-a mask is checked with per-node bitmasks of strong neighbors.
+All 2^n subsets are scored with a subset dynamic program on arrays. The
+weight of a mask is the weight of the mask without its lowest bit v, plus
+v's cross weight into that rest. The masks whose lowest bit is v are
+``(hi << (v + 1)) | (1 << v)``, a strided slice, and v runs from n - 1 down
+to 0, so every rest is filled before the masks that extend it. v's cross
+weight for every ``hi`` is built by doubling on ``hi``'s bits from the
+lowest: ``cross[b:2b] = cross[:b] + w[v, v + 1 + k]`` for ``b = 1 << k``,
+starting from 0.0. So each mask's weight is its rest's weight plus v's row
+summed over the rest's members in increasing id order from 0.0: the same
+terms in the same order as a scalar loop over the masks, bit for bit.
+(Doubling on the highest bit of the whole mask instead regroups the sum and
+drifts by an ulp at 20 nodes.) Feasibility of all masks is one array test
+per node against its bitmask of strong neighbours.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import CapacityError, UndefinedRatioError
 from .graph import ConstraintPair, SimGraph, Solution
@@ -24,6 +35,16 @@ class OracleResult:
     opt_alpha: float
     feasible: bool
 
+    def ratio(self, algo_solution: Solution) -> float:
+        """alpha(algo) / alpha(OPT); an empty heuristic solution scores 0.
+        Raises when no feasible subset exists, since the ratio is undefined
+        there."""
+        if not self.feasible:
+            raise UndefinedRatioError("instance has no feasible subset; ratio undefined")
+        if not algo_solution:
+            return 0.0
+        return algo_solution.alpha / self.opt_alpha
+
 
 def exact_msp(g: SimGraph, c: ConstraintPair) -> OracleResult:
     """Best feasible subset by exhaustive enumeration.
@@ -34,86 +55,41 @@ def exact_msp(g: SimGraph, c: ConstraintPair) -> OracleResult:
     n = g.n
     if n > EXACT_MAX_NODES:
         raise CapacityError(f"exact search on {n} nodes exceeds the {EXACT_MAX_NODES} node cap")
-    if n == 0:
-        return OracleResult(frozenset(), 0.0, False)
 
-    # nbr_above[v]: bitmask of neighbors joined to v by weight above c.s.
-    nbr_above = [0] * n
-    inc_w: list[list[float]] = [[0.0] * n for _ in range(n)]
+    w = np.zeros((n, n))
+    w[np.repeat(np.arange(n), np.diff(g.indptr)), g.indices] = g.weights
+    weight = np.zeros(1 << n)
+    size = np.zeros(1 << n, dtype=np.uint8)
+    for v in range(n - 1, -1, -1):
+        # cross[hi]: v's weights to the members of hi << (v + 1), in id order
+        cross = np.zeros(1 << (n - 1 - v))
+        for k in range(n - 1 - v):
+            b = 1 << k
+            cross[b:2 * b] = cross[:b] + w[v, v + 1 + k]
+        # the masks whose lowest bit is v, and their rests filled at higher v
+        step = 2 << v
+        weight[1 << v::step] = weight[::step] + cross
+        size[1 << v::step] = size[::step] + 1
+
+    masks = np.arange(1 << n, dtype=np.int32)
+    # strong[u]: bitmask of u's neighbours joined to it by weight above c.s
+    strong = ((w > c.s) << np.arange(n, dtype=np.int32)).sum(axis=1, dtype=np.int32)
+    ok = size > c.p
     for u in range(n):
-        for t, w in g.neighbors(u):
-            inc_w[u][t] = w
-            if w > c.s:
-                nbr_above[u] |= 1 << t
-
-    size = bytearray(1 << n)
-    weight = [0.0] * (1 << n)
-    best_alpha = -1.0
-    best_mask = 0
-    best_members: tuple[int, ...] | None = None
-
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        v = low.bit_length() - 1
-        rest = mask ^ low
-        size[mask] = size[rest] + 1
-        iw = 0.0
-        row = inc_w[v]
-        r = rest
-        while r:
-            b = r & -r
-            iw += row[b.bit_length() - 1]
-            r ^= b
-        weight[mask] = weight[rest] + iw
-
-        if size[mask] <= c.p:
-            continue
-        feasible = True
-        r = mask
-        while r:
-            b = r & -r
-            if not (nbr_above[b.bit_length() - 1] & mask & ~b):
-                feasible = False
-                break
-            r ^= b
-        if not feasible:
-            continue
-        alpha = weight[mask] / size[mask]
-        if alpha > best_alpha:
-            best_alpha = alpha
-            best_mask = mask
-            best_members = None
-        elif alpha == best_alpha:
-            if best_members is None:
-                best_members = _mask_members(best_mask)
-            cand = _mask_members(mask)
-            if cand < best_members:
-                best_mask, best_members = mask, cand
-
-    if best_alpha < 0.0:
+        ok &= ((masks & (1 << u)) == 0) | ((masks & strong[u]) != 0)
+    alpha = np.divide(weight, size, out=np.full(1 << n, -1.0), where=ok)
+    best = alpha.max()
+    if best < 0.0:
         return OracleResult(frozenset(), 0.0, False)
-    return OracleResult(frozenset(_mask_members(best_mask)), best_alpha, True)
+    mask = min(np.flatnonzero(alpha == best).tolist(), key=_mask_members)
+    return OracleResult(frozenset(_mask_members(mask)), float(best), True)
 
 
 def _mask_members(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return tuple(out)
+    return tuple(u for u in range(mask.bit_length()) if mask >> u & 1)
 
 
 def ratio_check(g: SimGraph, c: ConstraintPair, algo_solution: Solution) -> float:
-    """Objective ratio of a heuristic's solution against the exact optimum.
-
-    Returns alpha(algo) / alpha(OPT); an empty heuristic solution on a
-    feasible instance scores 0. Raises when no feasible subset exists at all,
-    since the ratio is undefined there.
-    """
-    res = exact_msp(g, c)
-    if not res.feasible:
-        raise UndefinedRatioError("instance has no feasible subset; ratio undefined")
-    if not algo_solution:
-        return 0.0
-    return algo_solution.alpha / res.opt_alpha
+    """Objective ratio of a heuristic's solution against the exact optimum
+    (``OracleResult.ratio``)."""
+    return exact_msp(g, c).ratio(algo_solution)

@@ -291,6 +291,34 @@ def test_oracle_reports_ratio(tmp_path, capsys, triangle):
     assert lines[3] == "ratio = 1.000000"
 
 
+def test_oracle_searches_once(tmp_path, capsys, triangle, monkeypatch):
+    # the ratio comes from the search already printed, not from a second one
+    import msel.cli
+    import msel.oracle
+
+    search, calls = msel.oracle.exact_msp, []
+
+    def counted(g, c):
+        calls.append(c)
+        return search(g, c)
+
+    monkeypatch.setattr(msel.oracle, "exact_msp", counted)
+    monkeypatch.setattr(msel.cli, "exact_msp", counted)
+    gpath = tmp_path / "tri.msg1"
+    write_msg1(triangle, gpath)
+    assert main(["oracle", "--graph", str(gpath), "--p", "1", "--s", "0.45"]) == 0
+    assert capsys.readouterr().out.splitlines()[3] == "ratio = 1.000000"
+    assert len(calls) == 1
+
+
+def test_oracle_at_the_node_cap_matches_golden_output(capsys):
+    # data/oracle20.out holds what `msel oracle` printed for this 20-node
+    # graph when it was written; CI compares the console script's output too
+    rc = main(["oracle", "--graph", str(DATA / "oracle20.msg1"), "--p", "3", "--s", "0.3"])
+    assert rc == 0
+    assert capsys.readouterr().out == (DATA / "oracle20.out").read_text(encoding="utf-8")
+
+
 def test_oracle_infeasible_prints_and_succeeds(tmp_path, capsys, triangle):
     gpath = tmp_path / "tri.msg1"
     write_msg1(triangle, gpath)

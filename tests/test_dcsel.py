@@ -629,6 +629,13 @@ def test_random_walks_track_the_oracle_on_a_second_stream():
         _random_session_walk(rng, n_events=6)
 
 
+def test_random_walks_track_the_oracle_on_more_streams():
+    for seed in range(2, 17):
+        rng = random.Random(seed)
+        for _ in range(100):
+            _random_session_walk(rng, n_events=6)
+
+
 def test_same_set_gets_the_same_alpha_bits_by_any_path():
     # p = 45 then p -= 10 and p = 10 come back to the community init chose,
     # through a peel of the whole graph and a profile scan

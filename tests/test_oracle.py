@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +16,11 @@ from msel import (
     modified_sgsel,
     ratio_check,
 )
+from msel.synth import random_graph
 
-from helpers import assert_close, gnp_graph
+from helpers import assert_close, gnp_graph, tied_graph
+
+DATA = Path(__file__).parent / "data"
 
 
 def brute_force(g, c):
@@ -119,3 +123,40 @@ def test_peel_ratio_bound_holds_everywhere():
         assert sol.members
         assert ratio_check(g, c, sol) >= 1.0 / 3.0 - 1e-9
         checked += 1
+
+
+def _golden_oracle_instances():
+    """(name, graph, constraints) for every search that data/oracle.golden
+    pins: random graphs of every size from 0 to 20 nodes, four more at the
+    20-node cap, graphs whose weights tie exactly, and instances where
+    nothing is feasible."""
+    rng = random.Random(1901)
+    for n in range(21):
+        g = gnp_graph(rng, n, prob=rng.choice([0.2, 0.5, 0.8]))
+        yield f"gnp-{n}", g, ConstraintPair(s=rng.choice([0.1, 0.3, 0.5]), p=rng.randint(0, 4))
+    for i, m in enumerate((40, 80, 120, 190)):
+        c = ConstraintPair(s=rng.choice([0.2, 0.4, 0.6]), p=rng.randint(1, 6))
+        yield f"random20-{i}", random_graph(20, m, seed=1901 + i), c
+    for i in range(12):
+        g = tied_graph(rng, rng.randint(4, 18), prob=rng.choice([0.2, 0.3, 0.5]))
+        yield f"tied-{i}", g, ConstraintPair(s=rng.choice([0.25, 0.5]), p=rng.randint(0, 5))
+    yield "tied20", tied_graph(rng, 20, prob=0.3), ConstraintPair(s=0.5, p=3)
+    yield "infeasible-s", gnp_graph(rng, 12, w_hi=0.5), ConstraintPair(s=0.6, p=1)
+    yield "infeasible-p", gnp_graph(rng, 9, prob=0.9), ConstraintPair(s=0.1, p=9)
+
+
+def _golden_oracle_lines():
+    """One tab-separated line per search of ``_golden_oracle_instances``:
+    name, sorted optimum, the repr of its alpha and the feasible flag."""
+    lines = []
+    for name, g, c in _golden_oracle_instances():
+        res = exact_msp(g, c)
+        lines.append(f"{name}\t{sorted(res.opt_set)}\t{res.opt_alpha!r}\t{res.feasible}")
+    return lines
+
+
+def test_searches_match_golden_optima():
+    # data/oracle.golden holds the lines _golden_oracle_lines returned when
+    # it was written; every member, alpha bit and feasible flag must stay
+    want = (DATA / "oracle.golden").read_text(encoding="utf-8").splitlines()
+    assert _golden_oracle_lines() == want
