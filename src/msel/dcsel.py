@@ -42,10 +42,13 @@ A cored peel is a partial run: the session keeps its B and a copy of A, and
 a later size decrease whose floor is not above B runs the full peel into
 the profile first. Whole-graph peels are never cored.
 
-The session keeps the incumbent's membership mask, each node's weight into
-the group and the group's support at the current similarity floor up to
-date as members come and go. Bookkeeping for an event therefore costs the
-degrees of the nodes that change; only peels touch the whole graph.
+The session keeps the incumbent's membership mask and each node's weight
+into the group and strongest edge into it. A change recomputes both for the
+neighbours of the nodes that change, each weight a row-order sum over the
+node's edges to members, so they depend on the member set alone and a set
+gets the same alpha bits by any path. Bookkeeping for an event therefore
+costs the degrees of the changed nodes' neighbours; only peels touch the
+whole graph.
 """
 
 from __future__ import annotations
@@ -135,123 +138,81 @@ class StepRecord:
 class _Group:
     """The incumbent's membership plus every node's weight into it.
 
-    For each node u, member or not, ``inw[u]`` sums the weights of u's edges
-    to members and ``top[u]`` is the largest of them (0.0 without any), so
-    the group is supported at s exactly when every member's ``top`` exceeds
-    s. Adding or removing a node costs its degree, which lets an event pay
-    for the nodes that change instead of rescanning the whole group.
-    ``weight`` is W of the group, the exactly rounded sum of the members'
-    ``inw`` halved, so a member set's alpha does not depend on the order in
-    which its members came and went; it is summed on the first read after a
-    member changes. ``solution`` is the Solution the group was last adopted
-    as, and None once a member changes.
+    ``mask`` marks the members. For each node u, member or not, ``inw[u]``
+    sums the weights of u's edges to members in row order, the bits of
+    ``incident_weight(u, members, graph)``, and ``top[u]`` is the largest
+    of them (0.0 without any), so the group is supported at s exactly when
+    every member's ``top`` exceeds s. ``move_to`` recomputes both for the
+    rows that hold a changed node, so a change costs the degrees of the
+    changed nodes' neighbours and the arrays depend on the member set
+    alone. ``weight`` is W of the group, the exactly rounded sum of the
+    members' ``inw`` halved, so a member set has one alpha whatever path
+    reached it; it is summed on the first read after a change.
+    ``solution`` is the Solution the group was last adopted as, and None
+    once a member changes.
     """
 
-    __slots__ = ("graph", "members", "mask", "inw", "top", "solution", "_weight", "_low")
+    __slots__ = ("graph", "members", "mask", "inw", "top", "solution", "_weight")
 
     def __init__(self, g: SimGraph, members: Iterable[int] = ()):
         self.graph = g
-        self._fill(members)
-
-    def _fill(self, members: Iterable[int]) -> None:
-        g = self.graph
-        self.members = set(members)
-        # the members' rows in the set's order, so each node's weight adds
-        # the same terms in the same order as adding the members one by one
-        ids = np.fromiter(self.members, np.int64, len(self.members))
-        _, pos = g.gather(ids)
-        dst, w = g.indices[pos], g.weights[pos]
-        inw = np.bincount(dst, weights=w, minlength=g.n)
-        top = np.zeros(g.n)
-        np.maximum.at(top, dst, w)
-        mask = np.zeros(g.n, dtype=np.uint8)
-        mask[ids] = 1
-        self.mask = bytearray(mask)
-        self.inw = inw.tolist()
-        self.top = top.tolist()
-        self.solution = None
-        self._weight: float | None = None
-        self._low: float | None = None
+        self.members: frozenset[int] = frozenset()
+        self.mask = np.zeros(g.n, dtype=bool)
+        self.inw = np.zeros(g.n)
+        self.top = np.zeros(g.n)
+        self.solution: Solution | None = None
+        self._weight: float | None = 0.0
+        self.move_to(members)
 
     def copy(self) -> "_Group":
         new = _Group.__new__(_Group)
-        new.graph = self.graph
-        new.members = set(self.members)
-        new.mask = bytearray(self.mask)
-        new.inw = self.inw.copy()
-        new.top = self.top.copy()
-        new.solution = self.solution
-        new._weight = self._weight
-        new._low = self._low
+        new.graph, new.members = self.graph, self.members
+        new.mask, new.inw, new.top = self.mask.copy(), self.inw.copy(), self.top.copy()
+        new.solution, new._weight = self.solution, self._weight
         return new
 
     @property
     def weight(self) -> float:
         if self._weight is None:
-            self._weight = math.fsum(map(self.inw.__getitem__, self.members)) / 2.0
+            self._weight = math.fsum(self.inw[self.mask].tolist()) / 2.0
         return self._weight
 
     @property
     def alpha(self) -> float:
         return self.weight / len(self.members) if self.members else 0.0
 
-    def _lowest_top(self) -> float:
-        """Smallest ``top`` over members, recomputed only after it went stale."""
-        if self._low is None:
-            self._low = min(map(self.top.__getitem__, self.members), default=math.inf)
-        return self._low
-
     def feasible(self, c: ConstraintPair) -> bool:
         """Same answer as ``is_feasible(members, graph, c)``."""
-        return len(self.members) > c.p and self._lowest_top() > c.s
+        return len(self.members) > c.p and bool(self.top[self.mask].min() > c.s)
 
-    def add(self, u: int) -> None:
-        mask, inw, top, low = self.mask, self.inw, self.top, self._low
-        mask[u] = 1
-        self.members.add(u)
-        self._weight = None
-        for t, w in zip(*self.graph.row(u)):
-            inw[t] += w
-            if w > top[t]:
-                if mask[t] and top[t] == low:
-                    low = None
-                top[t] = w
-        if low is not None and top[u] < low:
-            low = top[u]
-        self._low = low
-        self.solution = None
-
-    def remove(self, u: int) -> None:
-        row = self.graph.row
-        mask, inw, top, low = self.mask, self.inw, self.top, self._low
-        mask[u] = 0
-        self.members.discard(u)
-        self._weight = None
-        if top[u] == low:
-            low = None
-        for t, w in zip(*row(u)):
-            inw[t] -= w
-            if w == top[t]:
-                top[t] = max((w2 for x, w2 in zip(*row(t)) if mask[x]), default=0.0)
-                if mask[t] and low is not None and top[t] < low:
-                    low = top[t]
-        self._low = low
-        self.solution = None
-
-    def move_to(self, target: set[int] | frozenset[int]) -> None:
-        """Make ``target`` the member set: node by node, or by refilling from
-        scratch when more nodes change than ``target`` holds. The refill also
-        keeps each node's ``inw`` a sum over the group's own edges rather
-        than a long chain of differences ending at a much smaller group."""
-        gone = self.members - target
-        new = target - self.members
-        if len(gone) + len(new) > len(target):
-            self._fill(target)
+    def move_to(self, target: Iterable[int]) -> None:
+        """Make ``target`` the member set: flip the nodes that change in
+        ``mask`` and recompute the rows of their neighbours."""
+        target = frozenset(target)
+        changed = np.fromiter(self.members ^ target, np.int64)
+        if not changed.size:
             return
-        for u in gone:
-            self.remove(u)
-        for u in new:
-            self.add(u)
+        g = self.graph
+        self.members = target
+        self.mask[changed] = ~self.mask[changed]
+        self.solution = self._weight = None
+        hit = np.zeros(g.n, dtype=bool)
+        hit[g.indices[g.gather(changed)[1]]] = True
+        self._refresh(np.flatnonzero(hit))
+
+    def _refresh(self, rows: np.ndarray) -> None:
+        """Recompute ``inw`` and ``top`` of ``rows``, distinct nodes in id
+        order with an edge each, from their edges to members."""
+        if not rows.size:
+            return
+        g = self.graph
+        src, pos = g.gather(rows)
+        w = np.where(self.mask[g.indices[pos]], g.weights[pos], 0.0)
+        # bincount adds each row's weights in row order, as incident_weight
+        # does, and a non-member's 0.0 leaves the sum as it was
+        self.inw[rows] = np.bincount(src, weights=w, minlength=g.n)[rows]
+        counts = g.indptr[rows + 1] - g.indptr[rows]
+        self.top[rows] = np.maximum.reduceat(w, np.cumsum(counts) - counts)
 
     def challenger(self, members: frozenset[int], c: ConstraintPair) -> "_Group | None":
         """A copy of the group moved onto ``members``, if it beats the group
@@ -277,29 +238,23 @@ class _Group:
         group's alpha when M is below it. The margin makes the closest such
         set, the group plus one node, lie clear of rounding error."""
         g = self.graph
-        outside = np.flatnonzero(np.frombuffer(self.mask, np.uint8) == 0)
+        outside = np.flatnonzero(~self.mask)
         if not outside.size:
             return True
         src, pos = g.gather(outside)
         deg = np.bincount(src, weights=g.weights[pos], minlength=g.n)[outside]
-        bound = float((deg + np.asarray(self.inw)[outside]).max()) / 2.0
+        bound = float((deg + self.inw[outside]).max()) / 2.0
         alpha = self.alpha
         return alpha - bound > 1e-9 * alpha * (len(self.members) + 1)
 
     def extend_graph(self, g: SimGraph, bridges: list[tuple[int, int, float]]) -> None:
         """Move onto ``g = disjoint_union(self.graph, extra, bridges)``; the
-        added nodes start outside, so only bridge ends change weight."""
-        offset = self.graph.n
-        k = g.n - offset
+        added nodes start outside, so only the bridge ends they hold change
+        weight."""
+        offset, k = self.graph.n, g.n - self.graph.n
         self.graph = g
-        self.mask.extend(bytes(k))
-        self.inw.extend([0.0] * k)
-        self.top.extend([0.0] * k)
-        for u, v, w in bridges:
-            if self.mask[u]:
-                v += offset
-                self.inw[v] += float(w)
-                self.top[v] = max(self.top[v], float(w))
+        self.mask, self.inw, self.top = (np.pad(a, (0, k)) for a in (self.mask, self.inw, self.top))
+        self._refresh(np.unique(np.array([v + offset for u, v, _ in bridges if self.mask[u]], np.int64)))
 
 
 @dataclass
@@ -310,8 +265,10 @@ class Session:
     tests can compare incremental work against from-scratch re-solving; the
     initial solve's removals live only in ``stats``. ``_group`` mirrors
     ``current``; it is rebuilt whenever ``graph`` or ``current`` is assigned
-    from outside the event functions. ``_empty_at`` holds the graph and
-    constraints of the last peel that proved no group feasible.
+    from outside the event functions, with the same bits as the kept one,
+    since its state is a function of the member set. ``_empty_at`` holds
+    the graph and constraints of the last peel that proved no group
+    feasible.
 
     ``_whole`` keeps the last whole-graph peel as ``(graph, s, run)``. While
     the graph and s still hold, a repair takes that run's pick instead of
@@ -362,7 +319,7 @@ def _adopt(sess: Session, grp: _Group) -> None:
     """Make ``grp`` the incumbent."""
     if grp.solution is None:
         if grp.members:
-            grp.solution = Solution(frozenset(grp.members), grp.weight, grp.alpha)
+            grp.solution = Solution(grp.members, grp.weight, grp.alpha)
         else:
             grp.solution = Solution.empty()
     sess.current = grp.solution
@@ -445,7 +402,7 @@ def _run_peel(sess: Session, g: SimGraph, c: ConstraintPair, anchor: _Group | No
               floor: float | None = None) -> tuple[PeelRun, ...]:
     """Peel ``g`` whole, or with ``anchor`` pinned and its outside nodes as
     the start set, into the session profile, counting the work."""
-    within = None if anchor is None else np.flatnonzero(np.frombuffer(anchor.mask, np.uint8) == 0)
+    within = None if anchor is None else np.flatnonzero(~anchor.mask)
     before = sess.stats.removals
     # the group's state carries all a peel needs to know of its anchor
     runs = modified_sgsel(g, c, within=within, stats=sess.stats, anchor=anchor,
@@ -583,9 +540,9 @@ def _retarget(sess: Session, c_new: ConstraintPair) -> _Group | None:
             return grp
         # strip the members without any edge above s; only those whose
         # strongest edge into the group is not above s can lack one
-        s, g, top = c_new.s, sess.graph, grp.top
-        grp.move_to(grp.members.difference(
-            u for u in grp.members if top[u] <= s and g.max_incident_weight(u) <= s))
+        s, g = c_new.s, sess.graph
+        weak = np.flatnonzero(grp.mask & (grp.top <= s)).tolist()
+        grp.move_to(grp.members.difference(u for u in weak if g.max_incident_weight(u) <= s))
         return grp if grp.feasible(c_new) else _repair(sess, grp)
     return None
 

@@ -322,15 +322,15 @@ def _peel_tail(g: SimGraph, rest: np.ndarray, incident_at: np.ndarray) -> list[i
 
 class Anchor(Protocol):
     """A group a peel pins, with what the peel needs to know of it: W of
-    the group, and for every node of the graph its weight into the group
-    (``inw``) and its strongest edge into it (``top``, 0.0 without any).
+    the group, and arrays indexed by node of each node's weight into the
+    group (``inw``) and strongest edge into it (``top``, 0.0 without any).
     Knowing these, a peel touches only the edges of the nodes it may
     remove. A session's group state is one."""
 
     members: Collection[int]
     weight: float
-    inw: Sequence[float]
-    top: Sequence[float]
+    inw: np.ndarray
+    top: np.ndarray
 
 
 def modified_sgsel(
@@ -384,9 +384,9 @@ def modified_sgsel(
     pins = anchor.members if anchor is not None else ()
     alive = np.zeros(n, dtype=np.uint8)
     if pins:
-        pinned = np.fromiter(pins, np.int64, len(pins))
-        g._check_node(int(pinned.min()))
-        g._check_node(int(pinned.max()))
+        pinned = np.sort(np.fromiter(pins, np.int64, len(pins)))
+        g._check_node(int(pinned[0]))
+        g._check_node(int(pinned[-1]))
     else:
         pinned = np.empty(0, dtype=np.int64)
     if within is None:
@@ -493,9 +493,10 @@ def _peel_runs(
 ) -> tuple[PeelRun, PeelRun | None, np.ndarray]:
     """Peel the outside nodes ``free`` (those marked 1 in ``alive``, in id
     order) from the weights ``incident_at`` into the nodes alive, with the
-    nodes marked 2, ``anchor``'s members ``pinned``, never removed. Returns
-    the run, the outside run (None without an anchor) and the weight alive
-    at each number of outside nodes alive. Neither input array is changed."""
+    nodes marked 2, ``anchor``'s members ``pinned`` in id order, never
+    removed. Returns the run, the outside run (None without an anchor) and
+    the weight alive at each number of outside nodes alive. Neither input
+    array is changed."""
     n = g.n
     m, na = len(free), len(pinned)
     if not na:
@@ -503,7 +504,7 @@ def _peel_runs(
     else:
         # every edge was counted from both ends, the anchor's own edges
         # excepted
-        anc = np.asarray(anchor.inw, dtype=np.float64)
+        anc = anchor.inw
         keys, anc_at = incident_at[free], anc[free]
         total = _running_sum(keys + anc_at) / 2.0 + anchor.weight
         # the outside total is added in the order of a heap of every outside
@@ -593,8 +594,7 @@ def _peel_runs(
     ok = _supported_by_order(last)
     pin_last = np.full(n, -1, dtype=np.int64)
     np.maximum.at(pin_last, dst[into_anchor], row[into_anchor])
-    top = np.fromiter(map(anchor.top.__getitem__, pinned.tolist()), np.float64, na)
-    pin_last[pinned[top > s]] = m
+    pin_last[pinned[anchor.top[pinned] > s]] = m
     ok[:m - int(pin_last[pinned].min())] = False
-    run = PeelRun.of(outside_order + tuple(sorted(anchor.members)), totals, bytes(na) + ok.tobytes(), na)
+    run = PeelRun.of(outside_order + tuple(pinned.tolist()), totals, bytes(na) + ok.tobytes(), na)
     return run, outside, totals

@@ -301,27 +301,30 @@ def test_setup_kernels_match_a_naive_prefilter_and_incident_weights():
             assert incident[u] == incident_weight(u, members, g)
 
 
-def test_group_fill_matches_adding_members_one_by_one():
+def _assert_group_state(grp):
+    """Each node's weight into ``grp`` has the bits ``incident_weight``
+    gives, its ``top`` is the largest weight of its edges to members, and
+    W is the exactly rounded sum of the members' weights halved."""
+    g = grp.graph
+    for u in range(g.n):
+        assert bool(grp.mask[u]) == (u in grp.members)
+        # the same terms in the same order: equal bits, not just close
+        assert repr(float(grp.inw[u])) == repr(incident_weight(u, grp.members, g))
+        assert grp.top[u] == max((w for t, w in g.neighbors(u) if t in grp.members), default=0.0)
+    assert grp.weight == math.fsum(float(grp.inw[u]) for u in grp.members) / 2.0
+
+
+def test_group_weights_are_row_order_sums():
     rng = random.Random(809)
     for _ in range(100):
         g = gnp_graph(rng, rng.randint(1, 22), prob=rng.choice([0.2, 0.5, 0.9]))
-        grp = _Group(g, {u for u in range(g.n) if rng.random() < 0.5})
-        for u in range(g.n):
-            # the deleted per-edge loop: members in the set's order
-            inw, top = 0.0, 0.0
-            for x in grp.members:
-                inw += g.weight(x, u)
-                top = max(top, g.weight(x, u))
-            assert grp.inw[u] == inw
-            assert_close(grp.inw[u], incident_weight(u, grp.members, g))
-            assert grp.top[u] == max((w for t, w in g.neighbors(u) if t in grp.members), default=0.0) == top
-            assert grp.mask[u] == (u in grp.members)
-        assert grp.weight == math.fsum(grp.inw[u] for u in grp.members) / 2.0
+        _assert_group_state(_Group(g, {u for u in range(g.n) if rng.random() < 0.5}))
 
 
-def test_group_weight_is_the_exact_sum_after_any_changes():
-    # weight is read at random points only, so some reads follow several
-    # changes; a copy changes apart from the group it came from
+def test_group_state_depends_on_the_member_set_alone():
+    # a walk of single-node moves, moves onto random sets and copies: after
+    # every change the group's weights and W are those of a group built
+    # afresh on its members, and a copy changes apart from its source
     rng = random.Random(811)
     for _ in range(60):
         g = gnp_graph(rng, rng.randint(1, 16), prob=rng.choice([0.2, 0.5, 0.9]))
@@ -329,20 +332,17 @@ def test_group_weight_is_the_exact_sum_after_any_changes():
         for _ in range(30):
             grp = rng.choice(groups)
             roll = rng.random()
-            outside = [u for u in range(g.n) if u not in grp.members]
-            if roll < 0.35 and outside:
-                grp.add(rng.choice(outside))
-            elif roll < 0.7 and grp.members:
-                grp.remove(rng.choice(sorted(grp.members)))
+            if roll < 0.7:
+                grp.move_to(set(grp.members) ^ {rng.randrange(g.n)})
             elif roll < 0.9:
                 grp.move_to({u for u in range(g.n) if rng.random() < rng.random()})
             else:
-                groups.append(grp.copy())
-            for other in groups:
-                if rng.random() < 0.5:
-                    assert other.weight == math.fsum(other.inw[u] for u in other.members) / 2.0
+                grp = grp.copy()
+                groups.append(grp)
+            _assert_group_state(grp)
+            assert repr(grp.weight) == repr(_Group(g, grp.members).weight)
         for grp in groups:
-            assert grp.weight == math.fsum(grp.inw[u] for u in grp.members) / 2.0
+            _assert_group_state(grp)
             assert grp.alpha == (grp.weight / len(grp.members) if grp.members else 0.0)
 
 
@@ -358,7 +358,7 @@ def _reference_peel(g, s, anchor=None, within=None):
     live = _naive_prefilter(g, s, start - pinned, pinned)
     free = sorted(live)
     incident = {u: incident_weight(u, live | pinned, g) for u in free}
-    anc = anchor.inw if anchor is not None else [0.0] * g.n
+    anc = anchor.inw.tolist() if anchor is not None else [0.0] * g.n
     total = 0.0
     for u in free:
         total += incident[u] + anc[u]
