@@ -51,7 +51,7 @@ def random_peel(g: SimGraph, c: ConstraintPair, seed: int) -> Solution:
     rank = [0] * g.n
     for pos, u in enumerate(order):
         rank[u] = pos
-    return _metric_peel(g, c, lambda u, deg, iw: rank[u], static_keys=True)
+    return _metric_peel(g, c, lambda u, deg, iw: rank[u])
 
 
 def degree_peel(g: SimGraph, c: ConstraintPair) -> Solution:
@@ -67,14 +67,14 @@ def average_peel(g: SimGraph, c: ConstraintPair) -> Solution:
     return _metric_peel(g, c, lambda u, deg, iw: iw / deg if deg else 0.0)
 
 
-def _metric_peel(g, c, key_fn, static_keys: bool = False) -> Solution:
+def _metric_peel(g, c, key_fn) -> Solution:
     """Remove argmin key_fn(u, deg, incident) nodes one by one from the whole
     graph, recording each size's total weight, take every size's support
     from the removal order (``PeelTrace.supported``) and return the set
     ``PeelRun.best_size`` picks, as the main peel does.
 
     The initial untouched state is a candidate too. Keys are recomputed for a
-    node whenever one of its neighbors is removed, unless ``static_keys``.
+    node whenever one of its neighbors is removed.
     """
     n = g.n
     if n == 0:
@@ -109,9 +109,8 @@ def _metric_peel(g, c, key_fn, static_keys: bool = False) -> Solution:
                 continue
             incident[t] -= w
             deg[t] -= 1
-            if not static_keys:
-                key[t] = key_fn(t, deg[t], incident[t])
-                heapq.heappush(heap, (key[t], t))
+            key[t] = key_fn(t, deg[t], incident[t])
+            heapq.heappush(heap, (key[t], t))
         totals[size] = total
         if size == 0:
             break

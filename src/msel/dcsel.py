@@ -42,13 +42,14 @@ A cored peel is a partial run: the session keeps its B and a copy of A, and
 a later size decrease whose floor is not above B runs the full peel into
 the profile first. Whole-graph peels are never cored.
 
-The session keeps the incumbent's membership mask and each node's weight
-into the group and strongest edge into it. A change recomputes both for the
-neighbours of the nodes that change, each weight a row-order sum over the
-node's edges to members, so they depend on the member set alone and a set
-gets the same alpha bits by any path. Bookkeeping for an event therefore
-costs the degrees of the changed nodes' neighbours; only peels touch the
-whole graph.
+The session keeps its incumbent as a ``graph._Group``: the membership mask
+and each node's weight into the group and strongest edge into it. A change
+recomputes both for the neighbours of the nodes that change, each weight a
+row-order sum over the node's edges to members, so they depend on the
+member set alone, and a set gets the alpha bits ``avg_similarity`` gives it
+by any path. Bookkeeping for an event therefore costs the degrees of the
+changed nodes' neighbours; only peels touch the whole graph. The group is
+also the anchor an anchored peel pins.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -78,6 +79,7 @@ from .graph import (  # noqa: F401
     SimGraph,
     Solution,
     _check_members,
+    _Group,
     cross_weight,
     disjoint_union,
     incident_weight,
@@ -121,7 +123,8 @@ class ScheduleEvent:
             return f"s={self.value!r}"
         if self.kind == "similarity_delta":
             v = self.value
-            return f"s+={v!r}" if v >= 0 else f"s-={-v!r}"
+            # the sign bit, so that -0.0 reads as a decrease
+            return f"s+={v!r}" if math.copysign(1.0, v) > 0 else f"s-={-v!r}"
         return f"augment {Path(self.value).name}"
 
 
@@ -133,128 +136,6 @@ class StepRecord:
     size: int
     feasible: bool
     wall_ns: int
-
-
-class _Group:
-    """The incumbent's membership plus every node's weight into it.
-
-    ``mask`` marks the members. For each node u, member or not, ``inw[u]``
-    sums the weights of u's edges to members in row order, the bits of
-    ``incident_weight(u, members, graph)``, and ``top[u]`` is the largest
-    of them (0.0 without any), so the group is supported at s exactly when
-    every member's ``top`` exceeds s. ``move_to`` recomputes both for the
-    rows that hold a changed node, so a change costs the degrees of the
-    changed nodes' neighbours and the arrays depend on the member set
-    alone. ``weight`` is W of the group, the exactly rounded sum of the
-    members' ``inw`` halved, so a member set has one alpha whatever path
-    reached it; it is summed on the first read after a change.
-    ``solution`` is the Solution the group was last adopted as, and None
-    once a member changes.
-    """
-
-    __slots__ = ("graph", "members", "mask", "inw", "top", "solution", "_weight")
-
-    def __init__(self, g: SimGraph, members: Iterable[int] = ()):
-        self.graph = g
-        self.members: frozenset[int] = frozenset()
-        self.mask = np.zeros(g.n, dtype=bool)
-        self.inw = np.zeros(g.n)
-        self.top = np.zeros(g.n)
-        self.solution: Solution | None = None
-        self._weight: float | None = 0.0
-        self.move_to(members)
-
-    def copy(self) -> "_Group":
-        new = _Group.__new__(_Group)
-        new.graph, new.members = self.graph, self.members
-        new.mask, new.inw, new.top = self.mask.copy(), self.inw.copy(), self.top.copy()
-        new.solution, new._weight = self.solution, self._weight
-        return new
-
-    @property
-    def weight(self) -> float:
-        if self._weight is None:
-            self._weight = math.fsum(self.inw[self.mask].tolist()) / 2.0
-        return self._weight
-
-    @property
-    def alpha(self) -> float:
-        return self.weight / len(self.members) if self.members else 0.0
-
-    def feasible(self, c: ConstraintPair) -> bool:
-        """Same answer as ``is_feasible(members, graph, c)``."""
-        return len(self.members) > c.p and bool(self.top[self.mask].min() > c.s)
-
-    def move_to(self, target: Iterable[int]) -> None:
-        """Make ``target`` the member set: flip the nodes that change in
-        ``mask`` and recompute the rows of their neighbours."""
-        target = frozenset(target)
-        changed = np.fromiter(self.members ^ target, np.int64)
-        if not changed.size:
-            return
-        g = self.graph
-        self.members = target
-        self.mask[changed] = ~self.mask[changed]
-        self.solution = self._weight = None
-        hit = np.zeros(g.n, dtype=bool)
-        hit[g.indices[g.gather(changed)[1]]] = True
-        self._refresh(np.flatnonzero(hit))
-
-    def _refresh(self, rows: np.ndarray) -> None:
-        """Recompute ``inw`` and ``top`` of ``rows``, distinct nodes in id
-        order with an edge each, from their edges to members."""
-        if not rows.size:
-            return
-        g = self.graph
-        src, pos = g.gather(rows)
-        w = np.where(self.mask[g.indices[pos]], g.weights[pos], 0.0)
-        # bincount adds each row's weights in row order, as incident_weight
-        # does, and a non-member's 0.0 leaves the sum as it was
-        self.inw[rows] = np.bincount(src, weights=w, minlength=g.n)[rows]
-        counts = g.indptr[rows + 1] - g.indptr[rows]
-        self.top[rows] = np.maximum.reduceat(w, np.cumsum(counts) - counts)
-
-    def challenger(self, members: frozenset[int], c: ConstraintPair) -> "_Group | None":
-        """A copy of the group moved onto ``members``, if it beats the group
-        under ``c``, else None. A candidate beats the group when it
-        is feasible and has a higher alpha or the group is infeasible; the
-        group wins exact ties, and its own member set never beats it."""
-        if members == self.members:
-            return None
-        cand = self.copy()
-        cand.move_to(members)
-        if cand.feasible(c) and (cand.alpha > self.alpha or not self.feasible(c)):
-            return cand
-        return None
-
-    def outclassed(self) -> bool:
-        """True when no set of outside nodes, alone or joined to the group,
-        can reach the group's alpha (Charikar's degree bound, APPROX 2000).
-
-        With ``deg(u)`` the weighted degree of an outside node u, let M be
-        the largest ``(deg(u) + inw(u)) / 2``. An outside set S has alpha(S)
-        at most the largest weighted degree inside S over 2, which is at
-        most M, and W(group + S) is at most W + |S| M, so neither beats the
-        group's alpha when M is below it. The margin makes the closest such
-        set, the group plus one node, lie clear of rounding error."""
-        g = self.graph
-        outside = np.flatnonzero(~self.mask)
-        if not outside.size:
-            return True
-        src, pos = g.gather(outside)
-        deg = np.bincount(src, weights=g.weights[pos], minlength=g.n)[outside]
-        bound = float((deg + self.inw[outside]).max()) / 2.0
-        alpha = self.alpha
-        return alpha - bound > 1e-9 * alpha * (len(self.members) + 1)
-
-    def extend_graph(self, g: SimGraph, bridges: list[tuple[int, int, float]]) -> None:
-        """Move onto ``g = disjoint_union(self.graph, extra, bridges)``; the
-        added nodes start outside, so only the bridge ends they hold change
-        weight."""
-        offset, k = self.graph.n, g.n - self.graph.n
-        self.graph = g
-        self.mask, self.inw, self.top = (np.pad(a, (0, k)) for a in (self.mask, self.inw, self.top))
-        self._refresh(np.unique(np.array([v + offset for u, v, _ in bridges if self.mask[u]], np.int64)))
 
 
 @dataclass

@@ -7,6 +7,7 @@ are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -145,22 +146,14 @@ def _check_members(F: Iterable[int], g: SimGraph) -> frozenset[int]:
 
 
 def total_weight(F: Iterable[int], g: SimGraph) -> float:
-    """Sum of edge weights over unordered member pairs of ``F``."""
-    members = _check_members(F, g)
-    acc = 0.0
-    for u in members:
-        for t, w in zip(*g.row(u)):
-            if t > u and t in members:
-                acc += w
-    return acc
+    """Sum of edge weights over unordered member pairs of ``F``: W of the
+    member set's group, so any path to the same set gets the same bits."""
+    return _Group(g, _check_members(F, g)).weight
 
 
 def avg_similarity(F: Iterable[int], g: SimGraph) -> float:
     """W(F) / |F|; 0.0 for the empty set."""
-    members = _check_members(F, g)
-    if not members:
-        return 0.0
-    return total_weight(members, g) / len(members)
+    return _Group(g, _check_members(F, g)).alpha
 
 
 def incident_weight(u: int, F: Iterable[int], g: SimGraph) -> float:
@@ -175,7 +168,9 @@ def incident_weight(u: int, F: Iterable[int], g: SimGraph) -> float:
 
 
 def cross_weight(A: Iterable[int], B: Iterable[int], g: SimGraph) -> float:
-    """Sum of edge weights with one endpoint in ``A`` and the other in ``B``.
+    """Sum of edge weights with one endpoint in ``A`` and the other in ``B``:
+    the exactly rounded sum of the larger set's weights into the group of
+    the smaller.
 
     The sets must be disjoint.
     """
@@ -185,12 +180,7 @@ def cross_weight(A: Iterable[int], B: Iterable[int], g: SimGraph) -> float:
         raise PreconditionError(f"sets overlap on {sorted(sa & sb)}")
     if len(sb) < len(sa):
         sa, sb = sb, sa
-    acc = 0.0
-    for u in sa:
-        for t, w in zip(*g.row(u)):
-            if t in sb:
-                acc += w
-    return acc
+    return math.fsum(_Group(g, sa).inw[np.fromiter(sb, np.int64, len(sb))].tolist())
 
 
 @dataclass(frozen=True)
@@ -213,16 +203,7 @@ class ConstraintPair:
 
 def is_feasible(F: Iterable[int], g: SimGraph, c: ConstraintPair) -> bool:
     """True iff |F| > c.p and every member has an in-group edge above c.s."""
-    members = _check_members(F, g)
-    if len(members) <= c.p:
-        return False
-    nodes = np.fromiter(members, np.int64, len(members))
-    unmet = np.zeros(g.n, dtype=bool)
-    unmet[nodes] = True
-    rows, pos = g.gather(nodes)
-    # a member with an edge above s to another member is met
-    unmet[rows[(g.weights[pos] > c.s) & unmet[g.indices[pos]]]] = False
-    return not unmet.any()
+    return _Group(g, _check_members(F, g)).feasible(c)
 
 
 @dataclass(frozen=True)
@@ -251,6 +232,139 @@ class Solution:
 
     def __bool__(self) -> bool:
         return bool(self.members)
+
+
+class _Group:
+    """A member set plus every node's weight into it: the one place a
+    member set's weights are summed.
+
+    ``mask`` marks the members. For each node u, member or not, ``inw[u]``
+    sums the weights of u's edges to members in row order, the bits of
+    ``incident_weight(u, members, graph)``, and ``top[u]`` is the largest
+    of them (0.0 without any), so the group is supported at s exactly when
+    every member's ``top`` exceeds s. A build gathers the sorted members'
+    own rows once; ``move_to`` recomputes both arrays for the rows that
+    hold a changed node, so a change costs the degrees of the changed
+    nodes' neighbours. Either way the arrays depend on the member set
+    alone. ``weight`` is W of the group, the exactly rounded sum of the
+    members' ``inw`` halved, so a member set has one alpha whatever path
+    reached it; it is summed on the first read after a change.
+    ``solution`` is the Solution the group was last adopted as, and None
+    once a member changes.
+    """
+
+    __slots__ = ("graph", "members", "mask", "inw", "top", "solution", "_weight")
+
+    def __init__(self, g: SimGraph, members: Iterable[int] = ()):
+        """``members`` must be ids of ``g``; they are not range-checked."""
+        self.graph = g
+        self.members: frozenset[int] = frozenset(members)
+        nodes = np.sort(np.fromiter(self.members, np.int64, len(self.members)))
+        self.mask = np.zeros(g.n, dtype=bool)
+        self.mask[nodes] = True
+        pos = g.gather(nodes)[1]
+        dst, w = g.indices[pos], g.weights[pos]
+        # bin t adds t's edges to members in increasing member id, which is
+        # t's row order, as incident_weight does; an empty gather counts in
+        # int64
+        self.inw = np.bincount(dst, weights=w, minlength=g.n).astype(np.float64, copy=False)
+        self.top = np.zeros(g.n)
+        np.maximum.at(self.top, dst, w)
+        self.solution: Solution | None = None
+        self._weight: float | None = None
+
+    def copy(self) -> "_Group":
+        new = _Group.__new__(_Group)
+        new.graph, new.members = self.graph, self.members
+        new.mask, new.inw, new.top = self.mask.copy(), self.inw.copy(), self.top.copy()
+        new.solution, new._weight = self.solution, self._weight
+        return new
+
+    @property
+    def weight(self) -> float:
+        if self._weight is None:
+            self._weight = math.fsum(self.inw[self.mask].tolist()) / 2.0
+        return self._weight
+
+    @property
+    def alpha(self) -> float:
+        return self.weight / len(self.members) if self.members else 0.0
+
+    def feasible(self, c: ConstraintPair) -> bool:
+        """True iff |members| > c.p and every member has an edge above c.s
+        to another member."""
+        return len(self.members) > c.p and bool(self.top[self.mask].min() > c.s)
+
+    def move_to(self, target: Iterable[int]) -> None:
+        """Make ``target`` the member set: flip the nodes that change in
+        ``mask`` and recompute the rows of their neighbours."""
+        target = frozenset(target)
+        changed = np.fromiter(self.members ^ target, np.int64)
+        if not changed.size:
+            return
+        g = self.graph
+        self.members = target
+        self.mask[changed] = ~self.mask[changed]
+        self.solution = self._weight = None
+        hit = np.zeros(g.n, dtype=bool)
+        hit[g.indices[g.gather(changed)[1]]] = True
+        self._refresh(np.flatnonzero(hit))
+
+    def _refresh(self, rows: np.ndarray) -> None:
+        """Recompute ``inw`` and ``top`` of ``rows``, distinct nodes in id
+        order with an edge each, from their edges to members."""
+        if not rows.size:
+            return
+        g = self.graph
+        src, pos = g.gather(rows)
+        w = np.where(self.mask[g.indices[pos]], g.weights[pos], 0.0)
+        # bincount adds each row's weights in row order, as incident_weight
+        # does, and a non-member's 0.0 leaves the sum as it was
+        self.inw[rows] = np.bincount(src, weights=w, minlength=g.n)[rows]
+        counts = g.indptr[rows + 1] - g.indptr[rows]
+        self.top[rows] = np.maximum.reduceat(w, np.cumsum(counts) - counts)
+
+    def challenger(self, members: frozenset[int], c: ConstraintPair) -> "_Group | None":
+        """A copy of the group moved onto ``members``, if it beats the group
+        under ``c``, else None. A candidate beats the group when it
+        is feasible and has a higher alpha or the group is infeasible; the
+        group wins exact ties, and its own member set never beats it."""
+        if members == self.members:
+            return None
+        cand = self.copy()
+        cand.move_to(members)
+        if cand.feasible(c) and (cand.alpha > self.alpha or not self.feasible(c)):
+            return cand
+        return None
+
+    def outclassed(self) -> bool:
+        """True when no set of outside nodes, alone or joined to the group,
+        can reach the group's alpha (Charikar's degree bound, APPROX 2000).
+
+        With ``deg(u)`` the weighted degree of an outside node u, let M be
+        the largest ``(deg(u) + inw(u)) / 2``. An outside set S has alpha(S)
+        at most the largest weighted degree inside S over 2, which is at
+        most M, and W(group + S) is at most W + |S| M, so neither beats the
+        group's alpha when M is below it. The margin makes the closest such
+        set, the group plus one node, lie clear of rounding error."""
+        g = self.graph
+        outside = np.flatnonzero(~self.mask)
+        if not outside.size:
+            return True
+        src, pos = g.gather(outside)
+        deg = np.bincount(src, weights=g.weights[pos], minlength=g.n)[outside]
+        bound = float((deg + self.inw[outside]).max()) / 2.0
+        alpha = self.alpha
+        return alpha - bound > 1e-9 * alpha * (len(self.members) + 1)
+
+    def extend_graph(self, g: SimGraph, bridges: list[tuple[int, int, float]]) -> None:
+        """Move onto ``g = disjoint_union(self.graph, extra, bridges)``; the
+        added nodes start outside, so only the bridge ends they hold change
+        weight."""
+        offset, k = self.graph.n, g.n - self.graph.n
+        self.graph = g
+        self.mask, self.inw, self.top = (np.pad(a, (0, k)) for a in (self.mask, self.inw, self.top))
+        self._refresh(np.unique(np.array([v + offset for u, v, _ in bridges if self.mask[u]], np.int64)))
 
 
 def disjoint_union(g1: SimGraph, g2: SimGraph, bridges: Iterable[Edge] = ()) -> SimGraph:

@@ -8,9 +8,13 @@ per-size values, so a peel of n nodes costs O(n) memory instead of the
 O(n^2) it would take to store every intermediate set. None of it depends on
 the size floor p: the best feasible set for any p is picked afterwards.
 
-A peel may pin an anchor group: its members stay alive and are never
-removed, so the one removal order records both the anchor plus the outside
-nodes still alive and those outside nodes alone, at every size.
+A peel may pin an anchor group, a ``graph._Group``: its members stay alive
+and are never removed, so the one removal order records both the anchor
+plus the outside nodes still alive and those outside nodes alone, at every
+size. The group's W and every node's weight (``inw``) and strongest edge
+(``top``) into it are all a peel needs to know of the anchor, so it touches
+only the edges of the nodes it may remove. Each run's starting total is a
+left-to-right sum over the outside nodes in id order.
 
 The loop keeps its candidates in a threshold front: a heap with an entry
 for every removable node whose incident weight is at most a bound, plus
@@ -38,12 +42,12 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass, replace
-from typing import Collection, Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ParameterError
-from .graph import ConstraintPair, SimGraph, Solution
+from .graph import ConstraintPair, SimGraph, Solution, _Group
 
 # How many of the least-weight outside nodes a peel's front takes in at a
 # refill, and how many nodes its dense tail removes; 32 to 256 measured
@@ -320,25 +324,12 @@ def _peel_tail(g: SimGraph, rest: np.ndarray, incident_at: np.ndarray) -> list[i
     return rest[taken].tolist()
 
 
-class Anchor(Protocol):
-    """A group a peel pins, with what the peel needs to know of it: W of
-    the group, and arrays indexed by node of each node's weight into the
-    group (``inw``) and strongest edge into it (``top``, 0.0 without any).
-    Knowing these, a peel touches only the edges of the nodes it may
-    remove. A session's group state is one."""
-
-    members: Collection[int]
-    weight: float
-    inw: np.ndarray
-    top: np.ndarray
-
-
 def modified_sgsel(
     g: SimGraph,
     c: ConstraintPair,
     within: Iterable[int] | None = None,
     stats: PeelStats | None = None,
-    anchor: Anchor | None = None,
+    anchor: _Group | None = None,
     into: PeelProfile | None = None,
     floor: float | None = None,
 ) -> tuple[Solution, PeelProfile]:
@@ -357,10 +348,11 @@ def modified_sgsel(
     peel's p-independent record, from which ``run.best(p)`` picks the result
     for any other size floor.
 
-    ``anchor`` pins its members: they join the start set, stay alive, count
-    toward every incident weight and support, and are never removed; the
-    other nodes are prefiltered and peeled as usual, and set-up visits only
-    their edges. ``run`` then records each union of the anchor with the
+    ``anchor``, a ``_Group`` of ``g``, pins its members: they join the start
+    set, stay alive, count toward every incident weight and support, and
+    are never removed; the other nodes are prefiltered and peeled as usual,
+    and set-up visits only their edges, reading the group's W, ``inw`` and
+    ``top`` for the anchor's share. ``run`` then records each union of the anchor with the
     outside nodes still alive, so ``run.best(p)`` is the best superset of
     the anchor, and the profile's ``outside`` run records the outside nodes
     alone along the same removal order; without an anchor ``outside`` is
@@ -487,7 +479,7 @@ def _peel_runs(
     alive: np.ndarray,
     incident_at: np.ndarray,
     free: np.ndarray,
-    anchor: Anchor | None,
+    anchor: _Group | None,
     pinned: np.ndarray,
     stats: PeelStats | None,
 ) -> tuple[PeelRun, PeelRun | None, np.ndarray]:
@@ -507,17 +499,7 @@ def _peel_runs(
         anc = anchor.inw
         keys, anc_at = incident_at[free], anc[free]
         total = _running_sum(keys + anc_at) / 2.0 + anchor.weight
-        # the outside total is added in the order of a heap of every outside
-        # node's (incident weight, id), the order earlier versions' loop
-        # started from, to keep their bits; heapify only compares entries,
-        # and each one's rank in (weight, id) order compares as it does
-        by_key = np.lexsort((free, keys))
-        rank = np.empty(m, dtype=np.int64)
-        rank[by_key] = np.arange(m)
-        heap = rank.tolist()
-        heapq.heapify(heap)
-        in_heap = by_key[heap]
-        out_total = _running_sum(keys[in_heap] - anc_at[in_heap]) / 2.0
+        out_total = _running_sum(keys - anc_at) / 2.0
 
     # builtin floats and bytes for the loop, numpy views of the same memory
     # for the refills and the passes after it

@@ -1,9 +1,13 @@
 """The names other code reaches the package through."""
 
+import ast
+from pathlib import Path
+
 import msel
 import msel.cli
 import msel.dataio
 import msel.dcsel
+import msel.graph
 import msel.similarity
 from msel import Solution
 
@@ -30,3 +34,26 @@ def test_traced_names_are_module_attributes():
         for name in names:
             assert callable(vars(module).get(name)), f"{module.__name__}.{name}"
     assert "from_members" in vars(Solution)
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Every module an ``msel`` source file imports, or imports a name from,
+    as an absolute dotted name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["msel" if node.level else "", node.module]))
+            found.add(base)
+            found.update(f"{base}.{a.name}" for a in node.names)
+    return found
+
+
+def test_graph_and_peel_do_not_import_the_session():
+    # the session builds on the peel and the graph's group state, never the
+    # other way round
+    src = Path(msel.graph.__file__).parent
+    for name in ("graph", "peel"):
+        assert "msel.dcsel" not in _imported_modules(src / f"{name}.py"), name
+    assert msel.dcsel._Group is msel.graph._Group

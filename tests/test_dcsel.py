@@ -27,6 +27,7 @@ from msel import (
     modified_sgsel,
     parse_schedule,
     planted_community_graph,
+    random_graph,
     read_msg1,
     run_schedule,
     total_weight,
@@ -71,6 +72,10 @@ def test_schedule_event_text():
     assert ScheduleEvent("similarity_delta", 0.123456789).text() == "s+=0.123456789"
     assert ScheduleEvent("similarity_set", 1e-07).text() == "s=1e-07"
     assert ScheduleEvent("similarity_delta", -1e-07).text() == "s-=1e-07"
+    # `s -= 0.0` parses to -0.0, which compares equal to 0.0; the sign bit
+    # tells them apart
+    assert ScheduleEvent("similarity_delta", -0.0).text() == "s-=0.0"
+    assert ScheduleEvent("similarity_delta", 0.0).text() == "s+=0.0"
     assert ScheduleEvent("augment", "/tmp/somewhere/extra.msg1").text() == "augment extra.msg1"
 
 
@@ -813,6 +818,28 @@ def test_challenger_beats_the_group_only_when_feasible_and_better():
     weak = _Group(g, {6, 7, 8})
     assert weak.challenger(frozenset({0, 1, 2}), loose).members == {0, 1, 2}
     assert weak.members == {6, 7, 8}
+
+
+def test_one_member_set_gets_one_weight():
+    # a 40-node set built three ways iterates in three orders; every reader
+    # sums its weights through one group build, so all give the same bits
+    g = random_graph(400, 20000, seed=3)
+    rng = random.Random(3)
+    for _ in range(300):
+        F = rng.sample(range(g.n), 40)
+        grp = dcsel._Group(g, F)
+        want = (repr(grp.weight), repr(grp.alpha))
+        for members in (frozenset(F), frozenset(reversed(F)), frozenset(sorted(F))):
+            sol = Solution.from_members(g, members)
+            assert (repr(total_weight(members, g)), repr(avg_similarity(members, g))) == want
+            assert (repr(sol.total_weight), repr(sol.alpha)) == want
+
+
+def test_session_alpha_is_avg_similarity():
+    g = planted_community_graph(3000, 12000, seed=1, community=40)
+    sess = init_session(g, ConstraintPair(s=0.2, p=5))
+    assert sess.current.size == 40
+    assert repr(avg_similarity(sess.current.members, g)) == repr(sess.current.alpha)
 
 
 def _counting_challenger(calls):

@@ -1,5 +1,4 @@
 import hashlib
-import heapq
 import math
 import random
 import weakref
@@ -306,6 +305,8 @@ def _assert_group_state(grp):
     gives, its ``top`` is the largest weight of its edges to members, and
     W is the exactly rounded sum of the members' weights halved."""
     g = grp.graph
+    # an empty group's arrays too, so that later moves keep their bits
+    assert grp.inw.dtype == grp.top.dtype == np.float64
     for u in range(g.n):
         assert bool(grp.mask[u]) == (u in grp.members)
         # the same terms in the same order: equal bits, not just close
@@ -363,17 +364,10 @@ def _reference_peel(g, s, anchor=None, within=None):
     for u in free:
         total += incident[u] + anc[u]
     total = total / 2.0 + (anchor.weight if anchor is not None else 0.0)
-    if pinned:
-        # the outside total is added in the order of the heap the loop
-        # starts from
-        heap = [(incident[u], u) for u in free]
-        heapq.heapify(heap)
-        out_total = 0.0
-        for iw, u in heap:
-            out_total += iw - anc[u]
-        out_total /= 2.0
-    else:
-        out_total = total
+    out_total = 0.0
+    for u in free:
+        out_total += incident[u] - anc[u]
+    out_total /= 2.0
 
     strong = {u: {t for t, w in g.neighbors(u) if w > s} for u in live | pinned}
 
