@@ -30,13 +30,10 @@ def sgsel(g: SimGraph, c: ConstraintPair) -> Solution:
     the earlier pool. Infeasible everywhere yields the empty solution.
     """
     best, _ = modified_sgsel(g, c)
+    indptr, indices = g.indptr, g.indices
     for v in range(g.n):
-        ball = {v}
-        for t, _ in g.neighbors(v):
-            ball.add(t)
-        for t in list(ball):
-            for t2, _ in g.neighbors(t):
-                ball.add(t2)
+        nb = indices[indptr[v]:indptr[v + 1]]
+        ball = np.unique(np.concatenate(([v], nb, indices[g.gather(nb)[1]])))
         sol, _ = modified_sgsel(g, c, within=ball)
         if sol.alpha > best.alpha:
             best = sol
@@ -116,7 +113,7 @@ def _metric_peel(g, c, key_fn) -> Solution:
             break
 
     trace = PeelTrace(tuple(order))
-    run = PeelRun.of(trace.order, totals[1:], trace.supported(g, c.s).tobytes())
+    run = PeelRun.of(trace.order, totals[1:], trace.supported(g, c.s))
     k = run.best_size(c.p)
     if not k:
         return Solution.empty()

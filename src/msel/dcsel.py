@@ -19,28 +19,26 @@ A peel's removal order and per-size records depend on the graph, s, the
 nodes it starts from and the nodes it pins, never on p. The session keeps
 the run of its last whole-graph peel, and while the graph and s are still
 that run's, a repair takes the run's pick at no peel cost instead of
-peeling. Every anchored repair runs its peel.
+peeling.
 
-Nor does an anchored peel run when it cannot win (the outclass check): the
-incumbent A is feasible and, with deg(u) an outside node's weighted degree
-and inw(u) its weight into A, M = max (deg(u) + inw(u)) / 2 is below
-alpha(A) by more than 1e-9 alpha(A) (|A| + 1). Every outside group then has
-alpha at most M and every superset of A a mediant of alpha(A) and M, so A
-stands. The skipped peel counts no work and folds no records (every set it
-would record but A lies below alpha(A)); a later event that needs it runs
-it then.
-
-An anchored peel that does run around a feasible A is cored at tau =
-alpha(A) (``modified_sgsel``'s ``floor``). A min-incident-weight peel
-removes the weighted tau-core last, each node before it leaving with a
-weight below tau, so the peel drops those nodes in numpy rounds and peels
-only the core C. Every larger set the full peel would record then has alpha
-below a bound B, a mediant of the run's largest set and tau; each cored run
-is kept only when B is below tau (no such set can replace A) or its pick is
-above B (the full run's pick is its own), and otherwise the full peel runs.
-A cored peel is a partial run: the session keeps its B and a copy of A, and
-a later size decrease whose floor is not above B runs the full peel into
-the profile first. Whole-graph peels are never cored.
+An anchored peel around a feasible A is floored at tau = alpha(A)
+(``modified_sgsel``'s ``floor``), the one place that decides whether, and
+how much of, it runs. It runs none when it cannot win, by one of two exits
+with a margin of 1e-9 tau (|A| + 1): no outside node u has
+(deg(u) + inw(u)) / 2 as high as tau, with deg(u) u's weighted degree and
+inw(u) its weight into A (Charikar's degree bound), or the weighted
+tau-core of the outside nodes is empty. Then A stands: the peel counts no
+work and folds no records (every set it would record but A lies below
+alpha(A)), and a later event that needs it runs it then. Otherwise a
+min-incident-weight peel removes the core C last, each node before it
+leaving with a weight below tau, so the peel drops those nodes in numpy
+rounds and peels only C. Every larger set the full peel would record then
+has alpha below a bound B, a mediant of the run's largest set and tau;
+each cored run is kept only when B is below tau (no such set can replace
+A) or its pick is above B (the full run's pick is its own), and otherwise
+the full peel runs. A cored peel is a partial run: the session keeps its B
+and a copy of A, and a later size decrease whose floor is not above B runs
+the full peel into the profile first. Whole-graph peels are never floored.
 
 The session keeps its incumbent as a ``graph._Group``: the membership mask
 and each node's weight into the group and strongest edge into it. A change
@@ -255,7 +253,8 @@ def _peel(sess: Session, c: ConstraintPair, anchor: _Group | None = None,
           floor: float | None = None) -> tuple[PeelRun, ...]:
     """The run of a peel of the whole graph (``anchor`` None or empty), or
     the union and outside runs of one with ``anchor``'s members pinned,
-    cored at ``floor`` when the cut applies and certifies.
+    cored at ``floor`` when the cut applies and certifies; none when
+    ``floor`` proves that no run could beat the anchor.
 
     The kept whole-graph run answers a whole-graph peel of its graph and s,
     at no peel cost. Any other peel runs: its work is counted and its
@@ -270,6 +269,8 @@ def _peel(sess: Session, c: ConstraintPair, anchor: _Group | None = None,
         runs = (kept,)
     else:
         runs = _run_peel(sess, g, c, anchor if pinned else None, floor)
+        if not runs:
+            return runs
         if not pinned:
             sess._whole = (g, c.s, runs[0])
         elif runs[0].skipped:
@@ -340,25 +341,17 @@ def _repair(sess: Session, grp: _Group, whole: bool = False) -> _Group:
     runs' alphas, and the winner replaces ``grp`` only if it beats it
     (``challenger``).
 
-    A feasible ``grp`` that no outside node is heavy enough to improve on
-    (``_Group.outclassed``) stands without the anchored peel: every group
-    that peel could propose has a lower alpha. The skipped peel counts no
-    work and folds no records into the profile (every set it would record
-    but ``grp`` has a lower alpha).
-
-    Around a feasible ``grp`` the anchored peel is cored at tau = alpha of
-    ``grp`` (``modified_sgsel``'s ``floor``): only a group with a higher
-    alpha can replace ``grp``, and each of the certified cored runs proposes
-    what the full run would, or a group below tau. The sizes a cored run
-    skipped have alpha below its bound; a later size decrease whose floor
-    is not above that bound first runs the full peel (``_complete``)."""
+    Around a feasible ``grp`` the anchored peel is floored at tau = alpha
+    of ``grp`` (``modified_sgsel``'s ``floor``), since only a group with a
+    higher alpha can replace ``grp``. It runs none when the degree bound or
+    an empty tau-core shows that none can, and ``grp`` stands; otherwise it
+    is cored, and each of the certified cored runs proposes what the full
+    run would, or a group below tau. The sizes a cored run skipped have
+    alpha below its bound; a later size decrease whose floor is not above
+    that bound first runs the full peel (``_complete``)."""
     c = sess.constraints
     whole = whole or _kept_run(sess, c.s) is not None
-    floor = None
-    if not whole and grp.feasible(c):
-        if grp.outclassed():
-            return grp
-        floor = grp.alpha
+    floor = grp.alpha if not whole and grp.feasible(c) else None
     runs = _peel(sess, c, None if whole else grp, floor)
     picks = [(run.alphas[k], k, run) for run in runs if (k := run.best_size(c.p))]
     if not picks:
@@ -450,10 +443,10 @@ def apply_similarity_delta(sess: Session, ds: float) -> Solution:
     without any edge above the new floor are stripped, which reads only the
     edges of members with no edge above it into the group; a feasible
     stripped group is kept, any other is repaired by one anchored peel
-    around it. A lowered floor is searched by one anchored peel, unless the
-    outclass check shows that peel cannot beat the group. Around a feasible
-    group that peel is cored at the group's alpha, and keeps its partial
-    runs for later size decreases (see ``_repair``).
+    around it. A lowered floor is searched by one anchored peel. Around a
+    feasible group that peel is floored at the group's alpha: it runs none
+    when it cannot beat the group, and otherwise is cored and keeps its
+    partial runs for later size decreases (see ``_repair``).
     """
     ev = ScheduleEvent("similarity_delta", float(ds))
     return _step(sess, ev.text(), _retarget, next_constraints(sess.constraints, ev))
@@ -469,24 +462,19 @@ def _merge(sess: Session, extra: SimGraph, bridges: list[tuple[int, int, float]]
     return _repair(sess, grp)
 
 
-def augment_graph(
-    sess: Session,
-    extra: SimGraph,
-    bridges: list[tuple[int, int, float]] | None = None,
-    label: str = "augment",
-) -> Solution:
+def augment_graph(sess: Session, extra: SimGraph, bridges: list[tuple[int, int, float]] | None = None) -> Solution:
     """Merge a second graph (ids remapped past the current ones) plus optional
     bridge edges, then search the enlarged space for a better group.
 
     The adopted result is the best candidate of one anchored peel around
     current: its best feasible superset, the best feasible group outside it,
-    or current unchanged; the peel is skipped when the outclass check shows
-    it cannot beat current. Around a feasible current the peel is cored at
-    its alpha: only the merged nodes and the old ones heavy enough to beat
-    it are peeled, unless the cut cannot be certified (see ``_repair``).
+    or current unchanged. Around a feasible current the peel is floored at
+    its alpha: it runs none when it cannot beat current, and otherwise
+    peels only the merged nodes and the old ones heavy enough to beat it,
+    unless the cut cannot be certified (see ``_repair``).
     With an empty extra graph and no bridges nothing changes.
     """
-    return _step(sess, label, _merge, extra, list(bridges) if bridges else [])
+    return _step(sess, "augment", _merge, extra, list(bridges) if bridges else [])
 
 
 def load_augment(ev: ScheduleEvent) -> tuple[SimGraph, list[tuple[int, int, float]]]:
@@ -506,7 +494,7 @@ def run_schedule(sess: Session, events: list[ScheduleEvent]) -> list[StepRecord]
     for i, ev in enumerate(events, start=1):
         try:
             if ev.kind == "augment":
-                augment_graph(sess, *load_augment(ev), label=ev.text())
+                _step(sess, ev.text(), _merge, *load_augment(ev))
             else:
                 _step(sess, ev.text(), _retarget, next_constraints(sess.constraints, ev))
         except MselError as e:

@@ -337,26 +337,6 @@ class _Group:
             return cand
         return None
 
-    def outclassed(self) -> bool:
-        """True when no set of outside nodes, alone or joined to the group,
-        can reach the group's alpha (Charikar's degree bound, APPROX 2000).
-
-        With ``deg(u)`` the weighted degree of an outside node u, let M be
-        the largest ``(deg(u) + inw(u)) / 2``. An outside set S has alpha(S)
-        at most the largest weighted degree inside S over 2, which is at
-        most M, and W(group + S) is at most W + |S| M, so neither beats the
-        group's alpha when M is below it. The margin makes the closest such
-        set, the group plus one node, lie clear of rounding error."""
-        g = self.graph
-        outside = np.flatnonzero(~self.mask)
-        if not outside.size:
-            return True
-        src, pos = g.gather(outside)
-        deg = np.bincount(src, weights=g.weights[pos], minlength=g.n)[outside]
-        bound = float((deg + self.inw[outside]).max()) / 2.0
-        alpha = self.alpha
-        return alpha - bound > 1e-9 * alpha * (len(self.members) + 1)
-
     def extend_graph(self, g: SimGraph, bridges: list[tuple[int, int, float]]) -> None:
         """Move onto ``g = disjoint_union(self.graph, extra, bridges)``; the
         added nodes start outside, so only the bridge ends they hold change

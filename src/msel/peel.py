@@ -102,7 +102,8 @@ class PeelProfile:
     an exact tie. ``run`` and ``outside`` are the runs of the last peel
     ``modified_sgsel`` merged into the profile: ``outside`` is None unless
     that peel pinned an anchor, and both are None in a profile no peel went
-    into. Every alpha the profile hands out is a builtin float.
+    into or after a floored peel that ran none (see ``floor``). Every alpha
+    the profile hands out is a builtin float.
     """
 
     def __init__(self):
@@ -178,7 +179,8 @@ class PeelProfile:
         return int(np.count_nonzero(self._held))
 
 
-def _setup(g: SimGraph, s: float, alive: np.ndarray) -> np.ndarray:
+def _setup(g: SimGraph, s: float, alive: np.ndarray, anchor: _Group | None = None,
+           tau: float | None = None) -> np.ndarray | None:
     """Prefilter the start set of a peel and weigh what its loop starts from.
 
     ``alive`` marks each node 1 when the peel may remove it, 2 when it is
@@ -187,11 +189,23 @@ def _setup(g: SimGraph, s: float, alive: np.ndarray) -> np.ndarray:
     node; only the rows of the nodes marked 1 are read. Returns, for every
     node, its weight into the alive nodes, summed in neighbour-id order (for
     surviving nodes marked 1).
+
+    Given ``tau`` and the pinned ``anchor``, returns None instead, before
+    the prefilter, when M, the largest ``(deg(u) + inw(u)) / 2`` over the
+    nodes u marked 1, is below tau (Charikar's degree bound, APPROX 2000):
+    with ``deg(u)`` u's weighted degree, an outside set has alpha at most M
+    and the anchor joined by outside nodes at most a mediant of its own
+    alpha and M.
     """
     n = g.n
     nodes = np.flatnonzero(alive == 1)
     src, pos = g.gather(nodes)
-    dst, w = g.indices[pos], g.weights[pos]
+    w = g.weights[pos]
+    if tau is not None:
+        deg = np.bincount(src, weights=w, minlength=n)[nodes]
+        if float((deg + anchor.inw[nodes]).max(initial=-math.inf)) / 2.0 < tau:
+            return None
+    dst = g.indices[pos]
     cnt = np.bincount(src[(w > s) & (alive[dst] != 0)], minlength=n)
     # Edges are symmetric: when u has an edge above s to an alive t, t has
     # the same edge to u. So dropping the nodes without any such edge
@@ -247,7 +261,7 @@ class PeelRun:
 
     The set alive at size k is the last k nodes of ``trace.order``;
     ``alphas[k]`` (a float64 array) is its average similarity and
-    ``supported[k]`` (a uint8 array) is 1 when each of its members has an
+    ``supported[k]`` (a bool array) is True when each of its members has an
     edge above s to another member. Sizes below ``first`` are never reached
     (index 0 always, and every size below the anchor's of an anchored
     peel's union run). A run depends only on the graph, s, the start set
@@ -266,13 +280,13 @@ class PeelRun:
     bound: float = -math.inf
 
     @classmethod
-    def of(cls, order: tuple[int, ...], totals: Sequence[float], supported: bytes, first: int = 1) -> PeelRun:
+    def of(cls, order: tuple[int, ...], totals: Sequence[float], supported: np.ndarray, first: int = 1) -> PeelRun:
         """The run whose set at size ``first + i`` weighs ``totals[i]`` and
         has support flag ``supported[first + i]``. Each alpha is one IEEE
         division, so it has the bits ``totals[i] / (first + i)`` has."""
         alphas = np.zeros(len(order) + 1)
         np.divide(np.array(totals, dtype=np.float64), np.arange(first, len(order) + 1), out=alphas[first:])
-        return cls(PeelTrace(order), alphas, np.frombuffer(bytes(supported), np.uint8), first)
+        return cls(PeelTrace(order), alphas, supported, first)
 
     def sizes(self) -> range:
         """Every size the run recorded."""
@@ -286,7 +300,7 @@ class PeelRun:
         if lo > n:
             return 0
         # largest size first, so argmax's first maximum is the largest size
-        masked = np.where(self.supported[lo:] != 0, self.alphas[lo:], -1.0)[::-1]
+        masked = np.where(self.supported[lo:], self.alphas[lo:], -1.0)[::-1]
         i = int(masked.argmax())
         return n - i if masked[i] > -1.0 else 0
 
@@ -358,15 +372,30 @@ def modified_sgsel(
     alone along the same removal order; without an anchor ``outside`` is
     None.
 
-    ``floor`` (a tau, with an anchor only) asks for the core cut: the peel
-    first drops the outside nodes whose weight stays below tau (``_core``)
-    and peels only the core C left. A peel removes every other outside node
-    before any node of C, each with a weight below tau, so the cored runs
-    record the same sets as the full runs at every size they reach, and
-    every larger size of the full runs has alpha below the run's ``bound``.
-    The cored runs are kept only when both are certified (``_certified``);
-    otherwise, and whenever the cut does not apply, the full peel runs. A
-    cored run's ``skipped`` is the number of outside nodes it dropped.
+    ``floor``, with an anchor only, is tau = the alpha of the anchor, which
+    must be feasible under ``c`` (so it holds more than ``c.p`` nodes). Only
+    a set with alpha above tau can replace the anchor, so the peel runs
+    only as far as such a set may lie. With tau' = tau (1 - 1e-9 (|A| + 1))
+    for an anchor A, the margin that keeps A plus one node clear of
+    rounding error, the peel has two exits, each proving that every set
+    its runs would record has alpha below tau:
+
+    - the degree bound (``_setup``): no outside node is heavy enough, M
+      is below tau';
+    - the empty core (``_core``): dropping, round by round, the outside
+      nodes whose weight into the nodes left is below tau' leaves none, so
+      every superset of A has alpha at most tau (1 - 1e-9) and every
+      outside set below tau'.
+
+    An exit returns the empty Solution and a profile with no runs: it
+    counts no removals and records nothing. Otherwise a non-empty core C
+    is the cut: a peel removes every other outside node before any node of
+    C, each with a weight below tau, so the cored runs record the same sets
+    as the full runs at every size they reach, and every larger size of
+    the full runs has alpha below the run's ``bound``. The cored runs are
+    kept only when both are certified (``_certified``); otherwise, and
+    whenever the cut does not apply, the full peel runs. A cored run's
+    ``skipped`` is the number of outside nodes it dropped.
 
     The peel's records go into ``into`` when given, which is then the
     profile returned, so a caller that keeps one profile across peels
@@ -392,19 +421,23 @@ def modified_sgsel(
     if pins:
         alive[pinned] = 2
 
-    incident_at = _setup(g, s, alive)
+    profile = PeelProfile() if into is None else into
+    profile.run = profile.outside = None
+    tau = floor - 1e-9 * floor * (len(pins) + 1) if floor is not None and pins else None
+    incident_at = _setup(g, s, alive, anchor, tau)
+    if incident_at is None:
+        return Solution.empty(), profile
     free = np.flatnonzero(alive == 1)  # the outside nodes the prefilter kept
-    cored = None
-    if floor is not None and pins:
-        cored = _core(g, alive, incident_at, free, len(pins), c.p, floor)
-    if cored is not None:
+    run = outside = None
+    if tau is not None and (cored := _core(g, alive, incident_at, free, tau)) is not None:
         inside, weight, core = cored
+        if not len(core):
+            return Solution.empty(), profile
         run, outside, totals = _peel_runs(g, s, inside, weight, core, anchor, pinned, stats)
         skipped = len(free) - len(core)
         run, outside = (_certified(r, floor, skipped, c.p) for r in (run, outside))
-    if cored is None or run is None or outside is None:
+    if run is None or outside is None:
         run, outside, totals = _peel_runs(g, s, alive, incident_at, free, anchor, pinned, stats)
-    profile = PeelProfile() if into is None else into
     profile.run, profile.outside = run, outside
     for r in profile.runs():
         profile.add_run(r)
@@ -416,24 +449,20 @@ def modified_sgsel(
 
 
 def _core(
-    g: SimGraph, alive: np.ndarray, incident_at: np.ndarray, free: np.ndarray, na: int, p: int, tau: float,
+    g: SimGraph, alive: np.ndarray, incident_at: np.ndarray, free: np.ndarray, tau: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The weighted tau-core of a prefiltered anchored start set: the outside
     nodes left once those whose weight into the alive nodes is below tau are
     dropped, round by round, until none drops. Returns the start marks with
     the dropped nodes unmarked, every node's weight into the nodes left
     (summed as ``_setup`` sums it, for the core's nodes) and the core in id
-    order; or None when the cut does not apply: nothing is dropped, the
-    anchor and the core hold at most ``p`` nodes, or the core keeps more
-    than half of ``free``. The size rule is checked first, before any
-    round, on the nodes at or above tau, since the core lies among them.
-    An empty core is None too: its outside run records no set, so its bound
-    is tau itself and it could never be certified."""
+    order, which may be empty; or None when the cut does not apply: nothing
+    is dropped, or the core keeps more than half of ``free``."""
     m = len(free)
     low = incident_at[free] < tau
-    core = free[~low]
-    if not low.any() or na + len(core) <= p:
+    if not low.any():
         return None
+    core = free[~low]
     inside = alive.copy()
     inside[free[low]] = 0
     src, pos = g.gather(core)
@@ -448,7 +477,7 @@ def _core(
             break
         inside[core[low]] = 0
         core = core[~low]
-    if not len(core) or na + len(core) <= p or 2 * len(core) > m:
+    if 2 * len(core) > m:
         return None
     return inside, weight, core
 
@@ -562,7 +591,7 @@ def _peel_runs(
     # support after the loop, from the edges above s of the outside nodes
     last, row, dst = _last_strong(g, at, s)
     outside_order = tuple(order)
-    out_ok = _supported_by_order(last).tobytes()
+    out_ok = _supported_by_order(last)
     if not na:
         return PeelRun.of(outside_order, totals[1:], out_ok), None, totals
     out_totals = np.cumsum(np.concatenate(([out_total], -(gone - anc[at]))))[::-1]
@@ -578,5 +607,5 @@ def _peel_runs(
     np.maximum.at(pin_last, dst[into_anchor], row[into_anchor])
     pin_last[pinned[anchor.top[pinned] > s]] = m
     ok[:m - int(pin_last[pinned].min())] = False
-    run = PeelRun.of(outside_order + tuple(pinned.tolist()), totals, bytes(na) + ok.tobytes(), na)
+    run = PeelRun.of(outside_order + tuple(pinned.tolist()), totals, np.concatenate((np.zeros(na, bool), ok)), na)
     return run, outside, totals

@@ -674,27 +674,36 @@ def _played_steps(monkeypatch, play, *patches):
         return steps, play()
 
 
-def _with_and_without_outclass(monkeypatch, play):
-    """Run ``play()`` with the outclass check and again with it off. Returns
-    for each run its ``_played_steps``, then the number of peels the check
-    skipped."""
-    outclassed = dcsel._Group.outclassed
+def _with_and_without_exits(monkeypatch, play):
+    """Run ``play()`` as it is and again with the floored peel's two exits
+    off: the degree bound is not checked, and an empty core runs the full
+    peel. Returns for each run its ``_played_steps``, then the number of
+    floored peels the exits answered."""
+    peel, setup, core = dcsel.modified_sgsel, msel.peel._setup, msel.peel._core
     skips = 0
 
-    def counted(grp):
+    def counted(*args, **kwargs):
         nonlocal skips
-        hit = outclassed(grp)
-        skips += hit
-        return hit
+        sol, profile = peel(*args, **kwargs)
+        skips += not profile.runs()
+        return sol, profile
 
-    on = _played_steps(monkeypatch, play, (dcsel._Group, "outclassed", counted))
-    off = _played_steps(monkeypatch, play, (dcsel._Group, "outclassed", lambda grp: False))
+    def unbounded(g, s, alive, anchor=None, tau=None):
+        return setup(g, s, alive)
+
+    def never_empty(*args):
+        cored = core(*args)
+        return cored if cored is None or len(cored[2]) else None
+
+    on = _played_steps(monkeypatch, play, (dcsel, "modified_sgsel", counted))
+    off = _played_steps(monkeypatch, play, (msel.peel, "_setup", unbounded), (msel.peel, "_core", never_empty))
     return on, off, skips
 
 
 def test_outclassed_incumbent_skips_the_anchored_peel(monkeypatch):
     # the 40-node community (alpha 16.6) outweighs every outside node's
-    # degree bound, so a lowered floor cannot bring in a better group
+    # degree bound, so a lowered floor cannot bring in a better group: the
+    # floored peel runs none
     g = planted_community_graph(3000, 9000, seed=1, community=40)
     for ev in (ScheduleEvent("similarity_delta", -0.05), ScheduleEvent("similarity_set", 0.15)):
         def play():
@@ -702,10 +711,26 @@ def test_outclassed_incumbent_skips_the_anchored_peel(monkeypatch):
             run_schedule(sess, [ev])
             return sess
 
-        (on, sess), (off, peeled), skips = _with_and_without_outclass(monkeypatch, play)
+        (on, sess), (off, peeled), skips = _with_and_without_exits(monkeypatch, play)
         assert skips == 1
         assert sess.event_removals == 0 < peeled.event_removals
         assert on == off
+
+
+def test_an_empty_core_skips_the_anchored_peel():
+    # the triangle A = {0, 1, 2} (alpha 0.9) wins. The star's centre has
+    # degree 3.0, so the degree bound (1.5) leaves the outside in play; but
+    # the leaves weigh 0.5 and go in the first round, the centre after
+    # them, so the 0.9-core is empty and A stands without a peel
+    edges = [(0, 1, 0.9), (0, 2, 0.9), (1, 2, 0.9)] + [(3, u, 0.5) for u in range(4, 10)]
+    g = SimGraph(10, edges)
+    alive = np.array([2, 2, 2] + [1] * 7, dtype=np.uint8)
+    assert msel.peel._setup(g, 0.15, alive, dcsel._Group(g, {0, 1, 2}), 0.9) is not None
+    sess = init_session(g, ConstraintPair(s=0.2, p=2))
+    assert sess.current.members == {0, 1, 2}
+    apply_similarity_delta(sess, -0.05)
+    assert sess.current.members == {0, 1, 2} and sess.history[-1].feasible
+    assert sess.event_removals == 0
 
 
 def test_outclass_check_lets_a_denser_merge_peel():
@@ -720,7 +745,8 @@ def test_outclass_check_lets_a_denser_merge_peel():
 
 def test_outclass_check_changes_no_result(monkeypatch):
     # random walks, then mid-size schedules whose lowered floors and merges
-    # the check answers, each played with the check and without it
+    # the floored peel's exits answer, each played with the exits and
+    # without them
     events = [ScheduleEvent(k, v) for k, v in (
         ("similarity_delta", -0.05), ("size_set", 60), ("similarity_set", 0.1),
         ("size_delta", -40), ("similarity_delta", 0.25), ("similarity_set", 0.15),
@@ -740,7 +766,7 @@ def test_outclass_check_changes_no_result(monkeypatch):
             augment_graph(sess, extra, bridges)
             run_schedule(sess, events)
 
-    (on, _), (off, _), skips = _with_and_without_outclass(monkeypatch, play)
+    (on, _), (off, _), skips = _with_and_without_exits(monkeypatch, play)
     assert skips > 0
     assert on == off
 

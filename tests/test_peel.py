@@ -475,19 +475,28 @@ def _feasible_group(rng, g, s):
 
 
 def test_cored_peel_records_what_the_full_peel_records():
-    # a peel floored at alpha of a feasible anchor either is the full peel,
-    # bit for bit, or returns its pick and its runs hold the full runs'
-    # sets at every size they reach, and every size they skip lies below
-    # their bound
+    # a peel floored at alpha of a feasible anchor either runs none, when
+    # every set the full peel records but the anchor lies below that
+    # alpha, or is the full peel, bit for bit, or returns its pick and its
+    # runs hold the full runs' sets at every size they reach, and every
+    # size they skip lies below their bound
     rng = random.Random(1801)
-    cored = 0
+    cored = exits = 0
     for i in range(300):
         n = rng.randint(40, 200)
         g = planted_clique_graph(rng, n, rng.randint(6, min(40, n // 3)), tied=i % 3 == 0)
         grp, c = _feasible_group(rng, g, rng.choice([0.1, 0.2, 0.4]))
         within = [u for u in range(n) if u not in grp.members]
-        sol, profile = modified_sgsel(g, c, within=within, anchor=grp, floor=grp.alpha)
+        stats = PeelStats()
+        sol, profile = modified_sgsel(g, c, within=within, stats=stats, anchor=grp, floor=grp.alpha)
         full_sol, full = modified_sgsel(g, c, within=within, anchor=grp)
+        if not profile.runs():
+            exits += 1
+            assert not sol and stats == PeelStats() and len(profile) == 0
+            union, alone = full.runs()
+            assert (union.alphas[union.first + 1:] < grp.alpha).all()
+            assert (alone.alphas[alone.first:] < grp.alpha).all()
+            continue
         if not profile.run.skipped:
             assert sol == full_sol
             for run, whole in zip(profile.runs(), full.runs()):
@@ -519,12 +528,12 @@ def test_profile_ties_keep_the_first_entry_and_sizes_grow():
     profile.record(2, 0.5, first)
     profile.record(2, 0.5, second)
     assert profile.members_at(2) == frozenset({1, 2})
-    profile.add_run(PeelRun.of((7, 8, 9), [0.2, 1.0, 0.9], b"\x00\x01\x01\x01"))
+    profile.add_run(PeelRun.of((7, 8, 9), [0.2, 1.0, 0.9], np.array([0, 1, 1, 1], bool)))
     # size 2 ties at 0.5 and stays; size 1 is new, size 3 is new
     assert profile.members_at(2) == frozenset({1, 2})
     assert profile.sizes() == [1, 2, 3]
     assert profile.alpha_at(3) == 0.3
-    profile.add_run(PeelRun.of((9, 8, 7), [0.2, 1.2, 0.9], b"\x00\x01\x01\x01"))
+    profile.add_run(PeelRun.of((9, 8, 7), [0.2, 1.2, 0.9], np.array([0, 1, 1, 1], bool)))
     assert profile.members_at(2) == frozenset({8, 7})
     assert profile.alpha_at(2) == 0.6
     # a size far past everything recorded so far
@@ -538,10 +547,10 @@ def test_profile_ties_keep_the_first_entry_and_sizes_grow():
 
 def test_profile_frees_a_trace_once_no_size_holds_it():
     profile = PeelProfile()
-    run = PeelRun.of((3, 2, 1, 0), [0.1, 0.2, 0.3, 0.4], b"\x01" * 5)
+    run = PeelRun.of((3, 2, 1, 0), [0.1, 0.2, 0.3, 0.4], np.ones(5, bool))
     gone = weakref.ref(run.trace)
     profile.add_run(run)
-    kept = PeelRun.of((0, 1, 2, 3), [1.0, 2.0, 3.0, 4.0], b"\x01" * 5)
+    kept = PeelRun.of((0, 1, 2, 3), [1.0, 2.0, 3.0, 4.0], np.ones(5, bool))
     profile.add_run(kept)
     del run
     # the second run beat the first at every size, so nothing holds it
@@ -592,7 +601,7 @@ def test_profile_ranked_is_the_sorted_order():
 
 def test_run_best_size_rules():
     # sizes 1..5 with alphas 0.25, 0.5, 0.5, 0.375, 0.5; size 5 is unsupported
-    run = PeelRun.of((4, 3, 2, 1, 0), [0.25, 1.0, 1.5, 1.5, 2.5], b"\x01\x01\x01\x01\x01\x00")
+    run = PeelRun.of((4, 3, 2, 1, 0), [0.25, 1.0, 1.5, 1.5, 2.5], np.array([1, 1, 1, 1, 1, 0], bool))
     assert run.best_size(0) == 3  # ties between 2 and 3 go to the larger
     assert run.best_size(2) == 3
     assert run.best_size(3) == 4
@@ -600,12 +609,12 @@ def test_run_best_size_rules():
     assert run.best_size(5) == run.best_size(50) == 0
     assert run.best(0) == frozenset({0, 1, 2})
     # a union run records nothing below its anchor's size
-    union = PeelRun.of((9, 8, 7, 6), [3.0, 3.0], b"\x00\x00\x00\x01\x01", first=3)
+    union = PeelRun.of((9, 8, 7, 6), [3.0, 3.0], np.array([0, 0, 0, 1, 1], bool), first=3)
     assert list(union.sizes()) == [3, 4]
     assert union.best_size(0) == 3
     assert union.best_size(3) == 4
     assert union.best_size(4) == 0
-    assert PeelRun.of((), [], b"\x01").best_size(0) == 0
+    assert PeelRun.of((), [], np.ones(1, bool)).best_size(0) == 0
 
 
 def test_trace_support_matches_feasibility_at_every_size():
@@ -738,7 +747,7 @@ def test_an_uncertified_cored_peel_runs_in_full():
         alive = np.ones(g.n, dtype=np.uint8)
         alive[:3] = 2
         incident = _setup(g, c.s, alive)
-        core = msel.peel._core(g, alive, incident, np.flatnonzero(alive == 1), 3, c.p, grp.alpha)
+        core = msel.peel._core(g, alive, incident, np.flatnonzero(alive == 1), grp.alpha)
         assert core is not None and core[2].tolist() == list(range(3, 13))
         within = range(3, g.n)
         sol, profile = modified_sgsel(g, c, within=within, anchor=grp, floor=grp.alpha)
