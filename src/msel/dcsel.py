@@ -375,6 +375,15 @@ def next_constraints(c: ConstraintPair, ev: ScheduleEvent) -> ConstraintPair:
     return c
 
 
+def _unsupported(g: SimGraph, grp: _Group, s: float) -> np.ndarray:
+    """The members of ``grp`` without any edge above ``s`` in ``g``, in id
+    order. Only those whose strongest edge into the group is not above s
+    can lack one, so only their rows are read, in one gather."""
+    weak = np.flatnonzero(grp.mask & (grp.top <= s))
+    src, pos = g.gather(weak)
+    return weak[~np.isin(weak, src[g.weights[pos] > s])]
+
+
 def _retarget(sess: Session, c_new: ConstraintPair) -> _Group | None:
     """Move the constraints to ``c_new`` and propose a repaired group, by
     the rules ``apply_size_delta`` and ``apply_similarity_delta`` describe."""
@@ -412,11 +421,7 @@ def _retarget(sess: Session, c_new: ConstraintPair) -> _Group | None:
     if c_new.s > c_old.s:
         if grp.feasible(c_new):
             return grp
-        # strip the members without any edge above s; only those whose
-        # strongest edge into the group is not above s can lack one
-        s, g = c_new.s, sess.graph
-        weak = np.flatnonzero(grp.mask & (grp.top <= s)).tolist()
-        grp.move_to(grp.members.difference(u for u in weak if g.max_incident_weight(u) <= s))
+        grp.move_to(grp.members.difference(_unsupported(sess.graph, grp, c_new.s).tolist()))
         return grp if grp.feasible(c_new) else _repair(sess, grp)
     return None
 

@@ -18,22 +18,28 @@ left-to-right sum over the outside nodes in id order.
 
 The loop keeps its candidates in a threshold front: a heap with an entry
 for every removable node whose incident weight is at most a bound, plus
-stale entries a drop in weight left behind. When no valid entry is left,
-the bound rises to the ``_FRONT``-th least incident weight still alive and
-the front is rebuilt from the nodes at or below it; a node whose weight
-drops is pushed only when its new weight is at or below the bound. Every
-node at or below the bound has a valid entry and the bound only rises, so
-each removal is the least (incident weight, id) among all alive removable
-nodes, whatever the front holds. The last ``_FRONT`` removals skip the
-heap: they run on a dense block of the edges among the nodes left, one
-numpy step per removal (an ``argmin`` over their weights, then one
-subtraction of the removed node's row), which makes the same subtractions
-in the same order, so every weight keeps its bits. The weights alive and
-the support flags of every size are worked out after the loop from the
-removal order, in a few array passes. A run's per-size values and a
-profile's per-size entries are numpy arrays indexed by size, so picking a
-size or merging a run into a profile is a few array operations, not a loop
-over the sizes.
+stale entries a drop in weight left behind. A node whose weight drops is
+pushed only when its new weight is at or below the bound. Every alive
+removable node at or below the bound has a valid entry and every valid
+entry is at or below it, so each removal is the least (incident weight,
+id) among all alive removable nodes, whatever else the front holds. When
+the front runs empty, the bound rises to the ``_FRONT``-th least incident
+weight still alive and the front is rebuilt from the nodes at or below it.
+When it has grown by more than ``max(4 * _FRONT, left // 4)`` entries
+since it was last built or looked at, with ``left`` the removable nodes
+alive then, that weight is found again, and if it lies below the bound
+the bound falls to it and the front is rebuilt the same way, every old
+entry dropped. A look costs O(left), no more than four times the entries
+pushed since the last one, and a bound that cannot fall (nodes tied at
+it) rebuilds nothing. The last ``_FRONT`` removals skip the heap: they
+run on a dense block of the edges among the nodes left, one numpy step
+per removal (an ``argmin`` over their weights, then one subtraction of
+the removed node's row), which makes the same subtractions in the same
+order, so every weight keeps its bits. The weights alive and the support flags of
+every size are worked out after the loop from the removal order, in a few
+array passes. A run's per-size values and a profile's per-size entries are
+numpy arrays indexed by size, so picking a size or merging a run into a
+profile is a few array operations, not a loop over the sizes.
 """
 
 from __future__ import annotations
@@ -58,9 +64,10 @@ _FRONT = 128
 @dataclass
 class PeelStats:
     """Operation counters, filled in by peels that are handed an instance:
-    entries put on a peel's front (refills included), entries taken off
-    it, and nodes removed. Pushes and pops count the front only: a removal
-    in a peel's dense tail (its last ``_FRONT`` removals) is neither."""
+    entries put on a peel's front (a rebuild's entries included), entries
+    taken off it, and nodes removed. Pushes and pops count the front only:
+    a removal in a peel's dense tail (its last ``_FRONT`` removals) is
+    neither, and the stale entries a rebuild drops are not pops."""
 
     pushes: int = 0
     pops: int = 0
@@ -539,25 +546,32 @@ def _peel_runs(
     ptr, indices, weights = g.indptr.tolist(), g.indices, g.weights
     order: list[int] = []
     # The front holds an entry for every alive outside node whose incident
-    # weight is at most bound, plus stale entries; bound only rises, so the
-    # least valid entry is the least (incident weight, id) of all alive
-    # outside nodes. An empty front is refilled with the _FRONT least, and
-    # the last _FRONT nodes go in the dense tail.
+    # weight is at most bound, plus stale entries, and every valid entry is
+    # at most bound; so the least valid entry is the least (incident
+    # weight, id) of all alive outside nodes. A front that is empty is
+    # rebuilt from the _FRONT least. One that has grown by more entries
+    # than a look costs is rebuilt the same way only when that lowers the
+    # bound: a rebuild keeps every node tied at the bound, which may be
+    # far more than _FRONT. The last _FRONT nodes go in the dense tail.
     front: list[tuple[float, int]] = []
     bound = -math.inf
-    rest = free  # the outside nodes alive at the last refill
+    rest = free  # the outside nodes alive at the last look
     pops = pushes = 0
     heappop, heappush = heapq.heappop, heapq.heappush
     left = m
+    most = 0  # the most entries the front holds before its next look
     while left > _FRONT:
-        if not front:
+        if not front or len(front) > most:
             rest = rest[alive_at[rest] != 0]
             keys = incident_at[rest]
-            bound = float(np.partition(keys, _FRONT - 1)[_FRONT - 1])
-            near = keys <= bound
-            front = list(zip(keys[near].tolist(), rest[near].tolist()))
-            heapq.heapify(front)
-            pushes += len(front)
+            cut = float(np.partition(keys, _FRONT - 1)[_FRONT - 1])
+            if not front or cut < bound:
+                bound = cut
+                near = keys <= bound
+                front = list(zip(keys[near].tolist(), rest[near].tolist()))
+                heapq.heapify(front)
+                pushes += len(front)
+            most = len(front) + max(4 * _FRONT, left // 4)
         iw, v = heappop(front)
         pops += 1
         if not alive[v] or iw != incident[v]:

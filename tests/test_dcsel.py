@@ -194,6 +194,19 @@ def test_similarity_increase_strips_dead_members():
     assert is_feasible(sol.members, g, sess.constraints)
 
 
+def test_similarity_raise_strips_exactly_the_members_without_a_strong_edge():
+    # the strip reads the weak members' rows in one gather; it must drop
+    # exactly the members whose strongest edge anywhere is not above s
+    rng = random.Random(2301)
+    for _ in range(60):
+        n = rng.randint(2, 120)
+        g = random_graph(n, rng.randint(0, min(4 * n, n * (n - 1) // 2)), seed=rng.randint(0, 10**6))
+        grp = dcsel._Group(g, rng.sample(range(n), rng.randint(0, n)))
+        s = rng.choice([0.1, 0.3, 0.6, 0.85, 0.95])
+        got = dcsel._unsupported(g, grp, s).tolist()
+        assert got == sorted(u for u in grp.members if g.max_incident_weight(u) <= s)
+
+
 def test_similarity_increase_keeps_members_with_an_edge_outside():
     # at s = 0.81 member 3's strongest edge into {0, 2, 3, 4, 5, 6} is 0.51,
     # but its 0.9 edge to outside node 1 keeps it: the stripped group

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import math
 import random
 import weakref
@@ -447,6 +448,80 @@ def test_threshold_front_keeps_the_removal_order():
     assert stats.pops <= 2 * stats.removals
     assert stats.pops <= stats.pushes
     assert stats.pushes < 6923
+
+
+class _FrontSpy:
+    """Stands in for ``heapq`` in ``msel.peel`` and records each rebuild of
+    a peel's front made while the old front still held entries: how many
+    entries the old front gained since it was built, its bound, the new
+    bound (each front's largest key) and how many new entries share it."""
+
+    heappop, heappush = heapq.heappop, heapq.heappush
+
+    def __init__(self):
+        self.front = None
+        self.early = []
+
+    def heapify(self, front):
+        keys = [k for k, _ in front]
+        bound = max(keys)
+        if self.front:
+            self.early.append((len(self.front) - self.built, self.bound, bound, keys.count(bound)))
+        self.front, self.built, self.bound = front, len(front), bound
+        heapq.heapify(front)
+
+
+def test_front_is_rebuilt_when_entries_pile_up(monkeypatch):
+    # once a random graph thins below the front's bound, most decrements
+    # are pushed; a front that has grown by more than max(4 _FRONT,
+    # left // 4) entries since its last rebuild is rebuilt before it runs
+    # empty when that lowers the bound, which drops the stale entries, and
+    # the removal order stays exact. A front rebuilt only when empty pushes
+    # 6,088 entries here
+    spy = _FrontSpy()
+    monkeypatch.setattr(msel.peel, "heapq", spy)
+    g = random_graph(1500, 15000, seed=1)
+    stats = PeelStats()
+    _, profile = modified_sgsel(g, ConstraintPair(s=0.1, p=1), stats=stats)
+    order, union, _ = _reference_peel(g, 0.1)
+    _assert_run_matches(profile.run, order, union, 0)
+    assert stats.removals == len(order) == 1500
+    assert stats.pushes < 6088
+    front = msel.peel._FRONT
+    assert spy.early
+    assert all(grown > 4 * front and new < old for grown, old, new, _ in spy.early)
+
+
+@pytest.mark.parametrize("front", [8, msel.peel._FRONT])
+def test_front_rebuilt_among_tied_weights_takes_the_lowest_id_first(front, monkeypatch):
+    # tied weights make many incident weights equal, so a rebuild's bound
+    # is shared by many nodes: each of them goes in, and the lowest id of
+    # the least weight still goes first. A front of 8 rebuilt early
+    # reaches the nodes at its bound before its next rebuild
+    monkeypatch.setattr(msel.peel, "_FRONT", front)
+    spy = _FrontSpy()
+    monkeypatch.setattr(msel.peel, "heapq", spy)
+    g = tied_graph(random.Random(2302), 600, prob=0.05)
+    _, profile = modified_sgsel(g, ConstraintPair(s=0.25, p=1))
+    order, union, _ = _reference_peel(g, 0.25)
+    _assert_run_matches(profile.run, order, union, 0)
+    assert any(tied > 1 for _, _, _, tied in spy.early)
+
+
+def test_front_is_not_rebuilt_while_its_bound_cannot_fall():
+    # every node of a 4-regular graph with one weight ties at the start,
+    # and a removal lowers only a few others, so the _FRONT-th least weight
+    # stays the bound and a rebuild would put every node back in. The
+    # front grows past its size trigger, but is rebuilt only when empty:
+    # each node goes in once and each edge pushes at most once
+    n = 2000
+    g = SimGraph(n, [(u, (u + k) % n, 0.5) for u in range(n) for k in (1, 7)])
+    stats = PeelStats()
+    _, profile = modified_sgsel(g, ConstraintPair(s=0.2, p=1), stats=stats)
+    order, union, _ = _reference_peel(g, 0.2)
+    _assert_run_matches(profile.run, order, union, 0)
+    assert stats.removals == n
+    assert stats.pushes <= g.n + g.m
 
 
 def test_dense_tail_peels_a_clique_without_the_heap():
