@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 import time
@@ -23,6 +24,7 @@ from .dataio import (
     read_msg1,
     to_sim_graph,
     write_msg1,
+    write_text,
 )
 from .dcsel import (
     ScheduleEvent,
@@ -121,10 +123,11 @@ def replay(
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    write_text(Path(path), buf.getvalue())
 
 
 def _row(algo: str, r: StepRecord) -> list[str]:
@@ -228,7 +231,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     if not series:
         raise ParseError("CSV has no data rows", path=args.inp)
     svg = render_alpha_svg(series)
-    Path(args.out).write_text(svg, encoding="utf-8")
+    write_text(Path(args.out), svg)
     print(f"wrote {args.out}")
     return 0
 

@@ -99,13 +99,16 @@ def load_content_cites(content_path: str | Path, cites_path: str | Path) -> RawD
 
 def _content_columns(lines: list[str]):
     """(ids, features, labels) of content lines that are all well formed,
-    with every feature column parsed in one call; None when there are no
-    nodes or any line needs ``_content_by_line``'s checks.
+    with every feature column parsed at once; None when there are no nodes
+    or any line needs ``_content_by_line``'s checks.
 
-    ``np.loadtxt`` splits on the whitespace ``str.split`` splits on and
-    parses a number as ``float`` does, so what it accepts gets the same
-    bits; what it rejects (a ragged row, or ``float`` spellings it lacks,
-    such as ``1_0`` or non-ASCII digits) goes line by line.
+    Feature bodies that are all 0/1 rows of one length, as in Cora or
+    CiteSeer, are read from their character codes (``_binary_rows``). Any
+    other body goes to ``np.loadtxt``, which splits on the whitespace
+    ``str.split`` splits on and parses a number as ``float`` does, so what
+    it accepts gets the same bits; what it rejects (a ragged row, or
+    ``float`` spellings it lacks, such as ``1_0`` or non-ASCII digits) goes
+    line by line.
     """
     ids, bodies, labels = [], [], []
     for line in lines:
@@ -120,11 +123,34 @@ def _content_columns(lines: list[str]):
         labels.append(tail[1])
     if not ids or len(set(ids)) < len(ids):
         return None
-    try:
-        features = np.loadtxt(bodies, comments=None, ndmin=2)
-    except ValueError:
-        return None
+    features = _binary_rows(bodies)
+    if features is None:
+        try:
+            features = np.loadtxt(bodies, comments=None, ndmin=2)
+        except ValueError:
+            return None
     return ids, features, labels
+
+
+def _binary_rows(bodies: list[str]) -> np.ndarray | None:
+    """The (n, d) float64 rows of ``bodies`` when each is d characters ``0``
+    or ``1`` with one space or one tab between each two, the same d for
+    every body; None otherwise. Such a body is what ``np.loadtxt`` reads as
+    d zeros and ones, so these are its bits. The bodies are checked and read
+    as one (n, 2d - 1) array of their ASCII codes."""
+    width = len(bodies[0])
+    if width % 2 == 0 or len(set(map(len, bodies))) > 1:
+        return None
+    try:
+        # one byte per character; a non-ASCII one raises
+        chars = np.array(bodies, dtype=f"S{width}").view(np.uint8).reshape(len(bodies), width)
+    except UnicodeEncodeError:
+        return None
+    digits, gaps = chars[:, 0::2], chars[:, 1::2]
+    if not (((digits == ord("0")) | (digits == ord("1"))).all()
+            and ((gaps == ord(" ")) | (gaps == ord("\t"))).all()):
+        return None
+    return np.subtract(digits, ord("0"), dtype=np.float64)
 
 
 def _content_by_line(lines: list[str], path: Path):
@@ -196,6 +222,17 @@ def read_text(path: Path, failure: str = "cannot open") -> str:
         raise ParseError(f"{failure}: {e}", path=str(path)) from None
 
 
+def write_text(path: Path, text: str) -> None:
+    """Write ``text`` to the file at ``path`` as UTF-8, line ends as they
+    are. A file that cannot be written raises ParseError naming it, as
+    ``read_text`` does for one that cannot be read."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ParseError(f"cannot write: {e}", path=str(path)) from None
+
+
 def _fmt_weight(w: float) -> str:
     """Shortest decimal that round-trips ``w``, padded to >= 6 significant digits."""
     mant, e, exp = repr(float(w)).partition("e")
@@ -209,13 +246,20 @@ def _fmt_weight(w: float) -> str:
 
 def write_msg1(g: SimGraph, path: str | Path) -> None:
     """Write a graph in MSG1 form; edges emitted in (u, v) ascending order.
-    Each distinct weight is formatted once."""
-    path = Path(path)
-    edges = list(g.edges())
-    text = {w: _fmt_weight(w) for w in {e[2] for e in edges}}
+
+    Each distinct weight is formatted once (``np.unique``) and each node id
+    once, and every edge line is joined from those strings. A file that
+    cannot be written raises ParseError naming it.
+    """
+    u, v, w = g.upper()
+    weights, at = np.unique(w, return_inverse=True)
+    text = list(map(_fmt_weight, weights.tolist()))
+    names = list(map(str, range(g.n)))
     lines = ["MSG1", f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v} {text[w]}" for u, v, w in edges)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines.extend([f"{names[a]} {names[b]} {text[c]}"
+                  for a, b, c in zip(u.tolist(), v.tolist(), at.tolist())])
+    lines.append("")
+    write_text(Path(path), "\n".join(lines))
 
 
 def read_msg1(path: str | Path) -> SimGraph:

@@ -120,9 +120,13 @@ class SimGraph:
 
     def edges(self) -> Iterator[Edge]:
         """All edges as (u, v, w) with u < v, in sorted order."""
+        return zip(*(a.tolist() for a in self.upper()))
+
+    def upper(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All edges as arrays u, v, w with u < v, in sorted order."""
         rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
         upper = rows < self.indices
-        return zip(rows[upper].tolist(), self.indices[upper].tolist(), self.weights[upper].tolist())
+        return rows[upper], self.indices[upper], self.weights[upper]
 
     def max_incident_weight(self, u: int) -> float:
         """Largest weight on any edge at ``u`` (0.0 for isolated nodes)."""

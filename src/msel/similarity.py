@@ -88,41 +88,55 @@ def _weights_block(block: np.ndarray, others: np.ndarray) -> np.ndarray:
     return np.minimum(np.sqrt(sums / d), 1.0)
 
 
-def _binary_weights_block(left: np.ndarray, right: np.ndarray, d: int) -> np.ndarray:
-    """Same as _weights_block for 0/1 attributes, via one matrix product.
+def _binary_factors(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factor matrices whose product counts the coordinates on which two 0/1
+    rows agree.
 
-    For 0/1 vectors each coordinate adds 1 to the inner sum when the two
-    agree and 0 when they differ, so the sum counts agreements,
+    For 0/1 vectors each coordinate adds 1 to the inner sum of the weight
+    when the two agree and 0 when they differ, so the sum counts agreements,
     d - |x| - |y| + 2 x.y: the product of the factor rows [x, 1, d - |x|]
     in ``left`` and the factor columns [2y, -|y|, 1] in ``right``. Every
     partial sum of that product is an integer in [-d, 3d], so a float32
-    product is exact while 3d <= 2**24, and the weights have the bits
-    ``pair_weight`` gives.
+    product is exact while 3d <= 2**24, and so is a float64 one beyond.
     """
-    w = np.divide(left @ right, d, dtype=np.float64)
-    return np.sqrt(w, out=w)
+    n, d = values.shape
+    ones = values.sum(axis=1)
+    left = np.empty((n, d + 2), np.float32 if 3 * d <= 2**24 else np.float64)
+    left[:, :d] = values
+    left[:, d] = 1.0
+    left[:, d + 1] = d - ones
+    right = np.empty_like(left)
+    np.multiply(left[:, :d], 2.0, out=right[:, :d])
+    right[:, d] = -ones
+    right[:, d + 1] = 1.0
+    # BLAS reads a transposed operand as fast as a copied one
+    return left, right.T
 
 
 def _is_binary(values: np.ndarray) -> bool:
     return bool(((values == 0.0) | (values == 1.0)).all())
 
 
-def _weight_rows(values: np.ndarray):
-    """Yield ``(lo, w)`` over consecutive blocks of rows, ``w[i, v]`` being
-    the weight between rows ``lo + i`` and ``v``; a block holds at most
-    ``_KERNEL_FLOATS`` weights, or one row where a row holds more."""
+def _pair_scores(values: np.ndarray):
+    """``(weigh, blocks)``: ``blocks`` yields ``(lo, s)`` over consecutive
+    blocks of rows, ``s[i, v]`` a float64 score of the pair of rows
+    ``lo + i`` and ``v`` whose weight is ``weigh(s[i, v])``; a block holds
+    at most ``_KERNEL_FLOATS`` scores, or one row where a row holds more.
+
+    On 0/1 rows a score is the agreement count c and ``weigh`` takes
+    sqrt(c / d), which is ``pair_weight``'s bits; on other rows a score is
+    the weight itself. Either way ``weigh`` is strictly increasing and zero
+    only at zero, so scores compare, tie and test positive as their weights
+    do, and a caller may weigh only the scores it keeps.
+    """
     n, d = values.shape
     step = max(1, _KERNEL_FLOATS // max(1, n))
+    starts = range(0, n, step)
     if not _is_binary(values):
-        for lo in range(0, n, step):
-            yield lo, _weights_block(values[lo:lo + step], values)
-        return
-    dtype = np.float32 if 3 * d <= 2**24 else np.float64
-    ones = values.sum(axis=1)
-    left = np.column_stack((values, np.ones_like(ones), d - ones)).astype(dtype)
-    right = np.vstack((2.0 * values.T, -ones, np.ones_like(ones))).astype(dtype)
-    for lo in range(0, n, step):
-        yield lo, _binary_weights_block(left[lo:lo + step], right, d)
+        return (lambda w: w), ((lo, _weights_block(values[lo:lo + step], values)) for lo in starts)
+    left, right = _binary_factors(values)
+    counts = ((lo, np.asarray(left[lo:lo + step] @ right, dtype=np.float64)) for lo in starts)
+    return (lambda c: np.sqrt(c / d)), counts
 
 
 def last_of_each_pair(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -167,32 +181,40 @@ def _edge_weights(values: np.ndarray, edges) -> np.ndarray:
 
 def _knn_edges(values: np.ndarray, k: int) -> np.ndarray:
     """The (u, v, w) rows of the union of each row's k heaviest pairs,
-    ties broken by ``argpartition``; zero weights make no edge."""
+    ties broken by ``argpartition``; zero weights make no edge.
+
+    Rows are ranked on ``_pair_scores``, which order and tie as the weights
+    do in the same dtype, so ``argpartition`` makes the comparisons, and
+    breaks the ties, it would make on the weights; only the kept pairs are
+    weighed.
+    """
     n = values.shape[0]
-    us, vs, ws = [], [], []
-    for lo, w in _weight_rows(values):
-        rows = np.arange(lo, lo + w.shape[0])
-        w[rows - lo, rows] = -1.0
-        top = np.argpartition(w, n - k, axis=1)[:, n - k:]
-        tw = np.take_along_axis(w, top, axis=1)
-        keep = tw > 0.0
+    weigh, blocks = _pair_scores(values)
+    us, vs, ss = [], [], []
+    for lo, s in blocks:
+        rows = np.arange(lo, lo + s.shape[0])
+        s[rows - lo, rows] = -1.0
+        top = np.argpartition(s, n - k, axis=1)[:, n - k:]
+        ts = np.take_along_axis(s, top, axis=1)
+        keep = ts > 0.0
         us.append(np.broadcast_to(rows[:, None], top.shape)[keep])
         vs.append(top[keep])
-        ws.append(tw[keep])
-    u, v, w = (np.concatenate(x) for x in (us, vs, ws))
+        ss.append(ts[keep])
+    u, v, s = (np.concatenate(x) for x in (us, vs, ss))
     at = last_of_each_pair(u, v, n)
-    return np.column_stack((np.minimum(u, v)[at], np.maximum(u, v)[at], w[at]))
+    return np.column_stack((np.minimum(u, v)[at], np.maximum(u, v)[at], weigh(s[at])))
 
 
 def _full_edges(values: np.ndarray) -> np.ndarray:
     """The (u, v, w) rows, u < v, of every pair with a positive weight."""
     n = values.shape[0]
+    weigh, blocks = _pair_scores(values)
     parts = []
-    for lo, w in _weight_rows(values):
-        keep = w > 0.0
-        keep &= np.arange(n) > np.arange(lo, lo + w.shape[0])[:, None]
+    for lo, s in blocks:
+        keep = s > 0.0
+        keep &= np.arange(n) > np.arange(lo, lo + s.shape[0])[:, None]
         i, v = np.nonzero(keep)
-        parts.append(np.column_stack((i + lo, v, w[i, v])))
+        parts.append(np.column_stack((i + lo, v, weigh(s[i, v]))))
     return np.concatenate(parts) if parts else np.zeros((0, 3))
 
 

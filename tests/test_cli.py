@@ -51,17 +51,27 @@ def test_convert_reports_dataset_shape(tmp_path, capsys):
     assert out.read_bytes() == (DATA / "golden.msg1").read_bytes()
 
 
-def test_convert_knn_mode(tmp_path, capsys):
-    out = tmp_path / "toy_knn.msg1"
+def _convert_toy(tmp_path, mode):
+    out = tmp_path / "toy.msg1"
     rc = main([
         "convert",
         "--content", str(DATA / "toy.content"),
         "--cites", str(DATA / "toy.cites"),
-        "--mode", "knn:2",
+        "--mode", mode,
         "--out", str(out),
     ])
     assert rc == 0
-    assert out.exists()
+    return out.read_bytes()
+
+
+def test_convert_knn_mode(tmp_path, capsys):
+    """The knn graph of the toy data is the bytes written when the golden
+    file was made."""
+    assert _convert_toy(tmp_path, "knn:2") == (DATA / "golden_knn2.msg1").read_bytes()
+
+
+def test_convert_full_mode(tmp_path, capsys):
+    assert _convert_toy(tmp_path, "full") == (DATA / "golden_full.msg1").read_bytes()
 
 
 @pytest.mark.parametrize("mode", ["edges", "knn:2", "full"])
@@ -377,6 +387,26 @@ def test_plot_rejects_malformed_rows(tmp_path, capsys):
         rc = main(["plot", "--in", str(path), "--out", str(tmp_path / "x.svg")])
         assert rc == 2
         assert f"{path}:3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["convert", "run", "bench", "plot"])
+def test_unwritable_out_is_input_error(tmp_path, capsys, cluster_graph, delta_schedule, command):
+    """An --out path in a missing directory is bad input: one error line
+    naming it, exit 2, nothing written."""
+    out = tmp_path / "missing" / "out.txt"
+    inputs = {
+        "convert": ["--content", str(DATA / "toy.content"), "--cites", str(DATA / "toy.cites")],
+        "run": ["--graph", str(cluster_graph), "--schedule", str(delta_schedule)],
+        "bench": ["--graph", str(cluster_graph), "--schedule", str(delta_schedule), "--algos", "dcsel"],
+        "plot": ["--in", str(DATA / "toy_run.csv")],
+    }[command]
+    rc = main([command, *inputs, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {out}:cannot write: "), err
+    assert captured.out == ""
+    assert not out.parent.exists()
 
 
 def test_module_entry_point(tmp_path, cluster_graph, delta_schedule):

@@ -219,6 +219,62 @@ def test_loader_matches_line_by_line_reference_on_every_fault(tmp_path):
                 assert got.features.tolist() == expect
 
 
+def _spy_binary_rows(monkeypatch):
+    """Record what each call of the 0/1 reader returns."""
+    returned = []
+    real = dataio._binary_rows
+
+    def spy(bodies):
+        returned.append(real(bodies))
+        return returned[-1]
+
+    monkeypatch.setattr(dataio, "_binary_rows", spy)
+    return returned
+
+
+def test_binary_rows_match_the_reference(tmp_path, monkeypatch):
+    """0/1 bodies with space or tab gaps, CRLF ends, blank lines and d = 1
+    are read from their character codes, with the reference's bits."""
+    returned = _spy_binary_rows(monkeypatch)
+    rng = random.Random(24)
+    for d in (1, 2, 7, 64):
+        for end in ("\n", "\r\n"):
+            lines = []
+            for i in range(rng.randint(1, 30)):
+                bits = [rng.choice("01") for _ in range(d)]
+                gaps = [rng.choice(" \t") for _ in range(d - 1)] + [""]
+                body = "".join(b + g for b, g in zip(bits, gaps))
+                lead, sep = rng.choice(["", " "]), rng.choice(" \t")
+                lines.append(f"{lead}n{i}{sep}{body} lab{i % 3}\t")
+                if rng.random() < 0.2:
+                    lines.append(rng.choice(["", "  ", "\t"]))
+            returned.clear()
+            ds = _load_like_reference(tmp_path, end.join(lines) + end)
+            assert ds.features.shape[1] == d
+            assert len(returned) == 1 and np.array_equal(returned[0], ds.features)
+
+
+@pytest.mark.parametrize("text", [
+    "a 1 0 1 x\nb 1  0 1 y\n",      # a double gap
+    "a 1 0 1 x\nb 01 01 y\n",       # two digits
+    "a 1 0 1 x\nb 2 0 1 y\n",
+    "a 1 0 1 x\nb 1.0 1 y\n",
+    "a 1 0 1 x\nb +1 01 y\n",
+    "a 1 0 x\nb -0 1 y\nc -0 0 z\n",  # -0.0 has other bits than 0.0
+    "a 1 0 x\nb \u0661 0 y\n",       # a non-ASCII digit one
+    "a 1\x0c0 x\nb 0 1 y\n",        # a gap str.split splits on
+    "a 1 0 1 x\nb 1 0 y\n",         # ragged
+    "a 1 0 1 x\nb 1 0 1 0 1 y\n",
+])
+def test_binary_rows_near_misses_go_the_general_way(tmp_path, monkeypatch, text):
+    """A body that is not one 0/1 row of the common width is left to
+    np.loadtxt and the line reader: it gets the reference's bits or its
+    error."""
+    returned = _spy_binary_rows(monkeypatch)
+    _load_like_reference(tmp_path, text)
+    assert returned == [None]
+
+
 # ---------------------------------------------------------------- msg1
 
 
@@ -484,6 +540,46 @@ def test_write_zero_node_graph(tmp_path):
     p = tmp_path / "zero.msg1"
     write_msg1(SimGraph(0, []), p)
     assert read_msg1(p).n == 0
+
+
+def _msg1_one_edge_at_a_time(g):
+    """MSG1 bytes with every edge line formatted on its own: the reference
+    the writer must agree with."""
+    lines = ["MSG1", f"{g.n} {g.m}"]
+    lines.extend(f"{u} {v} {_fmt_weight(w)}" for u, v, w in g.edges())
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_writer_matches_one_edge_at_a_time(tmp_path):
+    """Random graphs whose weights repeat and need padding (0.5), an
+    exponent (1e-05, 5e-324) or neither (1.0), an edgeless graph and n = 0
+    are written as the per-edge formatter writes them, and read back bit
+    for bit."""
+    rng = random.Random(31)
+    pool = [0.5, 1e-05, 5e-324, 1.0, 0.1, 1 / 3]
+    graphs = [SimGraph(0, []), SimGraph(1, []), SimGraph(7, [])]
+    for _ in range(12):
+        n = rng.randint(2, 40)
+        pairs = rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)],
+                           rng.randint(1, n * (n - 1) // 2))
+        graphs.append(SimGraph(n, [(u, v, rng.choice(pool + [1.0 - rng.random()]))
+                                   for u, v in pairs]))
+    for k, g in enumerate(graphs):
+        path = tmp_path / f"w{k}.msg1"
+        write_msg1(g, path)
+        assert path.read_bytes() == _msg1_one_edge_at_a_time(g), k
+        h = read_msg1(path)
+        assert (h.n, h.m) == (g.n, g.m)
+        assert np.array_equal(h.indptr, g.indptr) and np.array_equal(h.indices, g.indices)
+        assert np.array_equal(h.weights.view(np.int64), g.weights.view(np.int64))
+    assert {w for g in graphs for w in g.weights.tolist()} >= set(pool)
+
+
+def test_unwritable_path_is_a_parse_error(tmp_path):
+    path = tmp_path / "missing" / "g.msg1"
+    with pytest.raises(ParseError, match="cannot write") as err:
+        write_msg1(SimGraph(2, [(0, 1, 0.5)]), path)
+    assert err.value.path == str(path)
 
 
 # ---------------------------------------------------------------- bridges

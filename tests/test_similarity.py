@@ -247,24 +247,33 @@ def _reference_graph(values, mode, edges=None, k=None):
     return SimGraph(n, [(u, v, w) for (u, v), w in sorted(pairs.items())])
 
 
-@pytest.mark.parametrize("kind", ["real", "binary", "ties"])
+@pytest.mark.parametrize("kind", ["real", "binary", "ties", "wide"])
 def test_array_builds_match_the_loops(kind, monkeypatch):
     """Every mode gives the CSR arrays of the plain loops, bit for bit, on
     real-valued rows, random 0/1 rows and 0/1 rows repeated many times
-    (where knn must break ties as argpartition does row by row), and the
-    same again with kernel blocks of a few rows."""
+    (where knn, which ranks 0/1 rows by agreement counts, must break ties
+    as argpartition does on the weights row by row) 5 and 70 columns wide,
+    the wide ones also with a k whose last pick ties with a pair left out,
+    and the same again with kernel blocks of a few rows."""
     from msel import similarity
 
-    rng = np.random.default_rng({"real": 41, "binary": 42, "ties": 43}[kind])
+    rng = np.random.default_rng({"real": 41, "binary": 42, "ties": 43, "wide": 44}[kind])
     if kind == "real":
         values = rng.random((90, 7))
     elif kind == "binary":
         values = (rng.random((90, 12)) < 0.4).astype(np.float64)
     else:
-        values = (rng.random((6, 5)) < 0.5).astype(np.float64)[rng.integers(0, 6, 90)]
+        shape = (6, 5) if kind == "ties" else (9, 70)
+        values = (rng.random(shape) < 0.5).astype(np.float64)[rng.integers(0, shape[0], 90)]
     edges = [tuple(e) for e in rng.integers(0, 90, (300, 2)).tolist()]
     attrs = AttributeMatrix(values, tuple(range(90)))
-    cases = [("edges", {"edges": edges}), ("full", {})] + [("knn", {"k": k}) for k in (1, 5, 20)]
+    ks = [1, 5, 20]
+    if kind == "wide":
+        # a k whose last pick in row 0 ties with a pair left out, below the
+        # row's own copies
+        row = sorted((pair_weight(values[0], values[v]) for v in range(1, 90)), reverse=True)
+        ks.append(next(k for k in range(1, 88) if row[k - 1] == row[k] != row[0]))
+    cases = [("edges", {"edges": edges}), ("full", {})] + [("knn", {"k": k}) for k in ks]
     for kernel_floats in (similarity._KERNEL_FLOATS, 200):
         monkeypatch.setattr(similarity, "_KERNEL_FLOATS", kernel_floats)
         for mode, kw in cases:
