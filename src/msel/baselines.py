@@ -82,6 +82,8 @@ def _metric_peel(g, c, key_fn) -> Solution:
     total = _running_sum(incident_at) / 2.0
     incident = incident_at.tolist()
     deg = np.diff(g.indptr).tolist()
+    # rows are read through memoryview slices, as the main peel reads them
+    ptr, indices, weights = g.indptr.tolist(), memoryview(g.indices), memoryview(g.weights)
 
     key = [key_fn(u, deg[u], incident[u]) for u in range(n)]
     heap = [(key[u], u) for u in range(n)]
@@ -101,7 +103,8 @@ def _metric_peel(g, c, key_fn) -> Solution:
         order.append(v)
         total -= incident[v]
         size -= 1
-        for t, w in zip(*g.row(v)):
+        lo, hi = ptr[v], ptr[v + 1]
+        for t, w in zip(indices[lo:hi], weights[lo:hi]):
             if not alive[t]:
                 continue
             incident[t] -= w

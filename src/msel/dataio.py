@@ -29,6 +29,7 @@ from .similarity import (
     build_similarity_graph,
     last_of_each_pair,
     normalize_attributes,
+    scaled_zero_one,
 )
 
 
@@ -200,10 +201,14 @@ def to_sim_graph(ds: RawDataset, mode: str = "edges", k: int | None = None) -> S
     External ids densify to 0..n-1 in content-file order. Citation pairs
     (``ds.cite_pairs``) supply the structure only for mode="edges".
     Features are min-max normalized per column before weighting, which
-    leaves 0/1 columns' weights unchanged and brings unbounded columns into
-    range.
+    brings unbounded columns into range. 0/1 content skips the arithmetic:
+    it is tested once and kept as bool rows, an all-ones column cleared,
+    which are the values scaling would give.
     """
-    attrs = AttributeMatrix(values=normalize_attributes(ds.features), ids=tuple(range(ds.n)))
+    values = scaled_zero_one(ds.features)
+    if values is None:
+        values = normalize_attributes(ds.features)
+    attrs = AttributeMatrix(values=values, ids=tuple(range(ds.n)))
     return build_similarity_graph(attrs, mode=mode, edges=ds.cite_pairs, k=k)
 
 

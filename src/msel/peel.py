@@ -35,7 +35,10 @@ it) rebuilds nothing. The last ``_FRONT`` removals skip the heap: they
 run on a dense block of the edges among the nodes left, one numpy step
 per removal (an ``argmin`` over their weights, then one subtraction of
 the removed node's row), which makes the same subtractions in the same
-order, so every weight keeps its bits. The weights alive and the support flags of
+order, so every weight keeps its bits. The loop reads a removed node's row
+through memoryview slices of the CSR ``indices`` and ``weights``, which
+yield builtin ints and floats in row order with no array slice or list per
+removal; ``indptr`` is read as a list. The weights alive and the support flags of
 every size are worked out after the loop from the removal order, in a few
 array passes. A run's per-size values and a profile's per-size entries are
 numpy arrays indexed by size, so picking a size or merging a run into a
@@ -538,12 +541,15 @@ def _peel_runs(
         out_total = _running_sum(keys - anc_at) / 2.0
 
     # builtin floats and bytes for the loop, numpy views of the same memory
-    # for the refills and the passes after it
+    # for the refills and the passes after it; the loop reads a row through
+    # memoryview slices of the CSR arrays, which yield builtin ints and
+    # floats without an array slice or a list per removal; indptr stays a
+    # list, since a memoryview of it made whole-graph peels no faster
     incident = array("d", incident_at.tobytes())
     incident_at = np.frombuffer(incident, dtype=np.float64)
     alive = bytearray(alive.tobytes())
     alive_at = np.frombuffer(alive, dtype=np.uint8)
-    ptr, indices, weights = g.indptr.tolist(), g.indices, g.weights
+    ptr, indices, weights = g.indptr.tolist(), memoryview(g.indices), memoryview(g.weights)
     order: list[int] = []
     # The front holds an entry for every alive outside node whose incident
     # weight is at most bound, plus stale entries, and every valid entry is
@@ -580,7 +586,7 @@ def _peel_runs(
         order.append(v)
         left -= 1
         lo, hi = ptr[v], ptr[v + 1]
-        for t, w in zip(indices[lo:hi].tolist(), weights[lo:hi].tolist()):
+        for t, w in zip(indices[lo:hi], weights[lo:hi]):
             if alive[t] == 1:
                 nw = incident[t] - w
                 incident[t] = nw

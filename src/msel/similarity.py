@@ -27,7 +27,8 @@ _KERNEL_FLOATS = 1 << 19
 
 @dataclass(frozen=True)
 class AttributeMatrix:
-    """Node attribute rows, already scaled to [0, 1]."""
+    """Node attribute rows, already scaled to [0, 1]; a bool array holds 0/1
+    rows, which the kernels then take as such without testing them."""
 
     values: np.ndarray
     ids: tuple[int, ...]
@@ -61,6 +62,19 @@ def normalize_attributes(raw: np.ndarray) -> np.ndarray:
     out = arr - lo
     out /= np.where(span > 0, span, 1.0)
     return out
+
+
+def scaled_zero_one(raw: np.ndarray) -> np.ndarray | None:
+    """``normalize_attributes(raw)`` as a bool array when every entry of the
+    2-d ``raw`` is 0 or 1, else None. Min-max scaling leaves such a column
+    as it is, unless it holds only ones: a constant column maps to 0."""
+    if raw.ndim != 2:
+        return None
+    ones = raw == 1.0
+    if not (ones | (raw == 0.0)).all():
+        return None
+    ones[:, ones.all(axis=0)] = False
+    return ones
 
 
 def pair_weight(x: np.ndarray, y: np.ndarray) -> float:
@@ -114,7 +128,7 @@ def _binary_factors(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _is_binary(values: np.ndarray) -> bool:
-    return bool(((values == 0.0) | (values == 1.0)).all())
+    return values.dtype == bool or bool(((values == 0.0) | (values == 1.0)).all())
 
 
 def _pair_scores(values: np.ndarray):

@@ -124,6 +124,17 @@ def test_baselines_reject_bad_constraints(two_triangles):
         sgsel(two_triangles, ConstraintPair(s=0.5, p=-1))
 
 
+def _golden_planted():
+    """(seed, graph, constraints) of the three planted instances the golden
+    files of this module pin."""
+    for seed, n, m, community, w_in, w_out, c in (
+        (1, 500, 2500, 30, (0.3, 0.7), (0.05, 0.6), ConstraintPair(s=0.3, p=8)),
+        (2, 400, 2400, 40, (0.2, 0.6), (0.1, 0.7), ConstraintPair(s=0.4, p=12)),
+        (5, 600, 3000, 25, (0.4, 0.8), (0.05, 0.8), ConstraintPair(s=0.5, p=4)),
+    ):
+        yield seed, planted_community_graph(n, m, seed=seed, community=community, w_in=w_in, w_out=w_out), c
+
+
 def _golden_sgsel_lines():
     """One tab-separated line per solve that data/sgsel.golden pins: input,
     algorithm, sorted members and the repr of alpha. ``sgsel`` runs one
@@ -133,12 +144,7 @@ def _golden_sgsel_lines():
     planted community to an alpha a few ulps above the whole-graph peel's,
     so the line pins that ball peel's bits."""
     lines = []
-    for seed, n, m, community, w_in, w_out, c in (
-        (1, 500, 2500, 30, (0.3, 0.7), (0.05, 0.6), ConstraintPair(s=0.3, p=8)),
-        (2, 400, 2400, 40, (0.2, 0.6), (0.1, 0.7), ConstraintPair(s=0.4, p=12)),
-        (5, 600, 3000, 25, (0.4, 0.8), (0.05, 0.8), ConstraintPair(s=0.5, p=4)),
-    ):
-        g = planted_community_graph(n, m, seed=seed, community=community, w_in=w_in, w_out=w_out)
+    for seed, g, c in _golden_planted():
         for name, sol in (("sgsel", sgsel(g, c)), ("msgsel", modified_sgsel(g, c)[0])):
             lines.append(f"planted-{seed}\t{name}\t{sorted(sol.members)}\t{sol.alpha!r}")
     return lines
@@ -149,3 +155,25 @@ def test_ball_peels_match_golden_solutions():
     # was written; every member and alpha bit must stay
     want = (DATA / "sgsel.golden").read_text(encoding="utf-8").splitlines()
     assert _golden_sgsel_lines() == want
+
+
+def _golden_metric_lines():
+    """One tab-separated line per solve that data/metric.golden pins: input,
+    algorithm, sorted members and the repr of alpha, for the three simple
+    removal rules on the planted instances above (``random_peel`` with seed
+    3). Each peels the whole graph and reads a row at every removal; the
+    random order reaches no supported set above p on these, so its lines
+    hold the empty set."""
+    lines = []
+    for seed, g, c in _golden_planted():
+        for name, sol in (("random", random_peel(g, c, seed=3)), ("degree", degree_peel(g, c)),
+                          ("average", average_peel(g, c))):
+            lines.append(f"planted-{seed}\t{name}\t{sorted(sol.members)}\t{sol.alpha!r}")
+    return lines
+
+
+def test_metric_peels_match_golden_solutions():
+    # data/metric.golden holds the lines _golden_metric_lines returned when
+    # it was written; every member and alpha bit must stay
+    want = (DATA / "metric.golden").read_text(encoding="utf-8").splitlines()
+    assert _golden_metric_lines() == want

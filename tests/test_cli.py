@@ -51,11 +51,11 @@ def test_convert_reports_dataset_shape(tmp_path, capsys):
     assert out.read_bytes() == (DATA / "golden.msg1").read_bytes()
 
 
-def _convert_toy(tmp_path, mode):
+def _convert_toy(tmp_path, mode, content="toy.content"):
     out = tmp_path / "toy.msg1"
     rc = main([
         "convert",
-        "--content", str(DATA / "toy.content"),
+        "--content", str(DATA / content),
         "--cites", str(DATA / "toy.cites"),
         "--mode", mode,
         "--out", str(out),
@@ -72,6 +72,14 @@ def test_convert_knn_mode(tmp_path, capsys):
 
 def test_convert_full_mode(tmp_path, capsys):
     assert _convert_toy(tmp_path, "full") == (DATA / "golden_full.msg1").read_bytes()
+
+
+@pytest.mark.parametrize("mode, golden", [("edges", "golden_real.msg1"), ("knn:2", "golden_real_knn2.msg1")])
+def test_convert_real_valued_content(tmp_path, capsys, mode, golden):
+    """Real-valued features, one column constant, go through min-max
+    scaling; the graphs are the bytes written when the golden files were
+    made."""
+    assert _convert_toy(tmp_path, mode, "toy_real.content") == (DATA / golden).read_bytes()
 
 
 @pytest.mark.parametrize("mode", ["edges", "knn:2", "full"])

@@ -18,8 +18,9 @@ from msel import (
     to_sim_graph,
     write_msg1,
 )
-from msel import dataio
+from msel import AttributeMatrix, build_similarity_graph, dataio, normalize_attributes
 from msel.dataio import _fmt_weight
+from msel.similarity import scaled_zero_one
 from msel.synth import planted_community_graph, random_graph
 
 from helpers import gnp_graph
@@ -462,6 +463,32 @@ def _outcome(read, path):
 
 def _csr(g):
     return g.n, g.m, g.indptr.tolist(), g.indices.tolist(), g.weights.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_zero_one_content_builds_the_min_max_scaled_graph(seed):
+    """0/1 content skips min-max scaling; every mode must still build, bit
+    for bit, the graph of the scaled features, all-ones and all-zero columns
+    included."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(4, 40)), int(rng.integers(1, 24))
+    features = (rng.random((n, d)) < rng.uniform(0.1, 0.9)).astype(np.float64)
+    features[:, rng.choice(d, size=min(d, 2), replace=False)] = [1.0, 0.0][: min(d, 2)]
+    pairs = rng.integers(0, n, size=(3 * n, 2))
+    ids = tuple(f"p{i}" for i in range(n))
+    raw = dataio.RawDataset(ids, features, ("x",) * n, tuple((ids[a], ids[b]) for a, b in pairs.tolist()))
+    scaled = normalize_attributes(features)
+    assert np.array_equal(scaled_zero_one(features), scaled)
+    attrs = AttributeMatrix(values=scaled, ids=tuple(range(n)))
+    k = int(rng.integers(1, n))
+    for mode, kw in (("edges", {"edges": raw.cite_pairs}), ("knn", {"k": k}), ("full", {})):
+        want = build_similarity_graph(attrs, mode=mode, **kw)
+        assert _csr(to_sim_graph(raw, mode=mode, k=kw.get("k"))) == _csr(want), mode
+
+
+def test_scaled_zero_one_passes_other_content_on():
+    for x in ([[0.0, 0.5]], [[1.0, 2.0]], [[float("nan"), 1.0]], [[-1.0, 0.0]]):
+        assert scaled_zero_one(np.array(x)) is None
 
 
 def test_array_path_matches_line_reader(tmp_path, monkeypatch):
