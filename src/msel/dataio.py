@@ -10,15 +10,21 @@ line (`id f1 ... fd label`, whitespace separated) and a cites file with one
 
 with `#` comment lines allowed, UTF-8, LF endings. Weights are written with
 at least six significant digits so reading a written file reproduces every
-weight bit for bit.
+weight bit for bit. An ASCII file with no `#`, as written, is read in
+bulk: its edge block is parsed by one ``np.loadtxt`` pass over the file and
+handed to ``SimGraph`` as records, in file order, which for a written file
+the build need not sort. Any other file, and one the bulk read finds a
+fault in, is read line by line (``read_msg1``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import io
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,7 +44,10 @@ class RawDataset:
     """Parsed citation dataset: ids, feature rows, labels, raw citation pairs.
 
     ``dropped_citations`` counts cite lines whose endpoints were unknown ids;
-    they are excluded from ``cite_edges``.
+    they are excluded from ``cite_edges``. ``cite_ids`` holds the pair of
+    every cite line as dense ids, -1 for an unknown id, an (m, 2) int64
+    array, when the loader knows them; ``cite_pairs`` maps ``cite_edges``
+    through the ids when it is None.
     """
 
     ids: tuple[str, ...]
@@ -46,6 +55,7 @@ class RawDataset:
     labels: tuple[str, ...]
     cite_edges: tuple[tuple[str, str], ...]
     dropped_citations: int = 0
+    cite_ids: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -59,14 +69,20 @@ class RawDataset:
     def cite_pairs(self) -> np.ndarray:
         """The citation pairs as dense ids, an (m, 2) int64 array of rows
         u < v in increasing order: symmetrized, deduplicated, self-citations
-        dropped. Built on first use and kept."""
-        index = {ext: i for i, ext in enumerate(self.ids)}
-        ends = np.fromiter(map(index.__getitem__, chain.from_iterable(self.cite_edges)),
-                           np.int64, 2 * len(self.cite_edges)).reshape(-1, 2)
-        ends = ends[ends[:, 0] != ends[:, 1]]
+        and pairs with an unknown id dropped. Built on first use and kept."""
+        ends = self.cite_ids
+        if ends is None:
+            ends = _dense_ids(self.ids, list(chain.from_iterable(self.cite_edges))).reshape(-1, 2)
+        ends = ends[(ends[:, 0] != ends[:, 1]) & (ends.min(axis=1) >= 0)]
         ends = ends[last_of_each_pair(ends[:, 0], ends[:, 1], self.n)]
         ends.sort(axis=1)
         return ends
+
+
+def _dense_ids(ids: Sequence[str], tokens: list[str]) -> np.ndarray:
+    """The position of each token in ``ids``, -1 for a token not there."""
+    index = dict(zip(ids, range(len(ids))))
+    return np.fromiter(map(index.get, tokens, repeat(-1)), np.int64, len(tokens))
 
 
 def load_content_cites(content_path: str | Path, cites_path: str | Path) -> RawDataset:
@@ -74,7 +90,8 @@ def load_content_cites(content_path: str | Path, cites_path: str | Path) -> RawD
 
     Node ids must be unique; every content line must carry the same number of
     feature columns. Citation lines naming an unknown id are dropped and
-    counted rather than treated as errors.
+    counted rather than treated as errors. Each cite token is looked up in
+    the ids once, and the dense ids of every pair go into ``cite_ids``.
     """
     content_path = Path(content_path)
     cites_path = Path(cites_path)
@@ -82,7 +99,8 @@ def load_content_cites(content_path: str | Path, cites_path: str | Path) -> RawD
     lines = read_text(content_path).split("\n")
     ids, features, labels = _content_columns(lines) or _content_by_line(lines, content_path)
 
-    lines = read_text(cites_path).split("\n")
+    text = read_text(cites_path)
+    lines = text.split("\n")
     fields = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
     bad = np.flatnonzero((fields != 0) & (fields != 2))
     if bad.size:
@@ -91,11 +109,13 @@ def load_content_cites(content_path: str | Path, cites_path: str | Path) -> RawD
             path=str(cites_path), line=int(bad[0]) + 1,
         )
     # every line kept has two fields, so the tokens fall in pairs
-    toks = " ".join(lines).split()
-    known = np.fromiter(map(set(ids).__contains__, toks), bool, len(toks))
-    kept = known.reshape(-1, 2).all(axis=1)
+    toks = text.split()
+    dense = _dense_ids(ids, toks)
+    known = dense >= 0
+    kept = known[0::2] & known[1::2]
     edges = tuple(compress(zip(toks[0::2], toks[1::2]), kept))
-    return RawDataset(tuple(ids), features, tuple(labels), edges, len(kept) - len(edges))
+    return RawDataset(tuple(ids), features, tuple(labels), edges, len(kept) - len(edges),
+                      dense.reshape(-1, 2))
 
 
 def _content_columns(lines: list[str]):
@@ -270,19 +290,26 @@ def write_msg1(g: SimGraph, path: str | Path) -> None:
 def read_msg1(path: str | Path) -> SimGraph:
     """Parse an MSG1 file, enforcing the header, counts, ordering, and range.
 
-    The header is read line by line. An edge block with no `#` and at least
-    one non-blank line is then parsed with one ``np.loadtxt`` call and
-    checked on arrays. Every other block, and one that fails there (a fault,
-    or a number only ``int`` or ``float`` spells, such as ``1_0``), is read
-    again one line at a time. So a bad file raises that reader's ParseError,
-    naming its first bad line; a repeated edge names the line that repeats
-    it.
+    A file is first tried whole (``_edge_block``): its header lines are read
+    one by one and its edge block is parsed from the file with one
+    ``np.loadtxt`` call, then checked on arrays. Any file that path declines
+    (a `#`, a non-ASCII byte, a fault, or a number only ``int`` or
+    ``float`` spells, such as ``1_0``) is read again as text one line at a
+    time. So a bad file raises that reader's ParseError, naming its first
+    bad line; a repeated edge names the line that repeats it.
     """
     path = Path(path)
-    text = read_text(path)
-    lines = text.splitlines()
+    g = _edge_block(path)
+    if g is not None:
+        return g
+    lines = read_text(path).splitlines()
+    n, m, lineno = _msg1_header(lines, path)
+    return _edge_lines(lines[lineno:], lineno, n, m, path)
 
-    n = m = -1
+
+def _msg1_header(lines: Iterable[str], path: Path) -> tuple[int, int, int]:
+    """(n, m, its line number) of the `N M` line of the MSG1 file whose lines
+    ``lines`` yields, read up to that line; a bad header raises."""
     stage = 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -305,48 +332,58 @@ def read_msg1(path: str | Path) -> SimGraph:
         if n > MAX_NODES:
             raise ParseError(f"node count {n} exceeds the {MAX_NODES} node limit",
                              path=str(path), line=lineno)
-        stage = 2
-        break
+        return n, m, lineno
     if stage == 0:
         raise ParseError("empty file, expected MSG1 magic", path=str(path))
-    if stage == 1:
-        raise ParseError("missing `N M` header", path=str(path))
-
-    # `#` is no line break, so the edge block holds one iff the file holds
-    # more than the header lines; loadtxt warns on a block of blank lines
-    block_hashes = text.count("#") - "".join(lines[:lineno]).count("#")
-    del lines[:lineno]
-    if not block_hashes and any(map(str.strip, lines)):
-        edges = _edge_arrays(lines, n, m)
-        if edges is not None:
-            try:
-                return SimGraph(n, edges)
-            except MselError:
-                pass  # a repeated edge, whose line the line reader names
-    return _edge_lines(lines, lineno, n, m, path)
+    raise ParseError("missing `N M` header", path=str(path))
 
 
 _EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
 
-def _edge_arrays(body: list[str], n: int, m: int) -> np.ndarray | None:
-    """The edges on lines ``body`` as an (m, 3) array of u, v, w parsed in
-    one call, or None unless they are exactly m edges ``0 <= u < v < n``
-    with weights in (0, 1].
+def _edge_block(path: Path) -> SimGraph | None:
+    """The graph of the MSG1 file at ``path``, its edge block parsed by one
+    ``np.loadtxt`` call from the file; None unless the file is ASCII with no
+    `#` and no line break only ``str.splitlines`` knows, has a good header
+    and at least one non-blank edge line, and holds exactly m distinct
+    edges ``0 <= u < v < n`` with weights in (0, 1].
 
-    ``np.loadtxt`` splits on the whitespace ``str.split`` splits on, parses a
-    float as ``float`` does and an int64 more strictly than ``int`` (no
-    ``1.0``, ``1_0``, non-ASCII digits or overflow), so whatever it accepts
-    reads as the line by line reader would read it.
+    Such a file splits into the same lines for ``np.loadtxt`` as for the
+    line reader, and each line into the same fields, ``str.split``'s.
+    ``np.loadtxt`` parses a float as ``float`` does and an int64 more
+    strictly than ``int`` (no ``1.0``, ``1_0`` or overflow), so whatever it
+    accepts reads as the line reader would read it.
     """
+    if path.suffix in (".bz2", ".gz", ".lzma", ".xz"):
+        return None  # np.loadtxt would decompress the file
     try:
-        rows = np.loadtxt(body, dtype=_EDGE_ROW, comments=None, ndmin=1)
+        data = path.read_bytes()
+    except OSError:
+        return None
+    # a `#`, or an ASCII line break of str.splitlines that universal
+    # newlines do not break at and np.loadtxt takes for a space
+    if not data.isascii() or any(c in data for c in b"#\x0b\x0c\x1c\x1d\x1e"):
+        return None
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
+    try:
+        n, m, skip = _msg1_header(lines, path)
+    except ParseError:
+        return None
+    # loadtxt warns on a block of blank lines
+    if not any(map(str.strip, lines)):
+        return None
+    del data, lines
+    try:
+        rows = np.loadtxt(path, dtype=_EDGE_ROW, comments=None, skiprows=skip,
+                          encoding="utf-8", ndmin=1)
     except ValueError:
         return None
-    u, v, w = rows["u"], rows["v"], rows["w"]
-    if len(rows) != m or not ((0 <= u) & (u < v) & (v < n) & (w > 0.0) & (w <= 1.0)).all():
+    if len(rows) != m or not (rows["u"] < rows["v"]).all():
         return None
-    return np.column_stack((u, v, w))
+    try:
+        return SimGraph(n, rows)
+    except MselError:
+        return None  # an end or weight out of range, or a repeated edge
 
 
 def _uvw_lines(lines: list[str], start: int, path: Path, what: str):

@@ -154,10 +154,10 @@ class Session:
     peeling; the kept run costs no work and folds no records, which are in
     ``profile`` already.
 
-    ``_partial`` keeps each cored peel as ``(bound, s, anchor)``: the bound
-    on the alpha of every size its runs skipped, and a copy of the group it
-    pinned, whose graph and outside nodes are the graph and start set to
-    run the full peel on (``_complete``).
+    ``_partial`` keeps each cored peel, keyed by its graph, s and the bytes
+    of its anchor's sorted member ids (int64), which fix the full peel to
+    run (``_complete``): the largest bound on the alpha of every size its
+    runs skipped. A repeat of a cored peel adds no entry.
     """
 
     graph: SimGraph
@@ -170,7 +170,7 @@ class Session:
     _group: _Group | None = field(default=None, repr=False, compare=False)
     _empty_at: tuple[SimGraph, ConstraintPair] | None = field(default=None, repr=False, compare=False)
     _whole: tuple[SimGraph, float, PeelRun] | None = field(default=None, repr=False, compare=False)
-    _partial: list[tuple[float, float, _Group]] = field(default_factory=list, repr=False, compare=False)
+    _partial: dict[tuple[SimGraph, float, bytes], float] = field(default_factory=dict, repr=False, compare=False)
 
 
 def _proven_empty(sess: Session) -> bool:
@@ -274,7 +274,8 @@ def _peel(sess: Session, c: ConstraintPair, anchor: _Group | None = None,
         if not pinned:
             sess._whole = (g, c.s, runs[0])
         elif runs[0].skipped:
-            sess._partial.append((max(r.bound for r in runs), c.s, anchor.copy()))
+            key = (anchor.graph, c.s, np.flatnonzero(anchor.mask).astype(np.int64).tobytes())
+            sess._partial[key] = max(sess._partial.get(key, -math.inf), *(r.bound for r in runs))
     if len(runs[0].trace.order) + runs[0].skipped <= c.p:
         sess._empty_at = (g, c)
     return runs
@@ -298,13 +299,11 @@ def _complete(sess: Session, floor: float) -> None:
     with alpha above ``floor``, so that the profile holds what the full
     peels would have recorded; the margin keeps rounding of the bound from
     deciding."""
-    kept = []
-    for bound, s, anchor in sess._partial:
-        if bound * (1 + 1e-9) < floor:
-            kept.append((bound, s, anchor))
-        else:
-            _run_peel(sess, anchor.graph, ConstraintPair(s=s, p=0), anchor)
-    sess._partial = kept
+    for key, bound in list(sess._partial.items()):
+        if bound * (1 + 1e-9) >= floor:
+            g, s, ids = key
+            del sess._partial[key]
+            _run_peel(sess, g, ConstraintPair(s=s, p=0), _Group(g, np.frombuffer(ids, np.int64).tolist()))
 
 
 def _step(sess: Session, label: str, repair: Callable[..., _Group | None], *args) -> Solution:

@@ -40,22 +40,32 @@ class SimGraph:
     __slots__ = ("n", "m", "indptr", "indices", "weights")
 
     def __init__(self, n: int, edges: Iterable[Edge] | np.ndarray):
-        """``edges`` holds (u, v, w) triples in any order, as an iterable or
-        an (m, 3) array. A bad edge raises for the first one in input
-        order, a duplicate for the smallest (u, v) repeated."""
+        """``edges`` holds (u, v, w) triples in any order and orientation,
+        as an iterable, an (m, 3) array or a record array of three fields
+        u, v, w. A bad edge raises for the first one in input order, a
+        duplicate for the smallest (u, v) repeated.
+
+        The m keys ``lo * n + hi`` of the edges (lo < hi their ends) are
+        sorted unless they already increase strictly, as a written MSG1
+        file's do. Each row then holds its lower neighbours, in the order
+        of a sort of the edges by (hi, lo), followed by its upper ones, in
+        key order."""
         if n < 0:
             raise ParameterError(f"node count must be nonnegative, got {n}")
         _check_node_count(n)
-        if not isinstance(edges, np.ndarray):
-            edges = list(edges)
-        e = np.asarray(edges, dtype=np.float64)  # only read, so an array is not copied
-        if e.size == 0:
-            e = e.reshape(0, 3)
-        if e.ndim != 2 or e.shape[1] != 3:
-            raise ParameterError("edges must be (u, v, w) triples")
-        ends, w = e[:, :2], e[:, 2]
-        bad_end = ~((ends >= 0) & (ends < n)).all(axis=1)
-        loop = ends[:, 0] == ends[:, 1]
+        if isinstance(edges, np.ndarray) and edges.dtype.names:
+            u, v, w = (edges[f] for f in edges.dtype.names)
+        else:
+            if not isinstance(edges, np.ndarray):
+                edges = list(edges)
+            e = np.asarray(edges, dtype=np.float64)  # only read, so an array is not copied
+            if e.size == 0:
+                e = e.reshape(0, 3)
+            if e.ndim != 2 or e.shape[1] != 3:
+                raise ParameterError("edges must be (u, v, w) triples")
+            u, v, w = e.T
+        bad_end = ~((u >= 0) & (u < n) & (v >= 0) & (v < n))
+        loop = u == v
         bad = bad_end | loop | ~((w > 0.0) & (w <= 1.0))
         if bad.any():
             i = int(bad.argmax())
@@ -65,18 +75,32 @@ class SimGraph:
             if loop[i]:
                 raise ParameterError(f"self-loop on node {u}")
             raise ParameterError(f"edge ({u},{v}) weight {wi} outside (0,1]")
-        ends = ends.astype(np.int64)
-        rows = np.concatenate((ends[:, 0], ends[:, 1]))
-        cols = np.concatenate((ends[:, 1], ends[:, 0]))
-        key = rows * n + cols
-        order = np.argsort(key)
-        rows, cols = rows[order], cols[order]
-        dup = np.flatnonzero(np.diff(key[order]) == 0)
-        if dup.size:
-            raise ParameterError(f"duplicate edge ({rows[dup[0]]},{cols[dup[0]]})")
+        u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        key = lo * n + hi
+        if not (key[1:] > key[:-1]).all():
+            order = np.argsort(key)
+            key = key[order]
+            dup = np.flatnonzero(key[1:] == key[:-1])
+            if dup.size:
+                raise ParameterError(f"duplicate edge ({key[dup[0]] // n},{key[dup[0]] % n})")
+            lo, hi, w = lo[order], hi[order], w[order]
+        m = len(key)
+        up, down = np.bincount(lo, minlength=n), np.bincount(hi, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        self._set(n, len(e), indptr, cols.astype(np.int32), np.concatenate((w, w))[order])
+        np.cumsum(up + down, out=indptr[1:])
+        indices = np.empty(2 * m, dtype=np.int32)
+        weights = np.empty(2 * m)
+        # the k-th upper entry in key order sits after the lower entries of
+        # rows <= its row; the k-th lower one in (hi, lo) order after the
+        # upper entries of rows < its row
+        at = np.arange(m)
+        pos = at + np.repeat(np.cumsum(down), up)
+        indices[pos], weights[pos] = hi, w
+        order = np.argsort(hi * n + lo)
+        pos = at + np.repeat(np.cumsum(up) - up, down)
+        indices[pos], weights[pos] = lo[order], w[order]
+        self._set(n, m, indptr, indices, weights)
 
     def _set(self, n, m, indptr, indices, weights) -> None:
         """Take validated, sorted arrays as the graph's, read-only."""

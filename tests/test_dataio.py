@@ -389,9 +389,8 @@ BAD_EDGE_LINES = [
 ]
 
 
-# the bad line is line 6 whether the `#` line sits in the edge block (None),
-# which sends the block straight to the line reader, or in the header (line 1
-# or 2), which lets np.loadtxt see the block and refuse it
+# the bad line is line 6 whether the `#` line sits in the edge block (None)
+# or in the header (line 1 or 2); each file goes to the line reader
 BAD_LINE_FILES = {
     None: "MSG1\n3 2\n\n0 2 0.5\n# the next line is bad\n{bad}\n",
     1: "# made by hand\nMSG1\n3 2\n0 2 0.5\n\n{bad}\n",
@@ -428,30 +427,53 @@ def test_read_names_the_first_of_several_bad_lines(tmp_path):
         assert (err.value.line, str(err.value)) == (line, f"{p}:{line}: {message}")
 
 
-def _read_both_ways(tmp_path, monkeypatch, text):
-    """Read ``text`` as an MSG1 file as the reader does and once more with
-    the array path refusing every block, and check both give the same CSR
-    bits or the same error and line. The array parse on its own must accept
-    no block the line reader rejects or reads otherwise, but for a repeated
-    edge, which the graph rejects."""
-    p = tmp_path / "t.msg1"
-    p.write_text(text, encoding="utf-8", newline="")
-    got = _outcome(read_msg1, p)
-    with monkeypatch.context() as mp:
-        mp.setattr(dataio, "_edge_arrays", lambda body, n, m: None)
-        ref = _outcome(read_msg1, p)
-    assert got == ref, text
+def _reference_read_msg1(path):
+    """The MSG1 reader as it was before edge blocks were parsed from the
+    file: the whole text split by ``str.splitlines``, a block with no `#`
+    and a non-blank line parsed by ``np.loadtxt`` from those lines, and
+    every other block, or one failing there, read by the line reader."""
+    path = Path(path)
+    text = dataio.read_text(path)
     lines = text.splitlines()
-    header = next(i for i, line in enumerate(lines) if line.split() and line.split()[0].isdigit())
-    n, m = map(int, lines[header].split())
-    body = lines[header + 1:]
-    fast = dataio._edge_arrays(body, n, m) if any(map(str.strip, body)) else None
-    if fast is not None:
+    n, m, lineno = dataio._msg1_header(lines, path)
+    block_hashes = text.count("#") - "".join(lines[:lineno]).count("#")
+    del lines[:lineno]
+    if not block_hashes and any(map(str.strip, lines)):
         try:
-            assert _csr(SimGraph(n, fast)) == ref, text
-        except MselError:
-            assert "duplicate edge" in ref[0], text
-    return ref
+            rows = np.loadtxt(lines, dtype=dataio._EDGE_ROW, comments=None, ndmin=1)
+        except ValueError:
+            rows = None
+        if rows is not None:
+            u, v, w = rows["u"], rows["v"], rows["w"]
+            if len(rows) == m and ((0 <= u) & (u < v) & (v < n) & (w > 0.0) & (w <= 1.0)).all():
+                try:
+                    return SimGraph(n, np.column_stack((u, v, w)))
+                except MselError:
+                    pass
+    return dataio._edge_lines(lines, lineno, n, m, path)
+
+
+def _read_both_ways(tmp_path, monkeypatch, text, name="t.msg1"):
+    """Write ``text`` (bytes as they are, a str as UTF-8) to a file and read
+    it three ways: as the reader does, as the reference reader does, and
+    with the array path declining every file. All three must give the same
+    CSR bits or the same error and line. Returns that outcome and whether
+    the array path read the file."""
+    p = tmp_path / name
+    if isinstance(text, bytes):
+        p.write_bytes(text)
+    else:
+        p.write_text(text, encoding="utf-8", newline="")
+    took = []
+    edge_block = dataio._edge_block
+    with monkeypatch.context() as mp:
+        mp.setattr(dataio, "_edge_block", lambda path: took.append(edge_block(path)) or took[-1])
+        got = _outcome(read_msg1, p)
+    assert got == _outcome(_reference_read_msg1, p), text
+    with monkeypatch.context() as mp:
+        mp.setattr(dataio, "_edge_block", lambda path: None)
+        assert _outcome(read_msg1, p) == got, text
+    return got, took[0] is not None
 
 
 def _outcome(read, path):
@@ -493,37 +515,75 @@ def test_scaled_zero_one_passes_other_content_on():
 
 def test_array_path_matches_line_reader(tmp_path, monkeypatch):
     ok = "MSG1\n12 2\n0 1 0.5\n{0}\n"
+    two = "MSG1\n3 2\n{0}\n1 2 0.25\n"
+    # (text, the edge count read or (line, message) of the error, whether
+    # the array path reads it)
     cases = [
-        ("MSG1\n3 2\n0 1 0.5 # c\n1 2 0.5\n", (3, "edge line needs `u v w`")),
-        (ok.format("1.0 2 0.5"), (4, "bad edge: invalid literal for int() with base 10: '1.0'")),
-        (ok.format("1_0 2 0.5"), (4, "edge (10, 2) violates 0 <= u < v < 12")),
-        (ok.format("1_0 11 0.5"), None),
-        (ok.format("+1 2 0.5"), None),
-        (ok.format("99999999999999999999 2 0.5"), (4, "edge (99999999999999999999, 2) violates 0 <= u < v < 12")),
-        (ok.format("1 99999999999999999999 0.5"), (4, "edge (1, 99999999999999999999) violates 0 <= u < v < 12")),
-        (ok.format("1\xa02\xa00.5"), None),
-        (ok.format("1 2 \u0660.5"), None),
-        (ok.format("1 2 nan"), (4, "weight nan outside (0, 1]")),
-        (ok.format("1 2 1e0"), None),
-        ("MSG1\r\n3 2\r\n0 1 0.5\r\n1 2 0.25\r\n", None),
-        ("MSG1\n3 2\n\n0 1 0.5\n  \n# c\n\t# d\n1 2 0.25\n\n", None),
-        ("MSG1\n3 2\n0 1 0.5\n1 2 0.5\n0 1 0.25\n", (5, "more than 2 edge lines")),
-        ("MSG1\n3 3\n0 2 0.5\n1 2 0.5\n0 2 0.25\n", (5, "duplicate edge (0,2)")),
-        ("MSG1\n3 3\n0 1 0.5\n1 2 0.5\n", (None, "header promised 3 edges, found 2")),
-        ("MSG1\n3 2\n0 1 0.5\n1 2 0.5\n0 2 0.5\n", (5, "more than 2 edge lines")),
-        ("MSG1\n3 0\n", None),
-        ("MSG1\n3 0\n\n \n", None),
-        ("MSG1\n3 1\n\n \n", (None, "header promised 1 edges, found 0")),
-        ("MSG1\n3 0\n0 1 0.5\n", (3, "more than 0 edge lines")),
+        ("MSG1\n3 2\n0 1 0.5 # c\n1 2 0.5\n", (3, "edge line needs `u v w`"), False),
+        (ok.format("1.0 2 0.5"), (4, "bad edge: invalid literal for int() with base 10: '1.0'"), False),
+        (ok.format("1_0 2 0.5"), (4, "edge (10, 2) violates 0 <= u < v < 12"), False),
+        (ok.format("1_0 11 0.5"), 2, False),
+        (ok.format("+1 2 0.5"), 2, True),
+        (ok.format("99999999999999999999 2 0.5"), (4, "edge (99999999999999999999, 2) violates 0 <= u < v < 12"), False),
+        (ok.format("1 99999999999999999999 0.5"), (4, "edge (1, 99999999999999999999) violates 0 <= u < v < 12"), False),
+        (ok.format("1\xa02\xa00.5"), 2, False),
+        (ok.format("1 2 \u0660.5"), 2, False),
+        (ok.format("\u0661 2 0.5"), 2, False),
+        (ok.format("1 2 nan"), (4, "weight nan outside (0, 1]"), False),
+        (ok.format("1 2 1e0"), 2, True),
+        (ok.format("1\t2\t0.5"), 2, True),
+        ("MSG1\n3\t2\n0\t1 0.5\n\t1 2\t0.25\t\n", 2, True),
+        ("MSG1\r\n3 2\r\n0 1 0.5\r\n1 2 0.25\r\n", 2, True),
+        ("MSG1\r3 2\r0 1 0.5\r1 2 0.25\r", 2, True),
+        ("MSG1\r\n3 2\r0 1 0.5\n\r\n1 2 0.25", 2, True),
+        ("MSG1\n3 2\n\n0 1 0.5\n  \n# c\n\t# d\n1 2 0.25\n\n", 2, False),
+        ("# c\nMSG1\n3 2\n0 1 0.5\n1 2 0.25\n", 2, False),
+        ("MSG1\n3 2 # c\n0 1 0.5\n1 2 0.25\n", (2, "header needs `N M`"), False),
+        # a line break to str.splitlines that universal newlines and
+        # np.loadtxt take for a space, in the header and in the body
+        ("MSG1\n3\x0c2\n0 1 0.5\n1 2 0.25\n", (2, "header needs `N M`"), False),
+        ("MSG1\x0c\n3 2\n0 1 0.5\n1 2 0.25\n", 2, False),
+        (two.format("0 1\x0c0.5"), (3, "edge line needs `u v w`"), False),
+        (two.format("0 1 0.5\x0c"), 2, False),
+        ("MSG1\n3\x852\n0 1 0.5\n1 2 0.25\n", (2, "header needs `N M`"), False),
+        (two.format("0 1\x850.5"), (3, "edge line needs `u v w`"), False),
+        ("MSG1\n3\u20282\n0 1 0.5\n1 2 0.25\n", (2, "header needs `N M`"), False),
+        (two.format("0\u20281 0.5"), (3, "edge line needs `u v w`"), False),
+        (two.format("0 1 0.5\u2028"), 2, False),
+        (two.format("0 1 0.5\x1f"), 2, True),
+        (two.format("1 0 0.5"), (3, "edge (1, 0) violates 0 <= u < v < 3"), False),
+        (two.format("0 3 0.5"), (3, "edge (0, 3) violates 0 <= u < v < 3"), False),
+        (two.format("0 1 1.5"), (3, "weight 1.5 outside (0, 1]"), False),
+        (two.format("1 2 0.5"), (4, "duplicate edge (1,2)"), False),
+        ("\ufeffMSG1\n3 2\n0 1 0.5\n1 2 0.25\n", (1, "bad magic '\\ufeffMSG1'"), False),
+        (two.format("\ufeff0 1 0.5"), (3, "bad edge: invalid literal for int() with base 10: '\\ufeff0'"), False),
+        (two.format("0 1 0.5\x00"), (3, "bad edge: could not convert string to float: '0.5\\x00'"), False),
+        (two.format("0 1 0.5 \x00"), (3, "edge line needs `u v w`"), False),
+        ("MSG1\n3 2\x00\n0 1 0.5\n1 2 0.25\n", (2, "bad header: invalid literal for int() with base 10: '2\\x00'"), False),
+        ("MSG1\n3 2\n0 1 0.5\n1 2 0.5\n0 1 0.25\n", (5, "more than 2 edge lines"), False),
+        ("MSG1\n3 3\n0 2 0.5\n1 2 0.5\n0 2 0.25\n", (5, "duplicate edge (0,2)"), False),
+        ("MSG1\n3 3\n0 1 0.5\n1 2 0.5\n", (None, "header promised 3 edges, found 2"), False),
+        ("MSG1\n3 2\n0 1 0.5\n1 2 0.5\n0 2 0.5\n", (5, "more than 2 edge lines"), False),
+        ("MSG1\n3 0\n", 0, False),
+        ("MSG1\n3 0\n\n \n", 0, False),
+        ("MSG1\n3 1\n\n \n", (None, "header promised 1 edges, found 0"), False),
+        ("MSG1\n3 1\n\n\x0c\n", (None, "header promised 1 edges, found 0"), False),
+        ("MSG1\n3 0\n0 1 0.5\n", (3, "more than 0 edge lines"), False),
+        (b"MSG1\n3 2\n0 1 0.5\n1 2 \xff\n", (None, "cannot open: 'utf-8' codec can't decode byte 0xff "
+                                                 "in position 21: invalid start byte"), False),
     ]
-    for text, expect in cases:
-        got = _read_both_ways(tmp_path, monkeypatch, text)
-        if expect is None:
-            assert got[1] == int(text.split()[2]), text
+    for text, expect, fast in cases:
+        got, took = _read_both_ways(tmp_path, monkeypatch, text)
+        assert took == fast, text
+        if isinstance(expect, int):
+            assert got[1] == expect, text
         else:
             line, message = expect
             where = f"{tmp_path / 't.msg1'}:" + (f"{line}: " if line else "")
             assert got == (where + message, line), text
+    # np.loadtxt would decompress a file by its suffix
+    got, took = _read_both_ways(tmp_path, monkeypatch, two.format("0 1 0.5"), name="t.gz")
+    assert got[1] == 2 and not took
 
 
 def test_array_path_reads_written_graphs(tmp_path, monkeypatch):

@@ -1034,6 +1034,28 @@ def test_size_decrease_completes_a_cored_run(monkeypatch):
     assert skipped[:-1] == cut[:-1] and skipped[-1][1] < cut[-1][1]
 
 
+def test_repeated_cored_peels_keep_one_small_entry():
+    # each s -= 0.1 re-runs the same cored peel around the same 21-node
+    # anchor; the session keeps one entry for it, holding the anchor's ids
+    # and no graph-sized array
+    g, _ = _two_communities(random.Random(0), 3000)
+    sess = init_session(g, ConstraintPair(s=0.4, p=3))
+    run_schedule(sess, [ScheduleEvent("similarity_delta", d) for d in (-0.1, 0.1) * 50])
+    assert len(sess._partial) == 1
+    ((graph, s, ids), bound), = sess._partial.items()
+    members = np.frombuffer(ids, np.int64)
+    assert graph is g and s == 0.4 - 0.1 and isinstance(bound, float)
+    assert len(members) == 21 and len(ids) == 8 * 21
+    assert (np.diff(members) > 0).all() and members[-1] < g.n
+    # cored peels of that anchor at other floors keep the larger bound
+    grp = dcsel._Group(g, members.tolist())
+    for floor in (0.9 * grp.alpha, 1.1 * grp.alpha):
+        runs = dcsel._peel(sess, ConstraintPair(s=s, p=3), grp, floor)
+        bound = max(bound, *(r.bound for r in runs))
+        assert list(sess._partial.values()) == [bound]
+    assert bound > grp.alpha
+
+
 def test_cored_runs_never_prove_the_session_empty(monkeypatch):
     # anchored repairs around part of a 40-node community, under every size
     # floor at which that part is feasible: a cored run's start set counts

@@ -311,6 +311,32 @@ def test_csr_layout_of_every_constructor(tmp_path, two_triangles):
         assert_csr(g, list(g.edges()))
 
 
+def test_every_edge_order_and_form_builds_the_sorted_arrays():
+    # sorted input skips the sort; shuffled, flipped, array and record
+    # input must build the same arrays, bit for bit
+    rows = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+    rng = random.Random(11)
+    for n in [0, 1, 2, 5, 40] + [rng.randint(3, 200) for _ in range(20)]:
+        g = gnp_graph(rng, n)
+        ordered = list(g.edges())
+        assert_csr(SimGraph(n, ordered), ordered)
+        want = [g.indptr, g.indices, g.weights]
+        flipped = [(v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in ordered]
+        rng.shuffle(flipped)
+        for edges in (flipped, np.array(flipped, dtype=np.float64).reshape(-1, 3),
+                      np.array(ordered, dtype=rows), np.array(flipped, dtype=rows)):
+            got = SimGraph(n, edges)
+            assert got.m == g.m
+            for a, b in zip((got.indptr, got.indices, got.weights), want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # a repeat, as given or flipped, names the smallest pair repeated
+    for edges in ([(0, 1, 0.5), (1, 3, 0.5), (0, 1, 0.25)], [(1, 3, 0.5), (3, 1, 0.5), (2, 1, 0.5), (1, 2, 0.4)]):
+        for form in (list, lambda e: np.array(e, dtype=rows)):
+            with pytest.raises(ParameterError) as err:
+                SimGraph(4, form(edges))
+            assert str(err.value) == f"duplicate edge ({min(edges)[0]},{min(edges)[1]})"
+
+
 def test_graph_errors_name_the_first_bad_edge():
     cases = [
         ([(0, 1, 0.5), (2, 2, 0.5), (0, 9, 0.5)], ParameterError, "self-loop on node 2"),
