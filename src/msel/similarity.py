@@ -21,7 +21,9 @@ from .graph import SimGraph
 # clearly a mistake rather than letting it run for hours.
 FULL_MODE_MAX_NODES = 5000
 
-# floats in one kernel temporary (4 MB of float64)
+# numbers in one kernel temporary: 4 MB of float64 weights on real-valued
+# rows, and less on 0/1 rows, whose counts come as float32 and are ranked
+# as int16
 _KERNEL_FLOATS = 1 << 19
 
 
@@ -133,15 +135,16 @@ def _is_binary(values: np.ndarray) -> bool:
 
 def _pair_scores(values: np.ndarray):
     """``(weigh, blocks)``: ``blocks`` yields ``(lo, s)`` over consecutive
-    blocks of rows, ``s[i, v]`` a float64 score of the pair of rows
-    ``lo + i`` and ``v`` whose weight is ``weigh(s[i, v])``; a block holds
-    at most ``_KERNEL_FLOATS`` scores, or one row where a row holds more.
+    blocks of rows, ``s[i, v]`` a score of the pair of rows ``lo + i`` and
+    ``v`` whose weight is ``weigh(s[i, v])``; a block holds at most
+    ``_KERNEL_FLOATS`` scores, or one row where a row holds more.
 
-    On 0/1 rows a score is the agreement count c and ``weigh`` takes
-    sqrt(c / d), which is ``pair_weight``'s bits; on other rows a score is
-    the weight itself. Either way ``weigh`` is strictly increasing and zero
-    only at zero, so scores compare, tie and test positive as their weights
-    do, and a caller may weigh only the scores it keeps.
+    On 0/1 rows a score is the agreement count c, an int16 while d < 2**15
+    and the exact float product beyond, and ``weigh`` takes sqrt(c / d) in
+    float64, which is ``pair_weight``'s bits; on other rows a score is the
+    float64 weight itself. Either way ``weigh`` is strictly increasing and
+    zero only at zero, so scores compare, tie and test positive as their
+    weights do, and a caller may weigh only the scores it keeps.
     """
     n, d = values.shape
     step = max(1, _KERNEL_FLOATS // max(1, n))
@@ -149,8 +152,11 @@ def _pair_scores(values: np.ndarray):
     if not _is_binary(values):
         return (lambda w: w), ((lo, _weights_block(values[lo:lo + step], values)) for lo in starts)
     left, right = _binary_factors(values)
-    counts = ((lo, np.asarray(left[lo:lo + step] @ right, dtype=np.float64)) for lo in starts)
-    return (lambda c: np.sqrt(c / d)), counts
+    # the counts are exact integers in [0, d], and np.partition ranks an
+    # int16 block several times as fast as a float one
+    dtype = np.int16 if d < 2**15 else left.dtype
+    counts = ((lo, (left[lo:lo + step] @ right).astype(dtype, copy=False)) for lo in starts)
+    return (lambda c: np.sqrt(c.astype(np.float64) / d)), counts
 
 
 def last_of_each_pair(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -194,26 +200,39 @@ def _edge_weights(values: np.ndarray, edges) -> np.ndarray:
 
 
 def _knn_edges(values: np.ndarray, k: int) -> np.ndarray:
-    """The (u, v, w) rows of the union of each row's k heaviest pairs,
-    ties broken by ``argpartition``; zero weights make no edge.
+    """The (u, v, w) rows of the union of each row's k heaviest pairs, where
+    of two pairs of equal weight the one to the lower id ranks first, so the
+    graph depends only on the data; zero weights make no edge.
 
     Rows are ranked on ``_pair_scores``, which order and tie as the weights
-    do in the same dtype, so ``argpartition`` makes the comparisons, and
-    breaks the ties, it would make on the weights; only the kept pairs are
-    weighed.
+    do, and only the kept pairs are weighed. Per block, ``np.partition``
+    finds each row's k-th score; the row keeps every score above it and, of
+    the scores equal to it, the first ones a row-major scan meets, which
+    are those of the lowest ids.
     """
     n = values.shape[0]
     weigh, blocks = _pair_scores(values)
     us, vs, ss = [], [], []
     for lo, s in blocks:
-        rows = np.arange(lo, lo + s.shape[0])
-        s[rows - lo, rows] = -1.0
-        top = np.argpartition(s, n - k, axis=1)[:, n - k:]
-        ts = np.take_along_axis(s, top, axis=1)
-        keep = ts > 0.0
-        us.append(np.broadcast_to(rows[:, None], top.shape)[keep])
-        vs.append(top[keep])
-        ss.append(ts[keep])
+        m = s.shape[0]
+        s[np.arange(m), np.arange(lo, lo + m)] = -1
+        kth = np.partition(s, n - k, axis=1)[:, n - k]
+        # a 2-d nonzero takes several times as long as the flat one
+        flat = np.flatnonzero(s >= kth[:, None])
+        i, v = np.divmod(flat, n)
+        sc = s.reshape(-1)[flat]
+        tied = sc == kth[i]
+        keep = ~tied
+        # the i-th tie of a row is kept while the row's k picks are not full
+        at = np.flatnonzero(tied)
+        row = i[at]
+        ties = np.bincount(row, minlength=m)
+        rank = np.arange(len(at)) - (np.cumsum(ties) - ties)[row]
+        keep[at] = rank < (k - np.bincount(i[keep], minlength=m))[row]
+        keep &= sc > 0
+        us.append(i[keep] + lo)
+        vs.append(v[keep])
+        ss.append(sc[keep])
     u, v, s = (np.concatenate(x) for x in (us, vs, ss))
     at = last_of_each_pair(u, v, n)
     return np.column_stack((np.minimum(u, v)[at], np.maximum(u, v)[at], weigh(s[at])))

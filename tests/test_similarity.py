@@ -1,9 +1,15 @@
+import importlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import msel
 from msel import (
     AttributeMatrix,
     CapacityError,
@@ -13,8 +19,9 @@ from msel import (
     build_similarity_graph,
     normalize_attributes,
     pair_weight,
+    write_msg1,
 )
-from msel.similarity import _weights_block
+from msel.similarity import _weights_block, scaled_zero_one
 
 
 def test_normalize_binary_unchanged():
@@ -163,6 +170,27 @@ def test_knn_mode_basic():
         build_similarity_graph(attrs, mode="knn")
 
 
+@pytest.mark.parametrize("real", [False, True])
+def test_knn_ties_go_to_the_lower_id(real):
+    """Of pairs that tie at a row's k-th weight, the lower ids are kept:
+    row 0 ties between 2 and 5 and keeps 2, row 4 between 1 and 3 and
+    keeps 1, and a row whose weights all tie keeps its k lowest ids. Real
+    rows, 0/1 rows mapped to 0.25/0.75, give the same ties."""
+    rows = np.array([
+        [1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 0], [0, 0, 1, 1],
+        [0, 0, 0, 1], [1, 1, 0, 1], [1, 1, 0, 1],
+    ], dtype=np.float64)
+    alike = np.ones((6, 2))
+    if real:
+        rows, alike = 0.25 + 0.5 * rows, 0.5 * alike
+    g = build_similarity_graph(_attrs(rows), mode="knn", k=1)
+    assert sorted((u, v) for u, v, _ in g.edges()) == [(0, 2), (1, 3), (1, 4), (5, 6)]
+    g = build_similarity_graph(_attrs(alike), mode="knn", k=2)
+    assert sorted((u, v) for u, v, _ in g.edges()) == [
+        (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5),
+    ]
+
+
 def test_unknown_mode():
     with pytest.raises(ParameterError):
         build_similarity_graph(_attrs([[1.0]]), mode="cosine")
@@ -209,8 +237,9 @@ def test_real_valued_kernel_memory_is_bounded(monkeypatch):
 
 def _reference_graph(values, mode, edges=None, k=None):
     """Per-pair and per-row builds of each mode, in plain loops: the
-    generic or 0/1 kernel over blocks of 256 rows, one argpartition per
-    knn row, and a dict that keeps the last weight of a repeated pair."""
+    generic or 0/1 kernel over blocks of 256 rows, each knn row sorted by
+    (weight descending, id ascending) and cut after k, and a dict that
+    keeps the last weight of a repeated pair."""
     n, d = values.shape
     binary = np.isin(values, (0.0, 1.0)).all()
 
@@ -241,7 +270,7 @@ def _reference_graph(values, mode, edges=None, k=None):
                 continue
             row = w_rows[i].copy()
             row[u] = -1.0
-            for v in np.argpartition(row, n - k)[n - k:].tolist():
+            for v in np.lexsort((np.arange(n), -row))[:k].tolist():
                 if row[v] > 0.0:
                     pairs[(min(u, v), max(u, v))] = float(row[v])
     return SimGraph(n, [(u, v, w) for (u, v), w in sorted(pairs.items())])
@@ -251,8 +280,8 @@ def _reference_graph(values, mode, edges=None, k=None):
 def test_array_builds_match_the_loops(kind, monkeypatch):
     """Every mode gives the CSR arrays of the plain loops, bit for bit, on
     real-valued rows, random 0/1 rows and 0/1 rows repeated many times
-    (where knn, which ranks 0/1 rows by agreement counts, must break ties
-    as argpartition does on the weights row by row) 5 and 70 columns wide,
+    (where knn, which ranks 0/1 rows by agreement counts, must give a tie
+    to the lower id as the sorted weights do row by row) 5 and 70 columns wide,
     the wide ones also with a k whose last pick ties with a pair left out,
     and the same again with kernel blocks of a few rows."""
     from msel import similarity
@@ -299,3 +328,66 @@ def test_edges_mode_memory_is_bounded():
         tracemalloc.stop()
     assert g.m > 90_000
     assert peak <= 32 * 2**20
+
+
+def test_binary_knn_memory_is_bounded():
+    """A 3,000 x 256 0/1 knn build ranks its counts a block of rows at a
+    time; the whole 3,000 x 3,000 float32 product alone would be 36 MB."""
+    values = (np.random.default_rng(7).random((3000, 256)) < 0.3).astype(np.float64)
+    attrs = AttributeMatrix(values, tuple(range(3000)))
+    tracemalloc.start()
+    try:
+        g = build_similarity_graph(attrs, mode="knn", k=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m >= 15_000
+    assert peak <= 32 * 2**20
+
+
+def _dispatched_features():
+    """The names in numpy's table of CPU features it dispatches at run time;
+    numpy 1.x keeps the table in ``numpy.core`` (1.26's ``numpy._core`` is
+    a stub without it)."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            module = importlib.import_module(name)
+        except ImportError:
+            continue
+        if hasattr(module, "__cpu_dispatch__"):
+            return set(module.__cpu_dispatch__)
+    return set()
+
+
+_WIDE_KERNELS = ["AVX512_ICL", "AVX512_SPR", "X86_V4"]
+
+
+@pytest.mark.parametrize("disabled", [[], _WIDE_KERNELS, _WIDE_KERNELS + ["X86_V3"]],
+                         ids=["dispatched", "no-avx512", "no-avx512-avx2"])
+def test_knn_convert_is_the_same_at_every_simd_level(tmp_path, disabled):
+    """A knn convert of 300 0/1 rows, 12 distinct ones repeated, where most
+    rows tie far past their k-th pick, writes the reference's bytes with
+    numpy's wider SIMD kernels switched off (``NPY_DISABLE_CPU_FEATURES``
+    acts only on the process that reads it, so the convert runs in a child).
+    A level whose names this numpy does not dispatch is skipped."""
+    missing = set(disabled) - _dispatched_features()
+    if missing:
+        pytest.skip(f"numpy dispatches no {' '.join(sorted(missing))}")
+    rng = np.random.default_rng(45)
+    rows = (rng.random((12, 16)) < 0.5)[rng.integers(0, 12, 300)]
+    content, cites, out = tmp_path / "t.content", tmp_path / "t.cites", tmp_path / "t.msg1"
+    content.write_text("".join(
+        f"p{u} {' '.join(map(str, row.astype(int).tolist()))} x\n" for u, row in enumerate(rows)
+    ), encoding="utf-8")
+    cites.write_text("", encoding="utf-8")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled),
+           "PYTHONPATH": str(Path(msel.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "msel.cli", "convert", "--content", str(content),
+         "--cites", str(cites), "--mode", "knn:5", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    want = tmp_path / "want.msg1"
+    write_msg1(_reference_graph(scaled_zero_one(rows.astype(np.float64)).astype(np.float64), "knn", k=5), want)
+    assert out.read_bytes() == want.read_bytes()
