@@ -14,7 +14,7 @@ import random
 
 import numpy as np
 
-from .graph import ConstraintPair, SimGraph, Solution
+from .graph import ConstraintPair, SimGraph, Solution, _distinct
 from .peel import PeelRun, PeelTrace, _running_sum, modified_sgsel
 
 
@@ -33,7 +33,7 @@ def sgsel(g: SimGraph, c: ConstraintPair) -> Solution:
     indptr, indices = g.indptr, g.indices
     for v in range(g.n):
         nb = indices[indptr[v]:indptr[v + 1]]
-        ball = np.unique(np.concatenate(([v], nb, indices[g.gather(nb)[1]])))
+        ball = _distinct(np.concatenate(([v], nb, indices[g.gather(nb)[1]])))
         sol, _ = modified_sgsel(g, c, within=ball)
         if sol.alpha > best.alpha:
             best = sol

@@ -272,13 +272,20 @@ def _fmt_weight(w: float) -> str:
 def write_msg1(g: SimGraph, path: str | Path) -> None:
     """Write a graph in MSG1 form; edges emitted in (u, v) ascending order.
 
-    Each distinct weight is formatted once (``np.unique``) and each node id
-    once, and every edge line is joined from those strings. A file that
-    cannot be written raises ParseError naming it.
+    Each distinct weight is formatted once and each node id once, and every
+    edge line is joined from those strings. A file that cannot be written
+    raises ParseError naming it.
     """
     u, v, w = g.upper()
-    weights, at = np.unique(w, return_inverse=True)
-    text = list(map(_fmt_weight, weights.tolist()))
+    # the distinct weights by a sort and a neighbour compare, without the
+    # numpy.ma import some of np.unique's paths make
+    order = np.argsort(w)
+    ranked = w[order]
+    first = np.ones(len(w), dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    at = np.empty(len(w), dtype=np.int64)
+    at[order] = np.cumsum(first) - 1
+    text = list(map(_fmt_weight, ranked[first].tolist()))
     names = list(map(str, range(g.n)))
     lines = ["MSG1", f"{g.n} {g.m}"]
     lines.extend([f"{names[a]} {names[b]} {text[c]}"

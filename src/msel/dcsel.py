@@ -39,6 +39,10 @@ A) or its pick is above B (the full run's pick is its own), and otherwise
 the full peel runs. A cored peel is a partial run: the session keeps its B
 and a copy of A, and a later size decrease whose floor is not above B runs
 the full peel into the profile first. Whole-graph peels are never floored.
+Deciding a floored repair costs O(n) plus the rows of the outside nodes
+whose weighted degree reaches tau, the only ones that can stay in the core,
+when the outside nodes are most of the graph; their degrees and strongest
+edges then come from arrays the graph builds once (``SimGraph.strength``).
 
 The session keeps its incumbent as a ``graph._Group``: the membership mask
 and each node's weight into the group and strongest edge into it. A change
@@ -237,9 +241,11 @@ def init_session(g: SimGraph, c: ConstraintPair) -> Session:
 
 
 def _remember_current(sess: Session) -> None:
-    """Store the adopted solution in the profile so later decreases can see it."""
+    """Store the adopted solution in the profile so later decreases can see
+    it; its trace, a sort of its members, is built only when the profile
+    takes it."""
     sol = sess.current
-    if sol:
+    if sol and sess.profile.takes(sol.size, sol.alpha):
         sess.profile.record(sol.size, sol.alpha, PeelTrace(tuple(sorted(sol.members))))
 
 

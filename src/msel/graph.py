@@ -37,7 +37,7 @@ class SimGraph:
     every traversal is deterministic. The arrays are read-only.
     """
 
-    __slots__ = ("n", "m", "indptr", "indices", "weights")
+    __slots__ = ("n", "m", "indptr", "indices", "weights", "_strength")
 
     def __init__(self, n: int, edges: Iterable[Edge] | np.ndarray):
         """``edges`` holds (u, v, w) triples in any order and orientation,
@@ -108,6 +108,24 @@ class SimGraph:
             a.flags.writeable = False
         self.n, self.m = n, m
         self.indptr, self.indices, self.weights = indptr, indices, weights
+        self._strength: tuple[np.ndarray, np.ndarray] | None = None
+
+    def strength(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every node's weighted degree, its row summed in row order (the
+        bits of a ``bincount`` over its gathered row), and the weight of its
+        strongest edge (0.0 without any), as two read-only arrays. They are
+        built in O(n + m) on the first call and kept; two threads that race
+        on the first call build the same arrays."""
+        if self._strength is None:
+            n = self.n
+            rows = np.repeat(np.arange(n), np.diff(self.indptr))
+            # bincount adds each bin's weights in input order, that is row by row
+            deg = np.bincount(rows, weights=self.weights, minlength=n).astype(np.float64, copy=False)
+            top = np.zeros(n)
+            np.maximum.at(top, rows, self.weights)
+            deg.flags.writeable = top.flags.writeable = False
+            self._strength = deg, top
+        return self._strength
 
     def row(self, u: int) -> tuple[list[int], list[float]]:
         """The neighbours of ``u`` in increasing id order and their weights,
@@ -163,6 +181,17 @@ class SimGraph:
 
     def __repr__(self) -> str:
         return f"SimGraph(n={self.n}, m={self.m})"
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a`` in increasing order, as ``np.unique``
+    gives them, by a sort and a neighbour compare. A plain np.unique call
+    imports numpy.ma (numpy 2.4), which costs more than most callers'
+    whole work."""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def _check_members(F: Iterable[int], g: SimGraph) -> frozenset[int]:
@@ -372,7 +401,7 @@ class _Group:
         offset, k = self.graph.n, g.n - self.graph.n
         self.graph = g
         self.mask, self.inw, self.top = (np.pad(a, (0, k)) for a in (self.mask, self.inw, self.top))
-        self._refresh(np.unique(np.array([v + offset for u, v, _ in bridges if self.mask[u]], np.int64)))
+        self._refresh(_distinct(np.array([v + offset for u, v, _ in bridges if self.mask[u]], np.int64)))
 
 
 def disjoint_union(g1: SimGraph, g2: SimGraph, bridges: Iterable[Edge] = ()) -> SimGraph:

@@ -149,10 +149,15 @@ class PeelProfile:
         held[better] = True
         self._trace[lo:hi][better] = run.trace
 
+    def takes(self, size: int, alpha: float) -> bool:
+        """True when ``record`` would keep an entry of ``alpha`` for ``size``:
+        the size holds none, or alpha beats the stored value."""
+        return not self._has(size) or alpha > self._alpha[size]
+
     def record(self, size: int, alpha: float, trace: PeelTrace) -> None:
         """Keep (alpha, trace) for ``size`` if alpha beats the stored value."""
         self._reserve(size)
-        if not self._held[size] or alpha > self._alpha[size]:
+        if self.takes(size, alpha):
             self._alpha[size] = alpha
             self._trace[size] = trace
             self._held[size] = True
@@ -189,54 +194,111 @@ class PeelProfile:
         return int(np.count_nonzero(self._held))
 
 
+@dataclass
+class _Start:
+    """The start set of a peel after its similarity prefilter: the marks
+    ``alive`` (1 removable, 2 pinned, 0 not in it), the removable nodes
+    ``free`` in id order and, once rows are read, every node's weight into
+    the alive nodes (``incident_at``; the nodes of ``free`` are the ones
+    read) and the edges above s of the rows read, a superset of ``free``'s
+    (``strong``: row node and other end of each)."""
+
+    alive: np.ndarray
+    free: np.ndarray
+    incident_at: np.ndarray | None = None
+    strong: tuple[np.ndarray, np.ndarray] | None = None
+
+    def weighed(self, g: SimGraph, s: float) -> _Start:
+        """The start with its weights read: the rows of ``free`` are
+        gathered here unless set-up read them already."""
+        if self.incident_at is None:
+            src, pos = g.gather(self.free)
+            self.incident_at, self.strong = _weigh(g, s, self.alive, src, pos, g.weights[pos])
+        return self
+
+
+def _weigh(g: SimGraph, s: float, alive: np.ndarray, src: np.ndarray, pos: np.ndarray,
+           w: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Every node's weight into the nodes ``alive`` marks, over the gathered
+    edges (row ``src``, position ``pos``, weight ``w``), and those edges
+    above ``s``."""
+    dst = g.indices[pos]
+    keep = (alive[src] != 0) & (alive[dst] != 0)
+    strong = w > s
+    # bincount adds each bin's weights in input order, that is row by row
+    return np.bincount(src[keep], weights=w[keep], minlength=g.n), (src[strong], dst[strong])
+
+
 def _setup(g: SimGraph, s: float, alive: np.ndarray, anchor: _Group | None = None,
-           tau: float | None = None) -> np.ndarray | None:
+           tau: float | None = None) -> _Start | None:
     """Prefilter the start set of a peel and weigh what its loop starts from.
 
     ``alive`` marks each node 1 when the peel may remove it, 2 when it is
     pinned and 0 when it is not in the start set. The similarity prefilter
     sets to 0 every node marked 1 without an edge above ``s`` to an alive
-    node; only the rows of the nodes marked 1 are read. Returns, for every
-    node, its weight into the alive nodes, summed in neighbour-id order (for
-    surviving nodes marked 1).
+    node; only the rows of the nodes marked 1 are read. Returns the start,
+    weighed unless said below: for every node, its weight into the alive
+    nodes, summed in neighbour-id order (for surviving nodes marked 1).
 
     Given ``tau`` and the pinned ``anchor``, returns None instead, before
     the prefilter, when M, the largest ``(deg(u) + inw(u)) / 2`` over the
     nodes u marked 1, is below tau (Charikar's degree bound, APPROX 2000):
     with ``deg(u)`` u's weighted degree, an outside set has alpha at most M
     and the anchor joined by outside nodes at most a mediant of its own
-    alpha and M.
+    alpha and M. When the nodes marked 1 are most of the graph, ``deg`` and
+    each node's strongest edge come from the graph's ``strength`` arrays,
+    which cost O(n + m) once per graph, instead of from their rows; and when
+    every node is in the start set, as in every session repair, a node's
+    edge above s to an alive node is its strongest edge, so the prefilter
+    reads no row and the start comes back unweighed (see ``_core``).
     """
     n = g.n
     nodes = np.flatnonzero(alive == 1)
-    src, pos = g.gather(nodes)
-    w = g.weights[pos]
+    rows = None
     if tau is not None:
-        deg = np.bincount(src, weights=w, minlength=n)[nodes]
+        if 2 * len(nodes) > n:
+            deg, top = g.strength()
+            deg = deg[nodes]
+        else:
+            rows = g.gather(nodes)
+            deg = np.bincount(rows[0], weights=g.weights[rows[1]], minlength=n)[nodes]
         if float((deg + anchor.inw[nodes]).max(initial=-math.inf)) / 2.0 < tau:
             return None
+        if rows is None and alive.all():
+            weak = top[nodes] <= s
+            alive[nodes[weak]] = 0
+            return _Start(alive, nodes[~weak])
+    src, pos = g.gather(nodes) if rows is None else rows
+    w = g.weights[pos]
     dst = g.indices[pos]
     cnt = np.bincount(src[(w > s) & (alive[dst] != 0)], minlength=n)
     # Edges are symmetric: when u has an edge above s to an alive t, t has
     # the same edge to u. So dropping the nodes without any such edge
     # strands no other node; one round reaches the prefilter's fixpoint.
     alive[nodes[cnt[nodes] == 0]] = 0
-    keep = (alive[src] != 0) & (alive[dst] != 0)
-    # bincount adds each bin's weights in input order, that is row by row
-    return np.bincount(src[keep], weights=w[keep], minlength=n)
+    return _Start(alive, np.flatnonzero(alive == 1), *_weigh(g, s, alive, src, pos, w))
 
 
-def _last_strong(g: SimGraph, order: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _last_strong(g: SimGraph, order: np.ndarray, s: float,
+                 strong: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each position of a removal order, the position in it of the last
     to go of the node's neighbours over an edge above ``s`` (-1 for none).
     Also returns, for every edge above ``s`` of the order's nodes, the
-    position of its row and its other end. Only those nodes' rows are read."""
+    position of its row and its other end. The edges come from ``strong``,
+    the row node and other end of every edge above s of a superset of the
+    order's nodes, when given; otherwise only the order's rows are read."""
     n = len(order)
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[order] = np.arange(n)
-    src, at = g.gather(order)
-    strong = g.weights[at] > s
-    row, dst = pos[src[strong]], g.indices[at[strong]]
+    if strong is None:
+        src, at = g.gather(order)
+        above = g.weights[at] > s
+        src, dst = src[above], g.indices[at[above]]
+    else:
+        src, dst = strong
+    row = pos[src]
+    mine = row >= 0
+    row, dst = row[mine], dst[mine]
     to = pos[dst]
     last = np.full(n, -1, dtype=np.int64)
     np.maximum.at(last, row[to >= 0], to[to >= 0])
@@ -407,6 +469,14 @@ def modified_sgsel(
     whenever the cut does not apply, the full peel runs. A cored run's
     ``skipped`` is the number of outside nodes it dropped.
 
+    Deciding a floored peel costs O(n) plus the rows of the candidates:
+    when the outside nodes are most of the graph, the degree bound reads
+    ``g.strength()``, and when every node is in the start set (``within``
+    the anchor's complement, as in a session repair) the prefilter reads
+    the strongest edges and the core reads only the rows of the outside
+    nodes whose weighted degree reaches tau' (see ``_core``). All outside
+    rows are read only when the cut does not apply or does not certify.
+
     The peel's records go into ``into`` when given, which is then the
     profile returned, so a caller that keeps one profile across peels
     builds no other.
@@ -434,20 +504,18 @@ def modified_sgsel(
     profile = PeelProfile() if into is None else into
     profile.run = profile.outside = None
     tau = floor - 1e-9 * floor * (len(pins) + 1) if floor is not None and pins else None
-    incident_at = _setup(g, s, alive, anchor, tau)
-    if incident_at is None:
+    start = _setup(g, s, alive, anchor, tau)
+    if start is None:
         return Solution.empty(), profile
-    free = np.flatnonzero(alive == 1)  # the outside nodes the prefilter kept
     run = outside = None
-    if tau is not None and (cored := _core(g, alive, incident_at, free, tau)) is not None:
-        inside, weight, core = cored
-        if not len(core):
+    if tau is not None and (cored := _core(g, s, start, tau)) is not None:
+        if not len(cored.free):
             return Solution.empty(), profile
-        run, outside, totals = _peel_runs(g, s, inside, weight, core, anchor, pinned, stats)
-        skipped = len(free) - len(core)
+        run, outside, totals = _peel_runs(g, s, cored, anchor, pinned, stats)
+        skipped = len(start.free) - len(cored.free)
         run, outside = (_certified(r, floor, skipped, c.p) for r in (run, outside))
     if run is None or outside is None:
-        run, outside, totals = _peel_runs(g, s, alive, incident_at, free, anchor, pinned, stats)
+        run, outside, totals = _peel_runs(g, s, start.weighed(g, s), anchor, pinned, stats)
     profile.run, profile.outside = run, outside
     for r in profile.runs():
         profile.add_run(r)
@@ -458,25 +526,41 @@ def modified_sgsel(
     return Solution(run.trace.members_at(k), float(totals[k - len(pins)]), float(run.alphas[k])), profile
 
 
-def _core(
-    g: SimGraph, alive: np.ndarray, incident_at: np.ndarray, free: np.ndarray, tau: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _core(g: SimGraph, s: float, start: _Start, tau: float) -> _Start | None:
     """The weighted tau-core of a prefiltered anchored start set: the outside
     nodes left once those whose weight into the alive nodes is below tau are
-    dropped, round by round, until none drops. Returns the start marks with
-    the dropped nodes unmarked, every node's weight into the nodes left
-    (summed as ``_setup`` sums it, for the core's nodes) and the core in id
-    order, which may be empty; or None when the cut does not apply: nothing
-    is dropped, or the core keeps more than half of ``free``."""
-    m = len(free)
-    low = incident_at[free] < tau
+    dropped, round by round, until none drops. Returns the cored start: the
+    marks with the dropped nodes unmarked, the core in id order, which may
+    be empty, every node's weight into the nodes left (summed as ``_setup``
+    sums it, for the core's nodes) and the edges above ``s`` of the rows
+    read; or None when the cut does not apply: nothing is dropped, or the
+    core keeps more than half of ``free``.
+
+    A node's weight into any alive set is a row-order sum of some of the
+    terms of its weighted degree, and rounding is monotone, so it is at most
+    that degree. A start set not yet weighed therefore starts its rounds
+    from the nodes whose degree reaches tau and reads only their rows; it is
+    weighed in full only when every node's does. Weight into a set never
+    falls as the set grows, so the rounds reach the same core from any
+    start set that holds it: the largest set each of whose nodes keeps a
+    weight of at least tau into it and the anchor."""
+    free = start.free
+    low = None
+    if start.incident_at is None:
+        low = g.strength()[0][free] < tau
+        if not low.any():
+            low = None  # every node may stay: only the weights can tell
+    if low is None:
+        low = start.weighed(g, s).incident_at[free] < tau
     if not low.any():
         return None
     core = free[~low]
-    inside = alive.copy()
+    inside = start.alive.copy()
     inside[free[low]] = 0
     src, pos = g.gather(core)
     dst, w = g.indices[pos], g.weights[pos]
+    above = w > s
+    strong = src[above], dst[above]
     while True:
         keep = (inside[src] != 0) & (inside[dst] != 0)
         src, dst, w = src[keep], dst[keep], w[keep]
@@ -487,9 +571,9 @@ def _core(
             break
         inside[core[low]] = 0
         core = core[~low]
-    if 2 * len(core) > m:
+    if 2 * len(core) > len(free):
         return None
-    return inside, weight, core
+    return _Start(inside, core, weight, strong)
 
 
 def _certified(run: PeelRun, tau: float, skipped: int, p: int) -> PeelRun | None:
@@ -515,20 +599,19 @@ def _certified(run: PeelRun, tau: float, skipped: int, p: int) -> PeelRun | None
 def _peel_runs(
     g: SimGraph,
     s: float,
-    alive: np.ndarray,
-    incident_at: np.ndarray,
-    free: np.ndarray,
+    start: _Start,
     anchor: _Group | None,
     pinned: np.ndarray,
     stats: PeelStats | None,
 ) -> tuple[PeelRun, PeelRun | None, np.ndarray]:
-    """Peel the outside nodes ``free`` (those marked 1 in ``alive``, in id
-    order) from the weights ``incident_at`` into the nodes alive, with the
-    nodes marked 2, ``anchor``'s members ``pinned`` in id order, never
-    removed. Returns the run, the outside run (None without an anchor) and
-    the weight alive at each number of outside nodes alive. Neither input
-    array is changed."""
+    """Peel the outside nodes of a weighed ``start`` (those marked 1 in its
+    ``alive``, ``free`` in id order) from its weights ``incident_at`` into
+    the nodes alive, with the nodes marked 2, ``anchor``'s members
+    ``pinned`` in id order, never removed. Returns the run, the outside run
+    (None without an anchor) and the weight alive at each number of outside
+    nodes alive. The start is not changed."""
     n = g.n
+    alive, incident_at, free = start.alive, start.incident_at, start.free
     m, na = len(free), len(pinned)
     if not na:
         total = _running_sum(incident_at[free]) / 2.0
@@ -609,7 +692,7 @@ def _peel_runs(
     totals = np.cumsum(np.concatenate(([total], -gone)))[::-1]
 
     # support after the loop, from the edges above s of the outside nodes
-    last, row, dst = _last_strong(g, at, s)
+    last, row, dst = _last_strong(g, at, s, start.strong)
     outside_order = tuple(order)
     out_ok = _supported_by_order(last)
     if not na:

@@ -133,11 +133,13 @@ def _is_binary(values: np.ndarray) -> bool:
     return values.dtype == bool or bool(((values == 0.0) | (values == 1.0)).all())
 
 
-def _pair_scores(values: np.ndarray):
+def _pair_scores(values: np.ndarray, upper: bool = False):
     """``(weigh, blocks)``: ``blocks`` yields ``(lo, s)`` over consecutive
     blocks of rows, ``s[i, v]`` a score of the pair of rows ``lo + i`` and
     ``v`` whose weight is ``weigh(s[i, v])``; a block holds at most
-    ``_KERNEL_FLOATS`` scores, or one row where a row holds more.
+    ``_KERNEL_FLOATS`` scores, or one row where a row holds more. With
+    ``upper`` a block scores its rows against rows ``lo`` on only, and
+    ``s[i, j]`` is the pair of rows ``lo + i`` and ``lo + j``.
 
     On 0/1 rows a score is the agreement count c, an int16 while d < 2**15
     and the exact float product beyond, and ``weigh`` takes sqrt(c / d) in
@@ -150,12 +152,14 @@ def _pair_scores(values: np.ndarray):
     step = max(1, _KERNEL_FLOATS // max(1, n))
     starts = range(0, n, step)
     if not _is_binary(values):
-        return (lambda w: w), ((lo, _weights_block(values[lo:lo + step], values)) for lo in starts)
+        return (lambda w: w), ((lo, _weights_block(values[lo:lo + step], values[(lo if upper else 0):]))
+                               for lo in starts)
     left, right = _binary_factors(values)
     # the counts are exact integers in [0, d], and np.partition ranks an
     # int16 block several times as fast as a float one
     dtype = np.int16 if d < 2**15 else left.dtype
-    counts = ((lo, (left[lo:lo + step] @ right).astype(dtype, copy=False)) for lo in starts)
+    counts = ((lo, (left[lo:lo + step] @ right[:, (lo if upper else 0):]).astype(dtype, copy=False))
+              for lo in starts)
     return (lambda c: np.sqrt(c.astype(np.float64) / d)), counts
 
 
@@ -239,15 +243,17 @@ def _knn_edges(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def _full_edges(values: np.ndarray) -> np.ndarray:
-    """The (u, v, w) rows, u < v, of every pair with a positive weight."""
-    n = values.shape[0]
-    weigh, blocks = _pair_scores(values)
+    """The (u, v, w) rows, u < v, of every pair with a positive weight. Each
+    block of rows is scored against the rows from its first on only, so
+    only its leading square holds pairs with v <= u."""
+    weigh, blocks = _pair_scores(values, upper=True)
     parts = []
     for lo, s in blocks:
         keep = s > 0.0
-        keep &= np.arange(n) > np.arange(lo, lo + s.shape[0])[:, None]
-        i, v = np.nonzero(keep)
-        parts.append(np.column_stack((i + lo, v, weigh(s[i, v]))))
+        m = s.shape[0]
+        keep[:, :m] &= np.arange(m) > np.arange(m)[:, None]
+        i, j = np.nonzero(keep)
+        parts.append(np.column_stack((i + lo, j + lo, weigh(s[i, j]))))
     return np.concatenate(parts) if parts else np.zeros((0, 3))
 
 

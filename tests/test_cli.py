@@ -1,10 +1,12 @@
 import csv
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import msel
 from msel import write_msg1
 from msel.cli import ALGORITHMS, BENCH_HEADER, RUN_HEADER, main, replay
 from msel.dcsel import parse_schedule
@@ -432,3 +434,30 @@ def test_module_entry_point(tmp_path, cluster_graph, delta_schedule):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+def test_convert_and_augment_leave_numpy_ma_unimported(tmp_path):
+    # a plain np.unique call imports numpy.ma (numpy 2.4), which costs a
+    # small convert or augment more than its own work; a child process
+    # starts with a clean module table
+    (tmp_path / "toy.sched").write_text("init p=1 s=0.3\naugment toy.msg1 bridges b.txt\n", encoding="utf-8")
+    (tmp_path / "b.txt").write_text("0 0 0.9\n1 3 0.7\n", encoding="utf-8")
+    code = (
+        "import sys, numpy\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "from msel.cli import main\n"
+        "main(['convert', '--content', sys.argv[1], '--cites', sys.argv[2], '--out', 'toy.msg1'])\n"
+        "main(['run', '--graph', 'toy.msg1', '--schedule', 'toy.sched', '--out', 'toy.csv'])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(msel.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code, str(DATA / "toy.content"), str(DATA / "toy.cites")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    if lines[0] == "True":
+        pytest.skip("importing numpy loads numpy.ma")
+    assert lines[-1] == "False"
+    with open(tmp_path / "toy.csv", encoding="utf-8") as fh:
+        steps = list(csv.reader(fh))
+    assert [row[1] for row in steps[1:]] == ["init", "augment toy.msg1"]

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from msel import (
     apply_size_delta,
     augment_graph,
     avg_similarity,
+    disjoint_union,
     exact_msp,
     init_session,
     is_feasible,
@@ -706,7 +708,7 @@ def _with_and_without_exits(monkeypatch, play):
 
     def never_empty(*args):
         cored = core(*args)
-        return cored if cored is None or len(cored[2]) else None
+        return cored if cored is None or len(cored.free) else None
 
     on = _played_steps(monkeypatch, play, (dcsel, "modified_sgsel", counted))
     off = _played_steps(monkeypatch, play, (msel.peel, "_setup", unbounded), (msel.peel, "_core", never_empty))
@@ -1077,3 +1079,128 @@ def test_cored_runs_never_prove_the_session_empty(monkeypatch):
             cored += bool(runs[0].skipped)
             assert sess._empty_at is None and not dcsel._proven_empty(sess)
     assert cored > 10
+
+
+def _gathering_setup(g, s, alive, anchor=None, tau=None):
+    """A peel's set-up that reads every outside row, as one did before the
+    graph's ``strength`` arrays: the degree bound sums the gathered rows,
+    the prefilter counts their edges above s to alive nodes, and the start
+    comes back weighed, with no edges above s kept for the support pass,
+    which then gathers the removal order's rows itself."""
+    n = g.n
+    nodes = np.flatnonzero(alive == 1)
+    src, pos = g.gather(nodes)
+    dst, w = g.indices[pos], g.weights[pos]
+    if tau is not None:
+        deg = np.bincount(src, weights=w, minlength=n)[nodes]
+        if float((deg + anchor.inw[nodes]).max(initial=-math.inf)) / 2.0 < tau:
+            return None
+    cnt = np.bincount(src[(w > s) & (alive[dst] != 0)], minlength=n)
+    alive[nodes[cnt[nodes] == 0]] = 0
+    keep = (alive[src] != 0) & (alive[dst] != 0)
+    return msel.peel._Start(alive, np.flatnonzero(alive == 1), np.bincount(src[keep], weights=w[keep], minlength=n))
+
+
+def _random_anchor(rng, g, k):
+    """Part of the planted communities (the first ``k`` nodes), sometimes
+    with a few background nodes."""
+    size = rng.randint(3, k)
+    members = set(rng.sample(range(k), size))
+    if rng.random() < 0.3:
+        members |= set(rng.sample(range(k, g.n), rng.randint(1, 4)))
+    return dcsel._Group(g, members)
+
+
+def test_floored_setup_matches_one_that_gathers_every_row(monkeypatch):
+    # random anchors, floors and s on random two-community graphs: the
+    # floored peel reads the graph's strength arrays and only the rows that
+    # may reach the floor, and must record, pick and count what a set-up
+    # reading every outside row does
+    rng = random.Random(2028)
+    seen = {"exit": 0, "cored": 0, "full": 0, "complement": 0, "subset": 0, "unweighed": 0}
+    core = msel.peel._core
+
+    def counted_core(g, s, start, tau):
+        seen["unweighed"] += start.incident_at is None
+        return core(g, s, start, tau)
+
+    trials = 0
+    while trials < 160:
+        g, k = _two_communities(rng, rng.randint(60, 400))
+        if rng.random() < 0.5:
+            # weights of two decimals, as s has: some edges tie with s
+            g = SimGraph(g.n, [(u, v, round(w, 2) or 0.01) for u, v, w in g.edges()])
+        grp = _random_anchor(rng, g, k)
+        c = ConstraintPair(s=round(rng.uniform(0.1, 0.7), 2), p=rng.randint(0, len(grp.members) - 1))
+        if not grp.feasible(c):
+            continue
+        trials += 1
+        floor = grp.alpha * rng.choice([1.0, 1.0, rng.uniform(0.5, 1.5)])
+        outside = np.flatnonzero(~grp.mask)
+        if rng.random() < 0.25:
+            # a start set that leaves nodes out, most of the graph or few
+            outside = np.sort(rng.sample(outside.tolist(), rng.choice([len(outside) * 3 // 4, 12])))
+            seen["subset"] += 1
+        else:
+            seen["complement"] += 1
+        got = [], PeelStats()
+        want = [], PeelStats()
+        for runs, stats in (got, want):
+            with monkeypatch.context() as m:
+                if runs is want[0]:
+                    m.setattr(msel.peel, "_setup", _gathering_setup)
+                else:
+                    m.setattr(msel.peel, "_core", counted_core)
+                sol, profile = modified_sgsel(g, c, within=outside, stats=stats, anchor=grp, floor=floor)
+            runs.extend(profile.runs())
+            runs.append(sol)
+        assert got[1] == want[1]
+        assert got[0][-1] == want[0][-1]
+        assert len(got[0]) == len(want[0])
+        for a, b in zip(got[0][:-1], want[0][:-1]):
+            assert a.trace == b.trace and a.first == b.first
+            assert a.skipped == b.skipped and repr(a.bound) == repr(b.bound)
+            assert a.alphas.tobytes() == b.alphas.tobytes()
+            assert np.array_equal(a.supported, b.supported)
+        runs = got[0][:-1]
+        seen["exit" if not runs else "cored" if runs[0].skipped else "full"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def _spied_rows(monkeypatch, call):
+    """``call()`` with every row ``SimGraph.gather`` reads recorded: the
+    result and the rows, in the order read."""
+    rows = []
+    gather = SimGraph.gather
+
+    def spy(self, nodes):
+        rows.extend(np.asarray(nodes).tolist())
+        return gather(self, nodes)
+
+    with monkeypatch.context() as m:
+        m.setattr(SimGraph, "gather", spy)
+        return call(), rows
+
+
+def test_floored_peels_read_only_rows_that_can_reach_the_floor(monkeypatch):
+    # the 40-node community (alpha 16.6) outweighs every outside node's
+    # degree bound: a floored peel around it reads no row
+    g = planted_community_graph(3000, 9000, seed=1, community=40)
+    grp = dcsel._Group(g, range(40))
+    c = ConstraintPair(s=0.15, p=2)
+    within = np.flatnonzero(~grp.mask)
+    (sol, profile), rows = _spied_rows(monkeypatch, lambda: modified_sgsel(g, c, within=within, anchor=grp,
+                                                                         floor=grp.alpha))
+    assert not sol and not profile.runs() and rows == []
+    # merged with a denser 60-node community: the cored peel finds it and
+    # reads only the rows of outside nodes whose degree reaches the floor
+    extra = planted_community_graph(200, 2000, seed=2, community=60)
+    merged = disjoint_union(g, extra, [(0, 0, 0.9)])
+    grp.extend_graph(merged, [(0, 0, 0.9)])
+    within = np.flatnonzero(~grp.mask)
+    (sol, profile), rows = _spied_rows(monkeypatch, lambda: modified_sgsel(merged, c, within=within,
+                                                                         anchor=grp, floor=grp.alpha))
+    assert profile.outside.best(c.p) == set(range(3000, 3060)) and profile.run.skipped > 0
+    tau = grp.alpha * (1 - 1e-9 * (len(grp.members) + 1))
+    heavy = set(within[merged.strength()[0][within] >= tau].tolist())
+    assert rows and set(rows) <= heavy and len(heavy) < len(within) // 10

@@ -291,7 +291,7 @@ def test_setup_kernels_match_a_naive_prefilter_and_incident_weights():
         free = {u for u, a in enumerate(marks) if a == 1}
         pinned = {u for u, a in enumerate(marks) if a == 2}
         alive = np.array(marks, dtype=np.uint8)
-        incident = _setup(g, s, alive)
+        incident = _setup(g, s, alive).incident_at
         live = _naive_prefilter(g, s, free, pinned)
         assert set(np.flatnonzero(alive == 1).tolist()) == live
         assert set(np.flatnonzero(alive == 2).tolist()) == pinned
@@ -821,9 +821,8 @@ def test_an_uncertified_cored_peel_runs_in_full():
         grp = _Group(g, {0, 1, 2})
         alive = np.ones(g.n, dtype=np.uint8)
         alive[:3] = 2
-        incident = _setup(g, c.s, alive)
-        core = msel.peel._core(g, alive, incident, np.flatnonzero(alive == 1), grp.alpha)
-        assert core is not None and core[2].tolist() == list(range(3, 13))
+        core = msel.peel._core(g, c.s, _setup(g, c.s, alive), grp.alpha)
+        assert core is not None and core.free.tolist() == list(range(3, 13))
         within = range(3, g.n)
         sol, profile = modified_sgsel(g, c, within=within, anchor=grp, floor=grp.alpha)
         full_sol, full = modified_sgsel(g, c, within=within, anchor=grp)
