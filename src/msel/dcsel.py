@@ -41,8 +41,12 @@ and a copy of A, and a later size decrease whose floor is not above B runs
 the full peel into the profile first. Whole-graph peels are never floored.
 Deciding a floored repair costs O(n) plus the rows of the outside nodes
 whose weighted degree reaches tau, the only ones that can stay in the core,
-when the outside nodes are most of the graph; their degrees and strongest
-edges then come from arrays the graph builds once (``SimGraph.strength``).
+when the outside nodes are most of the graph. Every peel of most of the
+graph, floored or not (the whole-graph solve and fallback too), takes its
+prefilter, starting weights and degree bound from arrays the graph builds
+once (``SimGraph.strength``), which a merged graph starts from its base
+graph's, and reads no row outside its loop but those next to the nodes its
+prefilter drops.
 
 The session keeps its incumbent as a ``graph._Group``: the membership mask
 and each node's weight into the group and strongest edge into it. A change

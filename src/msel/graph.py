@@ -37,7 +37,7 @@ class SimGraph:
     every traversal is deterministic. The arrays are read-only.
     """
 
-    __slots__ = ("n", "m", "indptr", "indices", "weights", "_strength")
+    __slots__ = ("n", "m", "indptr", "indices", "weights", "_strength", "_parts")
 
     def __init__(self, n: int, edges: Iterable[Edge] | np.ndarray):
         """``edges`` holds (u, v, w) triples in any order and orientation,
@@ -102,30 +102,55 @@ class SimGraph:
         indices[pos], weights[pos] = lo[order], w[order]
         self._set(n, m, indptr, indices, weights)
 
-    def _set(self, n, m, indptr, indices, weights) -> None:
-        """Take validated, sorted arrays as the graph's, read-only."""
+    def _set(self, n, m, indptr, indices, weights, parts=None) -> None:
+        """Take validated, sorted arrays as the graph's, read-only; ``parts``
+        is what a merged graph's ``strength`` starts from, None for a graph
+        that builds its own."""
         for a in (indptr, indices, weights):
             a.flags.writeable = False
         self.n, self.m = n, m
         self.indptr, self.indices, self.weights = indptr, indices, weights
         self._strength: tuple[np.ndarray, np.ndarray] | None = None
+        self._parts = parts
 
     def strength(self) -> tuple[np.ndarray, np.ndarray]:
         """Every node's weighted degree, its row summed in row order (the
         bits of a ``bincount`` over its gathered row), and the weight of its
         strongest edge (0.0 without any), as two read-only arrays. They are
-        built in O(n + m) on the first call and kept; two threads that race
-        on the first call build the same arrays."""
+        built in O(n + m) on the first call and kept, or taken from the
+        inputs of a merged graph (see ``disjoint_union``). Two threads that
+        race on the first call build the same arrays."""
         if self._strength is None:
-            n = self.n
-            rows = np.repeat(np.arange(n), np.diff(self.indptr))
-            # bincount adds each bin's weights in input order, that is row by row
-            deg = np.bincount(rows, weights=self.weights, minlength=n).astype(np.float64, copy=False)
-            top = np.zeros(n)
-            np.maximum.at(top, rows, self.weights)
+            parts = self._parts
+            if parts is None:
+                deg, top = self._summed(0)
+            else:
+                # a merged graph whose base half has its arrays: a bridge
+                # comes last in its base row, so that row's sums go on from
+                # the base's in row order, and the added half's rows, whose
+                # bridges come first, are summed whole
+                (base_deg, base_top), ends, w = parts
+                k = len(base_deg)
+                deg, top = (np.concatenate((a, b)) for a, b in zip((base_deg, base_top), self._summed(k)))
+                base = ends < k
+                np.add.at(deg, ends[base], w[base])
+                np.maximum.at(top, ends[base], w[base])
             deg.flags.writeable = top.flags.writeable = False
-            self._strength = deg, top
+            self._strength, self._parts = (deg, top), None
         return self._strength
+
+    def _summed(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The weighted degree and strongest edge of nodes k..n-1, from their
+        rows."""
+        ptr = self.indptr
+        src = np.repeat(np.arange(self.n - k), np.diff(ptr[k:]))
+        w = self.weights[ptr[k]:]
+        # bincount adds each bin's weights in input order, that is row by row;
+        # an empty one counts in int64
+        deg = np.bincount(src, weights=w, minlength=self.n - k).astype(np.float64, copy=False)
+        top = np.zeros(self.n - k)
+        np.maximum.at(top, src, w)
+        return deg, top
 
     def row(self, u: int) -> tuple[list[int], list[float]]:
         """The neighbours of ``u`` in increasing id order and their weights,
@@ -412,7 +437,10 @@ def disjoint_union(g1: SimGraph, g2: SimGraph, bridges: Iterable[Edge] = ()) -> 
     are the inputs' arrays laid end to end with the bridges inserted: a
     bridge comes last in its g1 row and first in its g2 row, since it joins
     the lower half to the upper. Building it costs O(m1 + m2 + bridges)
-    array copying, and neither input is ever mutated.
+    array copying, and neither input is ever mutated. The result's
+    ``strength`` arrays, built on its first call, start from ``g1``'s when
+    it has built them: only ``g2``'s rows are summed again, and the
+    bridges added to the rows of their ``g1`` ends.
     """
     offset, n = g1.n, g1.n + g2.n
     _check_node_count(n)
@@ -444,9 +472,11 @@ def disjoint_union(g1: SimGraph, g2: SimGraph, bridges: Iterable[Edge] = ()) -> 
     base = np.concatenate((g1.indptr[:-1], g2.indptr + g1.indptr[-1]))
     at = np.where(rows < offset, base[rows + 1], base[rows])
     indices = np.insert(np.concatenate((g1.indices, g2.indices + np.int32(offset))), at, cols)
-    wts = np.insert(np.concatenate((g1.weights, g2.weights)), at, np.array(weights * 2)[order])
+    bridged = np.array(weights * 2)[order]
+    wts = np.insert(np.concatenate((g1.weights, g2.weights)), at, bridged)
     indptr = base + np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
     # the arrays are validated and sorted already, so wrap them as they are
     g = SimGraph.__new__(SimGraph)
-    g._set(n, g1.m + g2.m + len(ends), indptr, indices, wts)
+    parts = None if g1._strength is None else (g1._strength, rows, bridged)
+    g._set(n, g1.m + g2.m + len(ends), indptr, indices, wts, parts)
     return g

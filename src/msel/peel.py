@@ -43,6 +43,15 @@ every size are worked out after the loop from the removal order, in a few
 array passes. A run's per-size values and a profile's per-size entries are
 numpy arrays indexed by size, so picking a size or merging a run into a
 profile is a few array operations, not a loop over the sizes.
+
+Outside the loop, a peel whose removable nodes are most of the graph
+(``_most``) and whose start set holds every node, as a whole-graph peel's
+and a session repair's do, reads no row but the rows next to the nodes its
+prefilter drops: its prefilter, starting weights and degree bound come from
+the graph's ``strength`` arrays. A support pass over a removal order of
+most of the graph is one ``maximum.reduceat`` over every row. Other peels
+gather the rows of their removable nodes and reuse those rows' edges above
+s for support.
 """
 
 from __future__ import annotations
@@ -198,10 +207,11 @@ class PeelProfile:
 class _Start:
     """The start set of a peel after its similarity prefilter: the marks
     ``alive`` (1 removable, 2 pinned, 0 not in it), the removable nodes
-    ``free`` in id order and, once rows are read, every node's weight into
-    the alive nodes (``incident_at``; the nodes of ``free`` are the ones
-    read) and the edges above s of the rows read, a superset of ``free``'s
-    (``strong``: row node and other end of each)."""
+    ``free`` in id order and, once weighed, every node's weight into the
+    alive nodes (``incident_at``; only the entries of ``free`` are read) and
+    the edges above s of the rows set-up read, a superset of ``free``'s
+    (``strong``: row node and other end of each), or None when it read no
+    rows."""
 
     alive: np.ndarray
     free: np.ndarray
@@ -209,12 +219,33 @@ class _Start:
     strong: tuple[np.ndarray, np.ndarray] | None = None
 
     def weighed(self, g: SimGraph, s: float) -> _Start:
-        """The start with its weights read: the rows of ``free`` are
-        gathered here unless set-up read them already."""
+        """The start with its weights read. A start set-up left unweighed
+        (see ``_setup``) takes each node's weighted degree from
+        ``g.strength()``, and only the free rows next to a node the start
+        lacks (one the prefilter dropped or left out) are summed again, over
+        their edges to alive nodes: a lacking neighbour's weight becomes
+        +0.0, which leaves a row-order sum as it was, so every weight has
+        the bits a sum over the alive neighbours alone gives."""
         if self.incident_at is None:
-            src, pos = g.gather(self.free)
-            self.incident_at, self.strong = _weigh(g, s, self.alive, src, pos, g.weights[pos])
+            alive = self.alive
+            incident_at = g.strength()[0].copy()
+            lacking = np.flatnonzero(alive == 0)
+            if lacking.size:
+                near = np.zeros(g.n, dtype=bool)
+                near[g.indices[g.gather(lacking)[1]]] = True
+                rows = np.flatnonzero(near & (alive == 1))
+                src, pos = g.gather(rows)
+                w = np.where(alive[g.indices[pos]] != 0, g.weights[pos], 0.0)
+                incident_at[rows] = np.bincount(src, weights=w, minlength=g.n)[rows]
+            self.incident_at = incident_at
         return self
+
+
+def _most(g: SimGraph, k: int) -> bool:
+    """True when ``k`` nodes are most of ``g``. A peel set-up or support pass
+    over that many nodes reads the graph's per-node arrays or every row in
+    one pass, not a gather of their rows."""
+    return 2 * k > g.n
 
 
 def _weigh(g: SimGraph, s: float, alive: np.ndarray, src: np.ndarray, pos: np.ndarray,
@@ -236,38 +267,42 @@ def _setup(g: SimGraph, s: float, alive: np.ndarray, anchor: _Group | None = Non
     ``alive`` marks each node 1 when the peel may remove it, 2 when it is
     pinned and 0 when it is not in the start set. The similarity prefilter
     sets to 0 every node marked 1 without an edge above ``s`` to an alive
-    node; only the rows of the nodes marked 1 are read. Returns the start,
-    weighed unless said below: for every node, its weight into the alive
-    nodes, summed in neighbour-id order (for surviving nodes marked 1).
+    node. Returns the start, weighed when set-up read rows: for every node,
+    its weight into the alive nodes, summed in neighbour-id order (for
+    surviving nodes marked 1).
 
     Given ``tau`` and the pinned ``anchor``, returns None instead, before
     the prefilter, when M, the largest ``(deg(u) + inw(u)) / 2`` over the
     nodes u marked 1, is below tau (Charikar's degree bound, APPROX 2000):
     with ``deg(u)`` u's weighted degree, an outside set has alpha at most M
     and the anchor joined by outside nodes at most a mediant of its own
-    alpha and M. When the nodes marked 1 are most of the graph, ``deg`` and
+    alpha and M.
+
+    When the nodes marked 1 are most of the graph (``_most``), ``deg`` and
     each node's strongest edge come from the graph's ``strength`` arrays,
     which cost O(n + m) once per graph, instead of from their rows; and when
-    every node is in the start set, as in every session repair, a node's
-    edge above s to an alive node is its strongest edge, so the prefilter
-    reads no row and the start comes back unweighed (see ``_core``).
+    every node is in the start set, as in a whole-graph peel and every
+    session repair, a node's edge above s to an alive node is its strongest
+    edge, so the prefilter reads no row and the start comes back unweighed
+    (see ``_Start.weighed`` and ``_core``). Otherwise only the rows of the
+    nodes marked 1 are read.
     """
     n = g.n
     nodes = np.flatnonzero(alive == 1)
+    most = _most(g, len(nodes))
     rows = None
     if tau is not None:
-        if 2 * len(nodes) > n:
-            deg, top = g.strength()
-            deg = deg[nodes]
+        if most:
+            deg = g.strength()[0][nodes]
         else:
             rows = g.gather(nodes)
             deg = np.bincount(rows[0], weights=g.weights[rows[1]], minlength=n)[nodes]
         if float((deg + anchor.inw[nodes]).max(initial=-math.inf)) / 2.0 < tau:
             return None
-        if rows is None and alive.all():
-            weak = top[nodes] <= s
-            alive[nodes[weak]] = 0
-            return _Start(alive, nodes[~weak])
+    if most and alive.all():
+        weak = g.strength()[1][nodes] <= s
+        alive[nodes[weak]] = 0
+        return _Start(alive, nodes[~weak])
     src, pos = g.gather(nodes) if rows is None else rows
     w = g.weights[pos]
     dst = g.indices[pos]
@@ -280,16 +315,28 @@ def _setup(g: SimGraph, s: float, alive: np.ndarray, anchor: _Group | None = Non
 
 
 def _last_strong(g: SimGraph, order: np.ndarray, s: float,
-                 strong: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 strong: tuple[np.ndarray, np.ndarray] | None = None,
+                 pinned: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """For each position of a removal order, the position in it of the last
-    to go of the node's neighbours over an edge above ``s`` (-1 for none).
-    Also returns, for every edge above ``s`` of the order's nodes, the
-    position of its row and its other end. The edges come from ``strong``,
-    the row node and other end of every edge above s of a superset of the
-    order's nodes, when given; otherwise only the order's rows are read."""
+    to go of the node's neighbours over an edge above ``s`` (-1 for none);
+    and the same for each node of ``pinned``, ids not in the order (empty
+    when not given).
+
+    The edges come from ``strong``, the row node and other end of every edge
+    above s of a superset of the order's rows, when given. Otherwise an
+    order that is most of the graph (``_most``) takes every row's greatest
+    position in one ``maximum.reduceat`` over all rows, and a smaller one
+    gathers its own rows and the pinned nodes' edges to them."""
     n = len(order)
+    pinned = np.empty(0, dtype=np.int64) if pinned is None else pinned
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[order] = np.arange(n)
+    if strong is None and _most(g, n):
+        ptr = g.indptr
+        rows = np.flatnonzero(ptr[1:] > ptr[:-1])
+        last = np.full(g.n, -1, dtype=np.int64)
+        last[rows] = np.maximum.reduceat(np.where(g.weights > s, pos[g.indices], -1), ptr[rows])
+        return last[order], last[pinned]
     if strong is None:
         src, at = g.gather(order)
         above = g.weights[at] > s
@@ -299,10 +346,14 @@ def _last_strong(g: SimGraph, order: np.ndarray, s: float,
     row = pos[src]
     mine = row >= 0
     row, dst = row[mine], dst[mine]
+    pos[pinned] = -2
     to = pos[dst]
     last = np.full(n, -1, dtype=np.int64)
     np.maximum.at(last, row[to >= 0], to[to >= 0])
-    return last, row, dst
+    into = to == -2
+    pin_last = np.full(g.n, -1, dtype=np.int64)
+    np.maximum.at(pin_last, dst[into], row[into])
+    return last, pin_last[pinned]
 
 
 def _supported_by_order(last: np.ndarray) -> np.ndarray:
@@ -476,6 +527,9 @@ def modified_sgsel(
     the strongest edges and the core reads only the rows of the outside
     nodes whose weighted degree reaches tau' (see ``_core``). All outside
     rows are read only when the cut does not apply or does not certify.
+    Any peel, floored or not, of a start set that is most of the graph
+    and holds every node takes its starting weights from ``g.strength()``
+    too (see ``_Start.weighed``).
 
     The peel's records go into ``into`` when given, which is then the
     profile returned, so a caller that keeps one profile across peels
@@ -610,7 +664,6 @@ def _peel_runs(
     ``pinned`` in id order, never removed. Returns the run, the outside run
     (None without an anchor) and the weight alive at each number of outside
     nodes alive. The start is not changed."""
-    n = g.n
     alive, incident_at, free = start.alive, start.incident_at, start.free
     m, na = len(free), len(pinned)
     if not na:
@@ -692,7 +745,7 @@ def _peel_runs(
     totals = np.cumsum(np.concatenate(([total], -gone)))[::-1]
 
     # support after the loop, from the edges above s of the outside nodes
-    last, row, dst = _last_strong(g, at, s, start.strong)
+    last, pin_last = _last_strong(g, at, s, start.strong, pinned)
     outside_order = tuple(order)
     out_ok = _supported_by_order(last)
     if not na:
@@ -703,12 +756,8 @@ def _peel_runs(
     # for good; an anchor node is when its strongest edge into the
     # anchor is above s, and otherwise while its last outside neighbour
     # above s is alive
-    into_anchor = alive_at[dst] == 2
-    last[row[into_anchor]] = m
-    ok = _supported_by_order(last)
-    pin_last = np.full(n, -1, dtype=np.int64)
-    np.maximum.at(pin_last, dst[into_anchor], row[into_anchor])
-    pin_last[pinned[anchor.top[pinned] > s]] = m
-    ok[:m - int(pin_last[pinned].min())] = False
+    ok = _supported_by_order(np.where(anchor.top[at] > s, m, last))
+    pin_last[anchor.top[pinned] > s] = m
+    ok[:m - int(pin_last.min())] = False
     run = PeelRun.of(outside_order + tuple(pinned.tolist()), totals, np.concatenate((np.zeros(na, bool), ok)), na)
     return run, outside, totals

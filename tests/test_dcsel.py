@@ -1101,6 +1101,25 @@ def _gathering_setup(g, s, alive, anchor=None, tau=None):
     return msel.peel._Start(alive, np.flatnonzero(alive == 1), np.bincount(src[keep], weights=w[keep], minlength=n))
 
 
+def _gathering_support(g, order, s, strong=None, pinned=None):
+    """A support pass that gathers the removal order's rows, whatever edges
+    it is handed, as one did before the pass over all rows: the edges above
+    s are compacted and each row's last neighbour found by
+    ``np.maximum.at``; likewise each pinned node's last order neighbour."""
+    pinned = np.empty(0, dtype=np.int64) if pinned is None else pinned
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[order] = np.arange(len(order))
+    src, at = g.gather(order)
+    above = g.weights[at] > s
+    row, dst = pos[src[above]], g.indices[at[above]]
+    to = pos[dst]
+    last = np.full(len(order), -1, dtype=np.int64)
+    np.maximum.at(last, row[to >= 0], to[to >= 0])
+    pin_last = np.full(g.n, -1, dtype=np.int64)
+    np.maximum.at(pin_last, dst, row)
+    return last, pin_last[pinned]
+
+
 def _random_anchor(rng, g, k):
     """Part of the planted communities (the first ``k`` nodes), sometimes
     with a few background nodes."""
@@ -1112,35 +1131,54 @@ def _random_anchor(rng, g, k):
 
 
 def test_floored_setup_matches_one_that_gathers_every_row(monkeypatch):
-    # random anchors, floors and s on random two-community graphs: the
-    # floored peel reads the graph's strength arrays and only the rows that
-    # may reach the floor, and must record, pick and count what a set-up
-    # reading every outside row does
+    # random anchors, floors and s on random two-community graphs, and
+    # unfloored and unanchored peels of all, most or few nodes: a peel over
+    # most of the graph reads its strength arrays, only the rows that may
+    # reach the floor or lie next to a node the start lacks, and its support
+    # in one pass over every row; it must record, pick and count what a
+    # set-up reading every outside row and a support pass gathering the
+    # removal order's rows do
     rng = random.Random(2028)
-    seen = {"exit": 0, "cored": 0, "full": 0, "complement": 0, "subset": 0, "unweighed": 0}
-    core = msel.peel._core
+    seen = {"exit": 0, "cored": 0, "full": 0, "complement": 0, "subset": 0, "unweighed": 0,
+            "unfloored": 0, "unanchored": 0, "whole": 0, "drops": 0}
+    setup = msel.peel._setup
 
-    def counted_core(g, s, start, tau):
-        seen["unweighed"] += start.incident_at is None
-        return core(g, s, start, tau)
+    def counted_setup(g, s, alive, *args):
+        free = int(np.count_nonzero(alive == 1))
+        start = setup(g, s, alive, *args)
+        if start is not None:
+            seen["unweighed"] += start.incident_at is None
+            seen["drops"] += len(start.free) < free
+        return start
 
     trials = 0
-    while trials < 160:
+    while trials < 280:
         g, k = _two_communities(rng, rng.randint(60, 400))
         if rng.random() < 0.5:
             # weights of two decimals, as s has: some edges tie with s
             g = SimGraph(g.n, [(u, v, round(w, 2) or 0.01) for u, v, w in g.edges()])
-        grp = _random_anchor(rng, g, k)
-        c = ConstraintPair(s=round(rng.uniform(0.1, 0.7), 2), p=rng.randint(0, len(grp.members) - 1))
-        if not grp.feasible(c):
-            continue
+        kind = rng.choice(["floored", "floored", "floored", "unfloored", "unanchored"])
+        s = round(rng.uniform(0.1, 0.7), 2)
+        if kind == "unanchored":
+            grp = floor = None
+            c = ConstraintPair(s=s, p=rng.randint(0, 20))
+            outside = np.arange(g.n)
+        else:
+            grp = _random_anchor(rng, g, k)
+            c = ConstraintPair(s=s, p=rng.randint(0, len(grp.members) - 1))
+            if not grp.feasible(c):
+                continue
+            floor = grp.alpha * rng.choice([1.0, 1.0, rng.uniform(0.5, 1.5)]) if kind == "floored" else None
+            outside = np.flatnonzero(~grp.mask)
         trials += 1
-        floor = grp.alpha * rng.choice([1.0, 1.0, rng.uniform(0.5, 1.5)])
-        outside = np.flatnonzero(~grp.mask)
+        within = outside
         if rng.random() < 0.25:
             # a start set that leaves nodes out, most of the graph or few
-            outside = np.sort(rng.sample(outside.tolist(), rng.choice([len(outside) * 3 // 4, 12])))
+            within = np.sort(rng.sample(outside.tolist(), rng.choice([len(outside) * 3 // 4, 12])))
             seen["subset"] += 1
+        elif kind == "unanchored" and rng.random() < 0.5:
+            within = None
+            seen["whole"] += 1
         else:
             seen["complement"] += 1
         got = [], PeelStats()
@@ -1149,9 +1187,10 @@ def test_floored_setup_matches_one_that_gathers_every_row(monkeypatch):
             with monkeypatch.context() as m:
                 if runs is want[0]:
                     m.setattr(msel.peel, "_setup", _gathering_setup)
+                    m.setattr(msel.peel, "_last_strong", _gathering_support)
                 else:
-                    m.setattr(msel.peel, "_core", counted_core)
-                sol, profile = modified_sgsel(g, c, within=outside, stats=stats, anchor=grp, floor=floor)
+                    m.setattr(msel.peel, "_setup", counted_setup)
+                sol, profile = modified_sgsel(g, c, within=within, stats=stats, anchor=grp, floor=floor)
             runs.extend(profile.runs())
             runs.append(sol)
         assert got[1] == want[1]
@@ -1162,8 +1201,13 @@ def test_floored_setup_matches_one_that_gathers_every_row(monkeypatch):
             assert a.skipped == b.skipped and repr(a.bound) == repr(b.bound)
             assert a.alphas.tobytes() == b.alphas.tobytes()
             assert np.array_equal(a.supported, b.supported)
+            assert [a.best_size(p) for p in range(0, len(a.trace.order), 7)] == \
+                [b.best_size(p) for p in range(0, len(b.trace.order), 7)]
         runs = got[0][:-1]
-        seen["exit" if not runs else "cored" if runs[0].skipped else "full"] += 1
+        if kind == "floored":
+            seen["exit" if not runs else "cored" if runs[0].skipped else "full"] += 1
+        else:
+            seen[kind] += 1
     assert min(seen.values()) >= 10, seen
 
 
@@ -1180,6 +1224,26 @@ def _spied_rows(monkeypatch, call):
     with monkeypatch.context() as m:
         m.setattr(SimGraph, "gather", spy)
         return call(), rows
+
+
+def test_whole_graph_peels_read_only_the_tail_and_the_rows_next_to_drops(monkeypatch):
+    # every node of the 3,000-node graph has an edge: at s = 0.04 (weights
+    # start at 0.05) the prefilter drops none, and a whole-graph peel reads
+    # only its dense tail's rows; at s = 0.5 it drops the nodes whose
+    # strongest edge is at most s, and reads beside the tail only their rows
+    # and their neighbours'
+    g = random_graph(3000, 15000, seed=2)
+    front = msel.peel._FRONT
+    for s, drops in ((0.04, 0), (0.5, 20)):
+        (sol, profile), rows = _spied_rows(monkeypatch, lambda: modified_sgsel(g, ConstraintPair(s=s, p=2)))
+        order = profile.run.trace.order
+        tail = sorted(order[-front:])
+        dropped = np.flatnonzero(g.strength()[1] <= s).tolist()
+        assert len(dropped) == drops and len(order) == g.n - drops and sol
+        assert rows[-front:] == tail
+        near = {t for u in dropped for t in g.row(u)[0]}.difference(dropped)
+        assert rows[:drops] == dropped and set(rows[drops:-front]) == near
+    assert len(near) < len(order) // 10
 
 
 def test_floored_peels_read_only_rows_that_can_reach_the_floor(monkeypatch):

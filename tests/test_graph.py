@@ -362,3 +362,35 @@ def test_disjoint_union_names_a_repeated_bridge_like_a_row_scan(two_triangles):
     with pytest.raises(ParameterError) as err:
         disjoint_union(two_triangles, extra, [(0, 1, 0.5), (2, 1, 0.5), (2, 1, 0.6)])
     assert str(err.value) == "duplicate edge (7,2)"
+
+
+def test_merged_graphs_inherit_their_strength_arrays():
+    # a merged graph starts its strength arrays from those its inputs built
+    # and sums only the other rows again; every bit must be what a graph
+    # built from the merged edges computes over all its rows
+    rng = random.Random(29)
+    cases = 0
+    for _ in range(60):
+        g1 = gnp_graph(rng, rng.randint(1, 30), prob=rng.choice([0.1, 0.4]))
+        if rng.random() < 0.3:
+            g1 = disjoint_union(g1, gnp_graph(rng, rng.randint(1, 5)), [(0, 0, 0.5)])
+        g2 = gnp_graph(rng, rng.randint(1, 12), prob=rng.choice([0.0, 0.3]))  # some nodes lack edges
+        ends = sorted({(rng.randrange(g1.n), rng.randrange(g2.n)) for _ in range(rng.choice([0, 1, 6]))})
+        if ends and rng.random() < 0.5:
+            # one base node bridged to several added ones
+            ends = sorted({(ends[0][0], v) for v in range(g2.n)})
+        bridges = [(u, v, round(rng.uniform(0.01, 1.0), 2)) for u, v in ends]
+        for built in (g1, g2):
+            if rng.random() < 0.7:
+                built.strength()
+        merged = disjoint_union(g1, g2, bridges)
+        cases += merged._parts is not None
+        want = SimGraph(merged.n, list(merged.edges())).strength()
+        for got, ref in zip(merged.strength(), want):
+            assert got.tobytes() == ref.tobytes() and not got.flags.writeable
+        for u in range(merged.n):
+            acc = 0.0
+            for w in merged.row(u)[1]:
+                acc += w
+            assert want[0][u] == acc and want[1][u] == max(merged.row(u)[1], default=0.0)
+    assert cases > 20

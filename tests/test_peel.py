@@ -291,7 +291,7 @@ def test_setup_kernels_match_a_naive_prefilter_and_incident_weights():
         free = {u for u, a in enumerate(marks) if a == 1}
         pinned = {u for u, a in enumerate(marks) if a == 2}
         alive = np.array(marks, dtype=np.uint8)
-        incident = _setup(g, s, alive).incident_at
+        incident = _setup(g, s, alive).weighed(g, s).incident_at
         live = _naive_prefilter(g, s, free, pinned)
         assert set(np.flatnonzero(alive == 1).tolist()) == live
         assert set(np.flatnonzero(alive == 2).tolist()) == pinned
@@ -692,12 +692,31 @@ def test_run_best_size_rules():
     assert PeelRun.of((), [], np.ones(1, bool)).best_size(0) == 0
 
 
+def _traces_at_scale(rng):
+    """(graph, order, s) on a 600-node graph of one-decimal weights, a
+    tenth of them tied with s: a whole-graph peel's trace, a random order
+    of most of the nodes, and a random order of a few nodes joined by edges
+    of at least s."""
+    g = random_graph(600, 3000, seed=1403)
+    g = SimGraph(g.n, [(u, v, round(w, 1) or 0.1) for u, v, w in g.edges()])
+    for s in (0.3, 0.5):
+        yield g, modified_sgsel(g, ConstraintPair(s=s, p=0))[1].run.trace.order, s
+        yield g, rng.sample(range(g.n), g.n * 4 // 5), s
+        few = [0]
+        for u in few:
+            few += [t for t, w in g.neighbors(u) if w >= s and t not in few][:12 - len(few)]
+        yield g, rng.sample(few, len(few)), s
+
+
 def test_trace_support_matches_feasibility_at_every_size():
+    # small random graphs, then traces of most and of few nodes of a larger
+    # one: support over most of a graph is read in one pass over every row
     rng = random.Random(1403)
+    small = []
     for _ in range(40):
         g = gnp_graph(rng, rng.randint(1, 16), prob=rng.choice([0.2, 0.5]))
-        order = rng.sample(range(g.n), rng.randint(0, g.n))
-        s = rng.choice([0.1, 0.5, 0.8])
+        small.append((g, rng.sample(range(g.n), rng.randint(0, g.n)), rng.choice([0.1, 0.5, 0.8])))
+    for g, order, s in small + list(_traces_at_scale(rng)):
         ok = PeelTrace(tuple(order)).supported(g, s)
         assert len(ok) == len(order) + 1
         for k in range(1, len(order) + 1):
