@@ -33,7 +33,7 @@ from .graph import MAX_NODES, SimGraph
 from .similarity import (
     AttributeMatrix,
     build_similarity_graph,
-    last_of_each_pair,
+    distinct_pairs,
     normalize_attributes,
     scaled_zero_one,
 )
@@ -47,7 +47,9 @@ class RawDataset:
     they are excluded from ``cite_edges``. ``cite_ids`` holds the pair of
     every cite line as dense ids, -1 for an unknown id, an (m, 2) int64
     array, when the loader knows them; ``cite_pairs`` maps ``cite_edges``
-    through the ids when it is None.
+    through the ids when it is None. ``bits`` holds ``features`` as a bool
+    array when the loader read them as 0/1 rows, and is None otherwise;
+    ``to_sim_graph`` then takes them as such without testing the features.
     """
 
     ids: tuple[str, ...]
@@ -56,6 +58,7 @@ class RawDataset:
     cite_edges: tuple[tuple[str, str], ...]
     dropped_citations: int = 0
     cite_ids: np.ndarray | None = field(default=None, repr=False, compare=False)
+    bits: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -73,10 +76,9 @@ class RawDataset:
         ends = self.cite_ids
         if ends is None:
             ends = _dense_ids(self.ids, list(chain.from_iterable(self.cite_edges))).reshape(-1, 2)
-        ends = ends[(ends[:, 0] != ends[:, 1]) & (ends.min(axis=1) >= 0)]
-        ends = ends[last_of_each_pair(ends[:, 0], ends[:, 1], self.n)]
-        ends.sort(axis=1)
-        return ends
+        a, b = ends[:, 0], ends[:, 1]
+        known = (a >= 0) & (b >= 0)
+        return np.column_stack(distinct_pairs(a[known], b[known], self.n))
 
 
 def _dense_ids(ids: Sequence[str], tokens: list[str]) -> np.ndarray:
@@ -90,18 +92,19 @@ def load_content_cites(content_path: str | Path, cites_path: str | Path) -> RawD
 
     Node ids must be unique; every content line must carry the same number of
     feature columns. Citation lines naming an unknown id are dropped and
-    counted rather than treated as errors. Each cite token is looked up in
-    the ids once, and the dense ids of every pair go into ``cite_ids``.
+    counted rather than treated as errors. The fields of every cites line
+    are counted in one pass over the file's bytes (``_field_counts``), each
+    cite token is looked up in the ids once, and the dense ids of every pair
+    go into ``cite_ids``. Content read as 0/1 rows keeps them in ``bits``.
     """
     content_path = Path(content_path)
     cites_path = Path(cites_path)
 
     lines = read_text(content_path).split("\n")
-    ids, features, labels = _content_columns(lines) or _content_by_line(lines, content_path)
+    ids, features, labels, bits = _content_columns(lines) or _content_by_line(lines, content_path)
 
     text = read_text(cites_path)
-    lines = text.split("\n")
-    fields = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+    fields = _field_counts(text)
     bad = np.flatnonzero((fields != 0) & (fields != 2))
     if bad.size:
         raise ParseError(
@@ -113,18 +116,42 @@ def load_content_cites(content_path: str | Path, cites_path: str | Path) -> RawD
     dense = _dense_ids(ids, toks)
     known = dense >= 0
     kept = known[0::2] & known[1::2]
-    edges = tuple(compress(zip(toks[0::2], toks[1::2]), kept))
+    it = iter(toks)
+    edges = tuple(compress(zip(it, it), kept.tolist()))
     return RawDataset(tuple(ids), features, tuple(labels), edges, len(kept) - len(edges),
-                      dense.reshape(-1, 2))
+                      dense.reshape(-1, 2), bits)
+
+
+# the ASCII codes str.split splits on: 9-13 and 28-32
+_ASCII_SPACE = np.zeros(256, dtype=bool)
+_ASCII_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+
+
+def _field_counts(text: str) -> np.ndarray:
+    """The number of ``str.split`` fields on each line of
+    ``text.split("\\n")``, an int64 array. ASCII text is counted in one pass
+    over its bytes: a field starts at each byte that is not a space and
+    follows one or the start, and the newlines before it give its line.
+    Other text is split line by line."""
+    lines = text.count("\n") + 1
+    if not text.isascii():
+        return np.fromiter(map(len, map(str.split, text.split("\n"))), np.int64, lines)
+    codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    space = _ASCII_SPACE.take(codes)
+    starts = ~space
+    starts[1:] &= space[:-1]
+    line_of = np.searchsorted(np.flatnonzero(codes == ord("\n")), np.flatnonzero(starts))
+    return np.bincount(line_of, minlength=lines)
 
 
 def _content_columns(lines: list[str]):
-    """(ids, features, labels) of content lines that are all well formed,
-    with every feature column parsed at once; None when there are no nodes
-    or any line needs ``_content_by_line``'s checks.
+    """(ids, features, labels, bits) of content lines that are all well
+    formed, with every feature column parsed at once; None when there are no
+    nodes or any line needs ``_content_by_line``'s checks.
 
     Feature bodies that are all 0/1 rows of one length, as in Cora or
-    CiteSeer, are read from their character codes (``_binary_rows``). Any
+    CiteSeer, are read from their character codes (``_binary_rows``), and
+    ``bits`` holds them as bool rows; it is None for other content. Any
     other body goes to ``np.loadtxt``, which splits on the whitespace
     ``str.split`` splits on and parses a number as ``float`` does, so what
     it accepts gets the same bits; what it rejects (a ragged row, or
@@ -144,21 +171,23 @@ def _content_columns(lines: list[str]):
         labels.append(tail[1])
     if not ids or len(set(ids)) < len(ids):
         return None
-    features = _binary_rows(bodies)
-    if features is None:
-        try:
-            features = np.loadtxt(bodies, comments=None, ndmin=2)
-        except ValueError:
-            return None
-    return ids, features, labels
+    bits = _binary_rows(bodies)
+    if bits is not None:
+        return ids, bits.astype(np.float64), labels, bits
+    try:
+        features = np.loadtxt(bodies, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return ids, features, labels, None
 
 
 def _binary_rows(bodies: list[str]) -> np.ndarray | None:
-    """The (n, d) float64 rows of ``bodies`` when each is d characters ``0``
-    or ``1`` with one space or one tab between each two, the same d for
-    every body; None otherwise. Such a body is what ``np.loadtxt`` reads as
-    d zeros and ones, so these are its bits. The bodies are checked and read
-    as one (n, 2d - 1) array of their ASCII codes."""
+    """The (n, d) rows of ``bodies`` as a bool array when each is d
+    characters ``0`` or ``1`` with one space or one tab between each two,
+    the same d for every body; None otherwise. Such a body is what
+    ``np.loadtxt`` reads as d zeros and ones, so these rows as float64 are
+    its bits. The bodies are checked and read as one (n, 2d - 1) array of
+    their ASCII codes."""
     width = len(bodies[0])
     if width % 2 == 0 or len(set(map(len, bodies))) > 1:
         return None
@@ -171,12 +200,12 @@ def _binary_rows(bodies: list[str]) -> np.ndarray | None:
     if not (((digits == ord("0")) | (digits == ord("1"))).all()
             and ((gaps == ord(" ")) | (gaps == ord("\t"))).all()):
         return None
-    return np.subtract(digits, ord("0"), dtype=np.float64)
+    return digits == ord("1")
 
 
 def _content_by_line(lines: list[str], path: Path):
-    """(ids, features, labels) of content lines, checked one line at a time;
-    the first bad line raises."""
+    """(ids, features, labels, None) of content lines, checked one line at a
+    time; the first bad line raises."""
     ids: list[str] = []
     rows: list[np.ndarray] = []
     labels: list[str] = []
@@ -212,7 +241,7 @@ def _content_by_line(lines: list[str], path: Path):
         rows.append(vec)
         labels.append(label)
     features = np.vstack(rows) if rows else np.zeros((0, 0))
-    return ids, features, labels
+    return ids, features, labels, None
 
 
 def to_sim_graph(ds: RawDataset, mode: str = "edges", k: int | None = None) -> SimGraph:
@@ -222,10 +251,14 @@ def to_sim_graph(ds: RawDataset, mode: str = "edges", k: int | None = None) -> S
     (``ds.cite_pairs``) supply the structure only for mode="edges".
     Features are min-max normalized per column before weighting, which
     brings unbounded columns into range. 0/1 content skips the arithmetic:
-    it is tested once and kept as bool rows, an all-ones column cleared,
-    which are the values scaling would give.
+    it is kept as bool rows, an all-ones column cleared, which are the
+    values scaling would give. Rows the loader read as 0/1 (``ds.bits``)
+    are taken as they are; other features are tested once.
     """
-    values = scaled_zero_one(ds.features)
+    if ds.bits is not None:
+        values = ds.bits & ~ds.bits.all(axis=0)
+    else:
+        values = scaled_zero_one(ds.features)
     if values is None:
         values = normalize_attributes(ds.features)
     attrs = AttributeMatrix(values=values, ids=tuple(range(ds.n)))

@@ -403,8 +403,9 @@ class _Group:
         # bincount adds each row's weights in row order, as incident_weight
         # does, and a non-member's 0.0 leaves the sum as it was
         self.inw[rows] = np.bincount(src, weights=w, minlength=g.n)[rows]
-        counts = g.indptr[rows + 1] - g.indptr[rows]
-        self.top[rows] = np.maximum.reduceat(w, np.cumsum(counts) - counts)
+        # every weight is >= 0.0, so a row's maximum starts from 0.0
+        self.top[rows] = 0.0
+        np.maximum.at(self.top, src, w)
 
     def challenger(self, members: frozenset[int], c: ConstraintPair) -> "_Group | None":
         """A copy of the group moved onto ``members``, if it beats the group

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DataError, ParameterError
-from .graph import SimGraph
+from .graph import SimGraph, _distinct
 
 # Dense n x n similarity work is quadratic; refuse sizes where that is
 # clearly a mistake rather than letting it run for hours.
@@ -174,33 +174,58 @@ def last_of_each_pair(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return order[last]
 
 
+def distinct_pairs(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct unordered pairs ``{a[i], b[i]}`` with ``a[i] != b[i]``
+    of ids in 0..n-1, as int64 ends ``lo < hi`` in increasing (lo, hi)
+    order. Pairs whose keys ``lo * n + hi`` already increase strictly, as
+    those of ``RawDataset.cite_pairs`` do, are taken as they are; others
+    are sorted by key."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keep = lo != hi
+    lo, hi = lo[keep], hi[keep]
+    key = lo * n + hi
+    if (key[1:] > key[:-1]).all():
+        return lo, hi
+    return np.divmod(_distinct(key), n)
+
+
+# the number of set bits of each byte value
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
 def _edge_weights(values: np.ndarray, edges) -> np.ndarray:
-    """The (u, v, w) rows, u < v, of the distinct non-loop pairs in ``edges``
-    with a positive weight; a pair given twice takes its last orientation."""
+    """The (u, v, w) rows, u < v in increasing (u, v) order, of the distinct
+    non-loop pairs in ``edges`` with a positive weight. A weight does not
+    depend on the pair's orientation, so a pair given twice is weighed once.
+
+    On 0/1 rows every term of the inner sum is 0 or 1, so the weight is
+    sqrt(c / d) of the count c of agreeing coordinates, which gives
+    ``pair_weight``'s bits. c is d less the set bits of the XOR of the two
+    rows packed eight coordinates to a byte, counted with a 256-entry
+    table, which works on every numpy (``np.bitwise_count`` needs 2.0).
+    A slice of pairs gathers at most ``_KERNEL_FLOATS`` bytes per end.
+    """
     n, d = values.shape
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     bad = ~((e >= 0) & (e < n)).all(axis=1)
     if bad.any():
         u, v = e[int(bad.argmax())].tolist()
         raise ParameterError(f"edge ({u}, {v}) outside 0..{n - 1}")
-    e = e[e[:, 0] != e[:, 1]]
-    e = e[last_of_each_pair(e[:, 0], e[:, 1], n)]
+    u, v = distinct_pairs(e[:, 0], e[:, 1], n)
     if d and _is_binary(values):
-        # every term of the inner sum is 0 or 1, so counting agreeing
-        # coordinates gives pair_weight's bits; gathered in slices of at
-        # most _KERNEL_FLOATS coordinates
-        bits = values != 0.0
-        counts = np.empty(len(e), dtype=np.int64)
-        step = max(1, _KERNEL_FLOATS // d)
-        for lo in range(0, len(e), step):
-            part = e[lo:lo + step]
-            counts[lo:lo + step] = np.count_nonzero(bits[part[:, 0]] == bits[part[:, 1]], axis=1)
-        w = np.minimum(np.sqrt(counts / d), 1.0)
+        # the pad bits of the last byte are 0 in every row, so they agree
+        packed = np.packbits(values if values.dtype == bool else values != 0.0, axis=1)
+        differ = np.empty(len(u), dtype=np.int64)
+        step = max(1, _KERNEL_FLOATS // packed.shape[1])
+        for lo in range(0, len(u), step):
+            x = packed[u[lo:lo + step]]
+            x ^= packed[v[lo:lo + step]]
+            differ[lo:lo + step] = _POPCOUNT.take(x).sum(axis=1, dtype=np.int32)
+        w = np.minimum(np.sqrt((d - differ) / d), 1.0)
     else:
-        w = np.array([pair_weight(values[u], values[v]) for u, v in e.tolist()])
-    e.sort(axis=1)
+        w = np.array([pair_weight(values[a], values[b]) for a, b in zip(u.tolist(), v.tolist())])
     keep = w > 0.0
-    return np.column_stack((e[keep], w[keep]))
+    return np.column_stack((u[keep], v[keep], w[keep]))
 
 
 def _knn_edges(values: np.ndarray, k: int) -> np.ndarray:

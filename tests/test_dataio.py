@@ -120,6 +120,64 @@ def test_malformed_cite_line_rejected(tmp_path):
     assert err.value.line == 3
 
 
+# the ASCII codes str.split splits on
+_ASCII_SPACES = [chr(c) for c in range(128) if not chr(c).split()]
+
+
+def _cites_text(rng, pairs_only=False):
+    """Random cites text: lines of tokens with gaps of the ASCII spaces,
+    LF or CRLF ends, blank and space-only lines, and a last line that may
+    lack its newline; with ``pairs_only`` every line holds 0 or 2 fields."""
+    lines = []
+    for _ in range(rng.randint(0, 12)):
+        count = rng.choice([0, 2]) if pairs_only else rng.choice([0, 0, 1, 2, 2, 3, 5])
+        gaps = ["".join(rng.choices(_ASCII_SPACES, k=rng.randint(0, 3))).replace("\n", "")
+                for _ in range(count + 1)]
+        gaps[1:-1] = [g or " " for g in gaps[1:-1]]
+        toks = [rng.choice(["a", "b", "x", "p12", "-"]) for _ in range(count)]
+        lines.append(gaps[0] + "".join(t + g for t, g in zip(toks, gaps[1:])))
+        lines[-1] += rng.choice(["\n", "\n", "\r\n"])
+    return "".join(lines) + rng.choice(["", "a b", " \t"])
+
+
+def test_cites_field_counts_match_str_split():
+    """The byte pass counts each line's ``str.split`` fields; text with a
+    non-ASCII space is split line by line, with the same counts."""
+    assert "".join(_ASCII_SPACES) == "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+    assert np.array_equal(np.flatnonzero(dataio._ASCII_SPACE), [ord(c) for c in _ASCII_SPACES])
+    rng = random.Random(31)
+    for trial in range(300):
+        text = _cites_text(rng)
+        if trial % 3 == 0 and text:
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + rng.choice(["\xa0", "\u2003", "\u3000"]) + text[at:]
+        want = [len(line.split()) for line in text.split("\n")]
+        got = dataio._field_counts(text)
+        assert got.dtype == np.int64 and got.tolist() == want, repr(text)
+
+
+def test_bad_cite_lines_raise_as_the_line_reader(tmp_path):
+    """A cites line with 1 or 3 fields raises a ParseError naming its count
+    and line, the first such line of the file as ``read_text`` gives it."""
+    content, cites = tmp_path / "c.content", tmp_path / "c.cites"
+    content.write_text("a 1 x\nb 0 y\n", encoding="utf-8")
+    rng = random.Random(32)
+    for trial in range(60):
+        head, tail = _cites_text(rng, pairs_only=True), _cites_text(rng)
+        bad = rng.choice(["a", "a b a", " b\x1f\x0ba\tx \r"])
+        if trial % 4 == 0:
+            bad += "\u3000"
+        text = head + ("" if head.endswith("\n") or not head else "\n") + bad + "\n" + tail
+        cites.write_text(text, encoding="utf-8", newline="")
+        lines = cites.read_text(encoding="utf-8").split("\n")
+        line, fields = next((i, len(s.split())) for i, s in enumerate(lines, 1) if len(s.split()) not in (0, 2))
+        with pytest.raises(ParseError) as err:
+            load_content_cites(content, cites)
+        assert err.value.line == line
+        assert f"got {fields} fields" in str(err.value)
+        assert fields in (1, 3)
+
+
 def _content_reference(path):
     """A content file read one line at a time, each field checked in turn:
     the reference the loader must agree with."""

@@ -313,6 +313,35 @@ def test_array_builds_match_the_loops(kind, monkeypatch):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (mode, kw, name)
 
 
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 255, 256, 257])
+def test_zero_one_edge_weights_match_pair_weight(d, monkeypatch):
+    """The XOR-popcount weights of 0/1 rows, packed eight to a byte, are
+    ``pair_weight``'s bits whatever d is modulo 8, with all-ones columns,
+    on bool and float64 rows, and on pairs given repeated, reversed, as
+    self-loops and out of order; the same in slices of one pair."""
+    from msel import similarity
+
+    rng = np.random.default_rng(d)
+    n = 30
+    values = rng.random((n, d)) < 0.5
+    values[:, rng.choice(d, size=d // 4, replace=False)] = True
+    pairs = rng.integers(0, n, (150, 2))
+    pairs = np.concatenate((pairs, pairs[:30, ::-1], pairs[:20], np.arange(6).repeat(2).reshape(-1, 2)))
+    rng.shuffle(pairs)
+    weights = {}
+    for u, v in pairs.tolist():
+        if u != v:
+            weights[min(u, v), max(u, v)] = pair_weight(values[u].astype(np.float64), values[v].astype(np.float64))
+    want = np.array([(u, v, w) for (u, v), w in sorted(weights.items()) if w > 0.0]).reshape(-1, 3)
+    # only d = 1 has no all-ones column, so only there do pairs weigh 0
+    assert 0 < len(want) and (len(want) < len(weights)) == (d == 1)
+    for kernel_floats in (similarity._KERNEL_FLOATS, 1):
+        monkeypatch.setattr(similarity, "_KERNEL_FLOATS", kernel_floats)
+        for rows in (values, values.astype(np.float64)):
+            got = similarity._edge_weights(rows, pairs)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (kernel_floats, rows.dtype)
+
+
 def test_edges_mode_memory_is_bounded():
     """Weighing 100,000 pairs of 512-column 0/1 rows gathers the pairs'
     rows a slice at a time, so the build stays small."""
@@ -366,10 +395,11 @@ _WIDE_KERNELS = ["AVX512_ICL", "AVX512_SPR", "X86_V4"]
                          ids=["dispatched", "no-avx512", "no-avx512-avx2"])
 def test_knn_convert_is_the_same_at_every_simd_level(tmp_path, disabled):
     """A knn convert of 300 0/1 rows, 12 distinct ones repeated, where most
-    rows tie far past their k-th pick, writes the reference's bytes with
-    numpy's wider SIMD kernels switched off (``NPY_DISABLE_CPU_FEATURES``
-    acts only on the process that reads it, so the convert runs in a child).
-    A level whose names this numpy does not dispatch is skipped."""
+    rows tie far past their k-th pick, and an edges convert of their 600
+    cite lines, write the reference's bytes with numpy's wider SIMD kernels
+    switched off (``NPY_DISABLE_CPU_FEATURES`` acts only on the process that
+    reads it, so the converts run in a child). A level whose names this
+    numpy does not dispatch is skipped."""
     missing = set(disabled) - _dispatched_features()
     if missing:
         pytest.skip(f"numpy dispatches no {' '.join(sorted(missing))}")
@@ -379,15 +409,18 @@ def test_knn_convert_is_the_same_at_every_simd_level(tmp_path, disabled):
     content.write_text("".join(
         f"p{u} {' '.join(map(str, row.astype(int).tolist()))} x\n" for u, row in enumerate(rows)
     ), encoding="utf-8")
-    cites.write_text("", encoding="utf-8")
+    pairs = rng.integers(0, 300, (600, 2))
+    cites.write_text("".join(f"p{u} p{v}\n" for u, v in pairs.tolist()), encoding="utf-8")
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled),
            "PYTHONPATH": str(Path(msel.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "msel.cli", "convert", "--content", str(content),
-         "--cites", str(cites), "--mode", "knn:5", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    want = tmp_path / "want.msg1"
-    write_msg1(_reference_graph(scaled_zero_one(rows.astype(np.float64)).astype(np.float64), "knn", k=5), want)
-    assert out.read_bytes() == want.read_bytes()
+    values = scaled_zero_one(rows.astype(np.float64)).astype(np.float64)
+    for mode, kw in (("knn:5", {"k": 5}), ("edges", {"edges": pairs})):
+        proc = subprocess.run(
+            [sys.executable, "-m", "msel.cli", "convert", "--content", str(content),
+             "--cites", str(cites), "--mode", mode, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        want = tmp_path / "want.msg1"
+        write_msg1(_reference_graph(values, mode.partition(":")[0], **kw), want)
+        assert out.read_bytes() == want.read_bytes(), mode
