@@ -77,8 +77,7 @@ def _metric_peel(g, c, key_fn) -> Solution:
     if n == 0:
         return Solution.empty()
     alive = bytearray(b"\x01") * n
-    rows, _ = g.gather(np.arange(n))
-    incident_at = np.bincount(rows, weights=g.weights, minlength=n)
+    incident_at = g.strength()[0]
     total = _running_sum(incident_at) / 2.0
     incident = incident_at.tolist()
     deg = np.diff(g.indptr).tolist()

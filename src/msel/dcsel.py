@@ -41,12 +41,14 @@ and a copy of A, and a later size decrease whose floor is not above B runs
 the full peel into the profile first. Whole-graph peels are never floored.
 Deciding a floored repair costs O(n) plus the rows of the outside nodes
 whose weighted degree reaches tau, the only ones that can stay in the core,
-when the outside nodes are most of the graph. Every peel of most of the
-graph, floored or not (the whole-graph solve and fallback too), takes its
-prefilter, starting weights and degree bound from arrays the graph builds
-once (``SimGraph.strength``), which a merged graph starts from its base
-graph's, and reads no row outside its loop but those next to the nodes its
-prefilter drops.
+when the outside nodes are most of the graph. Each node's weighted degree
+and strongest edge come from arrays the graph builds once
+(``SimGraph.strength``), which a merged graph starts from its base graph's:
+every floored peel reads its degree bound there, every peel of most of the
+graph (the whole-graph solve and fallback too) its prefilter and starting
+weights, reading no row outside its loop but those next to the nodes its
+prefilter drops, and a raise of s strips the members whose strongest edge
+is not above it.
 
 The session keeps its incumbent as a ``graph._Group``: the membership mask
 and each node's weight into the group and strongest edge into it. A change
@@ -386,11 +388,8 @@ def next_constraints(c: ConstraintPair, ev: ScheduleEvent) -> ConstraintPair:
 
 def _unsupported(g: SimGraph, grp: _Group, s: float) -> np.ndarray:
     """The members of ``grp`` without any edge above ``s`` in ``g``, in id
-    order. Only those whose strongest edge into the group is not above s
-    can lack one, so only their rows are read, in one gather."""
-    weak = np.flatnonzero(grp.mask & (grp.top <= s))
-    src, pos = g.gather(weak)
-    return weak[~np.isin(weak, src[g.weights[pos] > s])]
+    order: those whose strongest edge (``g.strength()``) is not above s."""
+    return np.flatnonzero(grp.mask & (g.strength()[1] <= s))
 
 
 def _retarget(sess: Session, c_new: ConstraintPair) -> _Group | None:

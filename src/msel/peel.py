@@ -44,14 +44,15 @@ array passes. A run's per-size values and a profile's per-size entries are
 numpy arrays indexed by size, so picking a size or merging a run into a
 profile is a few array operations, not a loop over the sizes.
 
-Outside the loop, a peel whose removable nodes are most of the graph
-(``_most``) and whose start set holds every node, as a whole-graph peel's
-and a session repair's do, reads no row but the rows next to the nodes its
-prefilter drops: its prefilter, starting weights and degree bound come from
-the graph's ``strength`` arrays. A support pass over a removal order of
-most of the graph is one ``maximum.reduceat`` over every row. Other peels
-gather the rows of their removable nodes and reuse those rows' edges above
-s for support.
+Outside the loop, a floored peel reads its degree bound from the graph's
+``strength`` arrays and no row. A peel whose removable nodes are most of
+the graph (``_most``) and whose start set holds every node, as a
+whole-graph peel's and a session repair's do, takes its prefilter and
+starting weights from them too, and reads no row but the rows next to the
+nodes its prefilter drops. Other peels gather the rows of their removable
+nodes for those. A support pass over a removal order of most of the graph
+is one ``maximum.reduceat`` over every row; a smaller one gathers the
+order's rows.
 """
 
 from __future__ import annotations
@@ -208,15 +209,11 @@ class _Start:
     """The start set of a peel after its similarity prefilter: the marks
     ``alive`` (1 removable, 2 pinned, 0 not in it), the removable nodes
     ``free`` in id order and, once weighed, every node's weight into the
-    alive nodes (``incident_at``; only the entries of ``free`` are read) and
-    the edges above s of the rows set-up read, a superset of ``free``'s
-    (``strong``: row node and other end of each), or None when it read no
-    rows."""
+    alive nodes (``incident_at``; only the entries of ``free`` are read)."""
 
     alive: np.ndarray
     free: np.ndarray
     incident_at: np.ndarray | None = None
-    strong: tuple[np.ndarray, np.ndarray] | None = None
 
     def weighed(self, g: SimGraph, s: float) -> _Start:
         """The start with its weights read. A start set-up left unweighed
@@ -242,22 +239,10 @@ class _Start:
 
 
 def _most(g: SimGraph, k: int) -> bool:
-    """True when ``k`` nodes are most of ``g``. A peel set-up or support pass
+    """True when ``k`` nodes are most of ``g``. A prefilter or support pass
     over that many nodes reads the graph's per-node arrays or every row in
     one pass, not a gather of their rows."""
     return 2 * k > g.n
-
-
-def _weigh(g: SimGraph, s: float, alive: np.ndarray, src: np.ndarray, pos: np.ndarray,
-           w: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Every node's weight into the nodes ``alive`` marks, over the gathered
-    edges (row ``src``, position ``pos``, weight ``w``), and those edges
-    above ``s``."""
-    dst = g.indices[pos]
-    keep = (alive[src] != 0) & (alive[dst] != 0)
-    strong = w > s
-    # bincount adds each bin's weights in input order, that is row by row
-    return np.bincount(src[keep], weights=w[keep], minlength=g.n), (src[strong], dst[strong])
 
 
 def _setup(g: SimGraph, s: float, alive: np.ndarray, anchor: _Group | None = None,
@@ -272,38 +257,31 @@ def _setup(g: SimGraph, s: float, alive: np.ndarray, anchor: _Group | None = Non
     surviving nodes marked 1).
 
     Given ``tau`` and the pinned ``anchor``, returns None instead, before
-    the prefilter, when M, the largest ``(deg(u) + inw(u)) / 2`` over the
-    nodes u marked 1, is below tau (Charikar's degree bound, APPROX 2000):
-    with ``deg(u)`` u's weighted degree, an outside set has alpha at most M
-    and the anchor joined by outside nodes at most a mediant of its own
-    alpha and M.
+    the prefilter and without reading a row, when M, the largest
+    ``(deg(u) + inw(u)) / 2`` over the nodes u marked 1, is below tau
+    (Charikar's degree bound, APPROX 2000): with ``deg(u)`` u's weighted
+    degree, read from the graph's ``strength`` arrays, an outside set has
+    alpha at most M and the anchor joined by outside nodes at most a
+    mediant of its own alpha and M.
 
-    When the nodes marked 1 are most of the graph (``_most``), ``deg`` and
-    each node's strongest edge come from the graph's ``strength`` arrays,
-    which cost O(n + m) once per graph, instead of from their rows; and when
-    every node is in the start set, as in a whole-graph peel and every
-    session repair, a node's edge above s to an alive node is its strongest
-    edge, so the prefilter reads no row and the start comes back unweighed
-    (see ``_Start.weighed`` and ``_core``). Otherwise only the rows of the
-    nodes marked 1 are read.
+    When the nodes marked 1 are most of the graph (``_most``) and every
+    node is in the start set, as in a whole-graph peel and every session
+    repair, a node's edge above s to an alive node is its strongest edge,
+    so the prefilter reads no row and the start comes back unweighed (see
+    ``_Start.weighed`` and ``_core``). Otherwise the rows of the nodes
+    marked 1 are read.
     """
     n = g.n
     nodes = np.flatnonzero(alive == 1)
-    most = _most(g, len(nodes))
-    rows = None
     if tau is not None:
-        if most:
-            deg = g.strength()[0][nodes]
-        else:
-            rows = g.gather(nodes)
-            deg = np.bincount(rows[0], weights=g.weights[rows[1]], minlength=n)[nodes]
+        deg = g.strength()[0][nodes]
         if float((deg + anchor.inw[nodes]).max(initial=-math.inf)) / 2.0 < tau:
             return None
-    if most and alive.all():
+    if _most(g, len(nodes)) and alive.all():
         weak = g.strength()[1][nodes] <= s
         alive[nodes[weak]] = 0
         return _Start(alive, nodes[~weak])
-    src, pos = g.gather(nodes) if rows is None else rows
+    src, pos = g.gather(nodes)
     w = g.weights[pos]
     dst = g.indices[pos]
     cnt = np.bincount(src[(w > s) & (alive[dst] != 0)], minlength=n)
@@ -311,41 +289,34 @@ def _setup(g: SimGraph, s: float, alive: np.ndarray, anchor: _Group | None = Non
     # the same edge to u. So dropping the nodes without any such edge
     # strands no other node; one round reaches the prefilter's fixpoint.
     alive[nodes[cnt[nodes] == 0]] = 0
-    return _Start(alive, np.flatnonzero(alive == 1), *_weigh(g, s, alive, src, pos, w))
+    keep = (alive[src] != 0) & (alive[dst] != 0)
+    # bincount adds each bin's weights in input order, that is row by row
+    return _Start(alive, np.flatnonzero(alive == 1), np.bincount(src[keep], weights=w[keep], minlength=n))
 
 
 def _last_strong(g: SimGraph, order: np.ndarray, s: float,
-                 strong: tuple[np.ndarray, np.ndarray] | None = None,
                  pinned: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """For each position of a removal order, the position in it of the last
     to go of the node's neighbours over an edge above ``s`` (-1 for none);
     and the same for each node of ``pinned``, ids not in the order (empty
     when not given).
 
-    The edges come from ``strong``, the row node and other end of every edge
-    above s of a superset of the order's rows, when given. Otherwise an
-    order that is most of the graph (``_most``) takes every row's greatest
-    position in one ``maximum.reduceat`` over all rows, and a smaller one
-    gathers its own rows and the pinned nodes' edges to them."""
+    An order that is most of the graph (``_most``) takes every row's
+    greatest position in one ``maximum.reduceat`` over all rows; a smaller
+    one gathers its own rows, which hold the pinned nodes' edges to it."""
     n = len(order)
     pinned = np.empty(0, dtype=np.int64) if pinned is None else pinned
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[order] = np.arange(n)
-    if strong is None and _most(g, n):
+    if _most(g, n):
         ptr = g.indptr
         rows = np.flatnonzero(ptr[1:] > ptr[:-1])
         last = np.full(g.n, -1, dtype=np.int64)
         last[rows] = np.maximum.reduceat(np.where(g.weights > s, pos[g.indices], -1), ptr[rows])
         return last[order], last[pinned]
-    if strong is None:
-        src, at = g.gather(order)
-        above = g.weights[at] > s
-        src, dst = src[above], g.indices[at[above]]
-    else:
-        src, dst = strong
-    row = pos[src]
-    mine = row >= 0
-    row, dst = row[mine], dst[mine]
+    src, at = g.gather(order)
+    above = g.weights[at] > s
+    row, dst = pos[src[above]], g.indices[at[above]]
     pos[pinned] = -2
     to = pos[dst]
     last = np.full(n, -1, dtype=np.int64)
@@ -521,12 +492,13 @@ def modified_sgsel(
     ``skipped`` is the number of outside nodes it dropped.
 
     Deciding a floored peel costs O(n) plus the rows of the candidates:
-    when the outside nodes are most of the graph, the degree bound reads
-    ``g.strength()``, and when every node is in the start set (``within``
-    the anchor's complement, as in a session repair) the prefilter reads
-    the strongest edges and the core reads only the rows of the outside
-    nodes whose weighted degree reaches tau' (see ``_core``). All outside
-    rows are read only when the cut does not apply or does not certify.
+    the degree bound reads ``g.strength()`` and no row, and when the
+    outside nodes are most of the graph and every node is in the start set
+    (``within`` the anchor's complement, as in a session repair) the
+    prefilter reads the strongest edges and the core reads only the rows of
+    the outside nodes whose weighted degree reaches tau' (see ``_core``).
+    All outside rows are read only when the cut does not apply or does not
+    certify.
     Any peel, floored or not, of a start set that is most of the graph
     and holds every node takes its starting weights from ``g.strength()``
     too (see ``_Start.weighed``).
@@ -586,35 +558,29 @@ def _core(g: SimGraph, s: float, start: _Start, tau: float) -> _Start | None:
     dropped, round by round, until none drops. Returns the cored start: the
     marks with the dropped nodes unmarked, the core in id order, which may
     be empty, every node's weight into the nodes left (summed as ``_setup``
-    sums it, for the core's nodes) and the edges above ``s`` of the rows
-    read; or None when the cut does not apply: nothing is dropped, or the
-    core keeps more than half of ``free``.
+    sums it, for the core's nodes); or None when the cut does not apply:
+    nothing is dropped, or the core keeps more than half of ``free``.
 
     A node's weight into any alive set is a row-order sum of some of the
     terms of its weighted degree, and rounding is monotone, so it is at most
-    that degree. A start set not yet weighed therefore starts its rounds
-    from the nodes whose degree reaches tau and reads only their rows; it is
-    weighed in full only when every node's does. Weight into a set never
-    falls as the set grows, so the rounds reach the same core from any
-    start set that holds it: the largest set each of whose nodes keeps a
-    weight of at least tau into it and the anchor."""
+    that degree. The rounds therefore start from the nodes whose degree
+    (``g.strength()``) reaches tau and read only their rows; a start not yet
+    weighed is weighed in full only when every node's does. Weight into a
+    set never falls as the set grows, so the rounds reach the same core from
+    any start set that holds it: the largest set each of whose nodes keeps
+    a weight of at least tau into it and the anchor."""
     free = start.free
-    low = None
-    if start.incident_at is None:
-        low = g.strength()[0][free] < tau
-        if not low.any():
-            low = None  # every node may stay: only the weights can tell
-    if low is None:
-        low = start.weighed(g, s).incident_at[free] < tau
+    low = g.strength()[0][free] < tau
     if not low.any():
-        return None
+        # every node may stay: only the weights can tell
+        low = start.weighed(g, s).incident_at[free] < tau
+        if not low.any():
+            return None
     core = free[~low]
     inside = start.alive.copy()
     inside[free[low]] = 0
     src, pos = g.gather(core)
     dst, w = g.indices[pos], g.weights[pos]
-    above = w > s
-    strong = src[above], dst[above]
     while True:
         keep = (inside[src] != 0) & (inside[dst] != 0)
         src, dst, w = src[keep], dst[keep], w[keep]
@@ -627,7 +593,7 @@ def _core(g: SimGraph, s: float, start: _Start, tau: float) -> _Start | None:
         core = core[~low]
     if 2 * len(core) > len(free):
         return None
-    return _Start(inside, core, weight, strong)
+    return _Start(inside, core, weight)
 
 
 def _certified(run: PeelRun, tau: float, skipped: int, p: int) -> PeelRun | None:
@@ -745,7 +711,7 @@ def _peel_runs(
     totals = np.cumsum(np.concatenate(([total], -gone)))[::-1]
 
     # support after the loop, from the edges above s of the outside nodes
-    last, pin_last = _last_strong(g, at, s, start.strong, pinned)
+    last, pin_last = _last_strong(g, at, s, pinned)
     outside_order = tuple(order)
     out_ok = _supported_by_order(last)
     if not na:

@@ -1,6 +1,7 @@
 """The names other code reaches the package through."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import msel
@@ -34,6 +35,23 @@ def test_traced_names_are_module_attributes():
         for name in names:
             assert callable(vars(module).get(name)), f"{module.__name__}.{name}"
     assert "from_members" in vars(Solution)
+    # the tracer itself rebinds every name, through vars() of its module,
+    # and restores it: a name deleted as an unused import fails here, not
+    # only in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = [(module, name) for module, names in TRACED.items() for name in names]
+    before = [vars(module)[name] for module, name in names]
+    tracer = spans.Tracer("api")
+    tracer.install()
+    try:
+        during = [vars(module)[name] for module, name in names]
+    finally:
+        tracer.uninstall()
+    assert [f"{m.__name__}.{n}" for (m, n), old, new in zip(names, before, during) if new is old] == []
+    assert [vars(module)[name] for module, name in names] == before
 
 
 def _imported_modules(path: Path) -> set[str]:

@@ -196,8 +196,8 @@ def test_similarity_increase_strips_dead_members():
     assert is_feasible(sol.members, g, sess.constraints)
 
 
-def test_similarity_raise_strips_exactly_the_members_without_a_strong_edge():
-    # the strip reads the weak members' rows in one gather; it must drop
+def test_similarity_raise_strips_exactly_the_members_without_a_strong_edge(monkeypatch):
+    # the strip reads the graph's strongest edges and no row; it must drop
     # exactly the members whose strongest edge anywhere is not above s
     rng = random.Random(2301)
     for _ in range(60):
@@ -205,8 +205,10 @@ def test_similarity_raise_strips_exactly_the_members_without_a_strong_edge():
         g = random_graph(n, rng.randint(0, min(4 * n, n * (n - 1) // 2)), seed=rng.randint(0, 10**6))
         grp = dcsel._Group(g, rng.sample(range(n), rng.randint(0, n)))
         s = rng.choice([0.1, 0.3, 0.6, 0.85, 0.95])
-        got = dcsel._unsupported(g, grp, s).tolist()
+        g.strength()
+        got, rows = _spied_rows(monkeypatch, lambda: dcsel._unsupported(g, grp, s).tolist())
         assert got == sorted(u for u in grp.members if g.max_incident_weight(u) <= s)
+        assert rows == []
 
 
 def test_similarity_increase_keeps_members_with_an_edge_outside():
@@ -1085,8 +1087,7 @@ def _gathering_setup(g, s, alive, anchor=None, tau=None):
     """A peel's set-up that reads every outside row, as one did before the
     graph's ``strength`` arrays: the degree bound sums the gathered rows,
     the prefilter counts their edges above s to alive nodes, and the start
-    comes back weighed, with no edges above s kept for the support pass,
-    which then gathers the removal order's rows itself."""
+    comes back weighed."""
     n = g.n
     nodes = np.flatnonzero(alive == 1)
     src, pos = g.gather(nodes)
@@ -1101,9 +1102,9 @@ def _gathering_setup(g, s, alive, anchor=None, tau=None):
     return msel.peel._Start(alive, np.flatnonzero(alive == 1), np.bincount(src[keep], weights=w[keep], minlength=n))
 
 
-def _gathering_support(g, order, s, strong=None, pinned=None):
-    """A support pass that gathers the removal order's rows, whatever edges
-    it is handed, as one did before the pass over all rows: the edges above
+def _gathering_support(g, order, s, pinned=None):
+    """A support pass that gathers the removal order's rows, whatever the
+    order's size, as one did before the pass over all rows: the edges above
     s are compacted and each row's last neighbour found by
     ``np.maximum.at``; likewise each pinned node's last order neighbour."""
     pinned = np.empty(0, dtype=np.int64) if pinned is None else pinned
@@ -1248,14 +1249,16 @@ def test_whole_graph_peels_read_only_the_tail_and_the_rows_next_to_drops(monkeyp
 
 def test_floored_peels_read_only_rows_that_can_reach_the_floor(monkeypatch):
     # the 40-node community (alpha 16.6) outweighs every outside node's
-    # degree bound: a floored peel around it reads no row
-    g = planted_community_graph(3000, 9000, seed=1, community=40)
-    grp = dcsel._Group(g, range(40))
+    # degree bound: a floored peel around it reads no row, whether the
+    # outside nodes are fewer than half the graph (20 of 60) or most of it
     c = ConstraintPair(s=0.15, p=2)
-    within = np.flatnonzero(~grp.mask)
-    (sol, profile), rows = _spied_rows(monkeypatch, lambda: modified_sgsel(g, c, within=within, anchor=grp,
-                                                                         floor=grp.alpha))
-    assert not sol and not profile.runs() and rows == []
+    for g in (planted_community_graph(60, 800, seed=1, community=40),
+              planted_community_graph(3000, 9000, seed=1, community=40)):
+        grp = dcsel._Group(g, range(40))
+        within = np.flatnonzero(~grp.mask)
+        (sol, profile), rows = _spied_rows(monkeypatch, lambda: modified_sgsel(g, c, within=within, anchor=grp,
+                                                                             floor=grp.alpha))
+        assert not sol and not profile.runs() and rows == []
     # merged with a denser 60-node community: the cored peel finds it and
     # reads only the rows of outside nodes whose degree reaches the floor
     extra = planted_community_graph(200, 2000, seed=2, community=60)
