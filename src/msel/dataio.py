@@ -35,7 +35,6 @@ from .similarity import (
     build_similarity_graph,
     distinct_pairs,
     normalize_attributes,
-    scaled_zero_one,
 )
 
 
@@ -47,9 +46,9 @@ class RawDataset:
     they are excluded from ``cite_edges``. ``cite_ids`` holds the pair of
     every cite line as dense ids, -1 for an unknown id, an (m, 2) int64
     array, when the loader knows them; ``cite_pairs`` maps ``cite_edges``
-    through the ids when it is None. ``bits`` holds ``features`` as a bool
-    array when the loader read them as 0/1 rows, and is None otherwise;
-    ``to_sim_graph`` then takes them as such without testing the features.
+    through the ids when it is None. ``features`` is a bool array when the
+    loader read the rows as 0/1 from their character codes, and float64
+    otherwise.
     """
 
     ids: tuple[str, ...]
@@ -58,7 +57,6 @@ class RawDataset:
     cite_edges: tuple[tuple[str, str], ...]
     dropped_citations: int = 0
     cite_ids: np.ndarray | None = field(default=None, repr=False, compare=False)
-    bits: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -95,13 +93,14 @@ def load_content_cites(content_path: str | Path, cites_path: str | Path) -> RawD
     counted rather than treated as errors. The fields of every cites line
     are counted in one pass over the file's bytes (``_field_counts``), each
     cite token is looked up in the ids once, and the dense ids of every pair
-    go into ``cite_ids``. Content read as 0/1 rows keeps them in ``bits``.
+    go into ``cite_ids``. Content read as 0/1 rows from its character codes
+    keeps them as bool ``features``; other content is read as float64.
     """
     content_path = Path(content_path)
     cites_path = Path(cites_path)
 
     lines = read_text(content_path).split("\n")
-    ids, features, labels, bits = _content_columns(lines) or _content_by_line(lines, content_path)
+    ids, features, labels = _content_columns(lines) or _content_by_line(lines, content_path)
 
     text = read_text(cites_path)
     fields = _field_counts(text)
@@ -119,7 +118,7 @@ def load_content_cites(content_path: str | Path, cites_path: str | Path) -> RawD
     it = iter(toks)
     edges = tuple(compress(zip(it, it), kept.tolist()))
     return RawDataset(tuple(ids), features, tuple(labels), edges, len(kept) - len(edges),
-                      dense.reshape(-1, 2), bits)
+                      dense.reshape(-1, 2))
 
 
 # the ASCII codes str.split splits on: 9-13 and 28-32
@@ -145,13 +144,13 @@ def _field_counts(text: str) -> np.ndarray:
 
 
 def _content_columns(lines: list[str]):
-    """(ids, features, labels, bits) of content lines that are all well
-    formed, with every feature column parsed at once; None when there are no
-    nodes or any line needs ``_content_by_line``'s checks.
+    """(ids, features, labels) of content lines that are all well formed,
+    with every feature column parsed at once; None when there are no nodes
+    or any line needs ``_content_by_line``'s checks.
 
     Feature bodies that are all 0/1 rows of one length, as in Cora or
     CiteSeer, are read from their character codes (``_binary_rows``), and
-    ``bits`` holds them as bool rows; it is None for other content. Any
+    ``features`` holds them as bool rows; other content is float64. Any
     other body goes to ``np.loadtxt``, which splits on the whitespace
     ``str.split`` splits on and parses a number as ``float`` does, so what
     it accepts gets the same bits; what it rejects (a ragged row, or
@@ -171,14 +170,13 @@ def _content_columns(lines: list[str]):
         labels.append(tail[1])
     if not ids or len(set(ids)) < len(ids):
         return None
-    bits = _binary_rows(bodies)
-    if bits is not None:
-        return ids, bits.astype(np.float64), labels, bits
-    try:
-        features = np.loadtxt(bodies, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return ids, features, labels, None
+    features = _binary_rows(bodies)
+    if features is None:
+        try:
+            features = np.loadtxt(bodies, comments=None, ndmin=2)
+        except ValueError:
+            return None
+    return ids, features, labels
 
 
 def _binary_rows(bodies: list[str]) -> np.ndarray | None:
@@ -204,8 +202,8 @@ def _binary_rows(bodies: list[str]) -> np.ndarray | None:
 
 
 def _content_by_line(lines: list[str], path: Path):
-    """(ids, features, labels, None) of content lines, checked one line at a
-    time; the first bad line raises."""
+    """(ids, features, labels) of content lines, checked one line at a time;
+    the first bad line raises."""
     ids: list[str] = []
     rows: list[np.ndarray] = []
     labels: list[str] = []
@@ -241,7 +239,7 @@ def _content_by_line(lines: list[str], path: Path):
         rows.append(vec)
         labels.append(label)
     features = np.vstack(rows) if rows else np.zeros((0, 0))
-    return ids, features, labels, None
+    return ids, features, labels
 
 
 def to_sim_graph(ds: RawDataset, mode: str = "edges", k: int | None = None) -> SimGraph:
@@ -250,16 +248,14 @@ def to_sim_graph(ds: RawDataset, mode: str = "edges", k: int | None = None) -> S
     External ids densify to 0..n-1 in content-file order. Citation pairs
     (``ds.cite_pairs``) supply the structure only for mode="edges".
     Features are min-max normalized per column before weighting, which
-    brings unbounded columns into range. 0/1 content skips the arithmetic:
-    it is kept as bool rows, an all-ones column cleared, which are the
-    values scaling would give. Rows the loader read as 0/1 (``ds.bits``)
-    are taken as they are; other features are tested once.
+    brings unbounded columns into range. Bool features, the 0/1 rows the
+    loader read from character codes, skip the arithmetic: an all-ones
+    column is cleared, which is what scaling would give. Float features are
+    scaled, and the kernels test the scaled rows for 0/1 once.
     """
-    if ds.bits is not None:
-        values = ds.bits & ~ds.bits.all(axis=0)
+    if ds.features.dtype == bool:
+        values = ds.features & ~ds.features.all(axis=0)
     else:
-        values = scaled_zero_one(ds.features)
-    if values is None:
         values = normalize_attributes(ds.features)
     attrs = AttributeMatrix(values=values, ids=tuple(range(ds.n)))
     return build_similarity_graph(attrs, mode=mode, edges=ds.cite_pairs, k=k)

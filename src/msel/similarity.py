@@ -51,32 +51,20 @@ class AttributeMatrix:
 def normalize_attributes(raw: np.ndarray) -> np.ndarray:
     """Min-max scale each column into [0, 1]; constant columns map to 0.
 
-    Rejects NaN and infinite entries. Input is not modified.
+    Rejects NaN and infinite entries. Input is not modified; an array with
+    no rows comes back empty.
     """
     arr = np.asarray(raw, dtype=np.float64)
     if arr.ndim != 2:
         raise DataError(f"expected a 2-d attribute array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise DataError("attribute array contains NaN or infinite entries")
-    lo = arr.min(axis=0)
-    span = arr.max(axis=0) - lo
+    lo = arr.min(axis=0, initial=np.inf)
+    span = arr.max(axis=0, initial=-np.inf) - lo
     # a constant column's entries all equal its minimum, so they come out 0
     out = arr - lo
     out /= np.where(span > 0, span, 1.0)
     return out
-
-
-def scaled_zero_one(raw: np.ndarray) -> np.ndarray | None:
-    """``normalize_attributes(raw)`` as a bool array when every entry of the
-    2-d ``raw`` is 0 or 1, else None. Min-max scaling leaves such a column
-    as it is, unless it holds only ones: a constant column maps to 0."""
-    if raw.ndim != 2:
-        return None
-    ones = raw == 1.0
-    if not (ones | (raw == 0.0)).all():
-        return None
-    ones[:, ones.all(axis=0)] = False
-    return ones
 
 
 def pair_weight(x: np.ndarray, y: np.ndarray) -> float:

@@ -20,7 +20,6 @@ from msel import (
 )
 from msel import AttributeMatrix, build_similarity_graph, dataio, normalize_attributes
 from msel.dataio import _fmt_weight
-from msel.similarity import scaled_zero_one
 from msel.synth import planted_community_graph, random_graph
 
 from helpers import gnp_graph
@@ -227,7 +226,10 @@ def _load_like_reference(tmp_path, text):
     ds = load_content_cites(content, cites)
     assert (ds.ids, ds.labels) == (ids, labels)
     assert ds.features.shape == features.shape
-    assert np.array_equal(ds.features.view(np.int64), features.view(np.int64))
+    assert np.array_equal(np.asarray(ds.features, np.float64).view(np.int64), features.view(np.int64))
+    if ds.features.dtype == bool:
+        # only rows the reference reads as 0.0/1.0, never -0.0
+        assert np.isin(features.view(np.int64), np.array([0.0, 1.0]).view(np.int64)).all()
     return ds
 
 
@@ -274,6 +276,8 @@ def test_loader_matches_line_by_line_reference_on_every_fault(tmp_path):
             assert isinstance(got, expect), text
         else:
             assert not isinstance(got, Exception), text
+            if not got.n:
+                assert to_sim_graph(got).n == 0, text
             if expect is not None:
                 assert got.features.tolist() == expect
 
@@ -310,7 +314,8 @@ def test_binary_rows_match_the_reference(tmp_path, monkeypatch):
             returned.clear()
             ds = _load_like_reference(tmp_path, end.join(lines) + end)
             assert ds.features.shape[1] == d
-            assert len(returned) == 1 and np.array_equal(returned[0], ds.features)
+            assert len(returned) == 1 and ds.features is returned[0]
+            assert ds.features.dtype == bool
 
 
 @pytest.mark.parametrize("text", [
@@ -547,28 +552,23 @@ def _csr(g):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_zero_one_content_builds_the_min_max_scaled_graph(seed):
-    """0/1 content skips min-max scaling; every mode must still build, bit
-    for bit, the graph of the scaled features, all-ones and all-zero columns
-    included."""
+    """0/1 content, as the loader's bool rows or as float64, must build in
+    every mode, bit for bit, the graph of the scaled features, all-ones and
+    all-zero columns included."""
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(4, 40)), int(rng.integers(1, 24))
     features = (rng.random((n, d)) < rng.uniform(0.1, 0.9)).astype(np.float64)
     features[:, rng.choice(d, size=min(d, 2), replace=False)] = [1.0, 0.0][: min(d, 2)]
     pairs = rng.integers(0, n, size=(3 * n, 2))
     ids = tuple(f"p{i}" for i in range(n))
-    raw = dataio.RawDataset(ids, features, ("x",) * n, tuple((ids[a], ids[b]) for a, b in pairs.tolist()))
-    scaled = normalize_attributes(features)
-    assert np.array_equal(scaled_zero_one(features), scaled)
-    attrs = AttributeMatrix(values=scaled, ids=tuple(range(n)))
+    cites = tuple((ids[a], ids[b]) for a, b in pairs.tolist())
+    raws = [dataio.RawDataset(ids, f, ("x",) * n, cites) for f in (features, features.astype(bool))]
+    attrs = AttributeMatrix(values=normalize_attributes(features), ids=tuple(range(n)))
     k = int(rng.integers(1, n))
-    for mode, kw in (("edges", {"edges": raw.cite_pairs}), ("knn", {"k": k}), ("full", {})):
-        want = build_similarity_graph(attrs, mode=mode, **kw)
-        assert _csr(to_sim_graph(raw, mode=mode, k=kw.get("k"))) == _csr(want), mode
-
-
-def test_scaled_zero_one_passes_other_content_on():
-    for x in ([[0.0, 0.5]], [[1.0, 2.0]], [[float("nan"), 1.0]], [[-1.0, 0.0]]):
-        assert scaled_zero_one(np.array(x)) is None
+    for mode, kw in (("edges", {"edges": raws[0].cite_pairs}), ("knn", {"k": k}), ("full", {})):
+        want = _csr(build_similarity_graph(attrs, mode=mode, **kw))
+        for raw in raws:
+            assert _csr(to_sim_graph(raw, mode=mode, k=kw.get("k"))) == want, (mode, raw.features.dtype)
 
 
 def test_array_path_matches_line_reader(tmp_path, monkeypatch):

@@ -21,7 +21,7 @@ from msel import (
     pair_weight,
     write_msg1,
 )
-from msel.similarity import _weights_block, scaled_zero_one
+from msel.similarity import _weights_block
 
 
 def test_normalize_binary_unchanged():
@@ -413,7 +413,7 @@ def test_knn_convert_is_the_same_at_every_simd_level(tmp_path, disabled):
     cites.write_text("".join(f"p{u} p{v}\n" for u, v in pairs.tolist()), encoding="utf-8")
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled),
            "PYTHONPATH": str(Path(msel.__file__).parents[1])}
-    values = scaled_zero_one(rows.astype(np.float64)).astype(np.float64)
+    values = normalize_attributes(rows.astype(np.float64))
     for mode, kw in (("knn:5", {"k": 5}), ("edges", {"edges": pairs})):
         proc = subprocess.run(
             [sys.executable, "-m", "msel.cli", "convert", "--content", str(content),
